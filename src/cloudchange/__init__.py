@@ -17,7 +17,7 @@ from .geometry import (
     bounding_cube,
 )
 from .cloud_io import CloudFormatError, load_cloud, save_cloud
-from .octree import Octree, OctreeNode, build_octree, nodes_at_depth
+from .octree import Octree
 from .detection import (
     ChangeParams,
     ChangeSet,
@@ -109,7 +109,6 @@ __all__ = [
     "ImageObservation",
     "ObjectPoint",
     "Octree",
-    "OctreeNode",
     "PipelineConfig",
     "Point3",
     "PointCloud",
@@ -127,7 +126,6 @@ __all__ = [
     "apply_transform",
     "bounding_cube",
     "build_ground_grid",
-    "build_octree",
     "change_metrics",
     "change_volume",
     "component_filter",
@@ -143,7 +141,6 @@ __all__ = [
     "icp_align",
     "load_cloud",
     "load_scenario",
-    "nodes_at_depth",
     "parse_config",
     "point_to_plane_distances",
     "project_point",

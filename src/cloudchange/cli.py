@@ -28,7 +28,7 @@ from .config import (
 )
 from .detection import ChangeParams, hierarchical_detect
 from .evaluation import change_metrics, confusion_counts, distance_stats
-from .geometry import ChangeLabel, PointCloud
+from .geometry import apply_transform
 from .neighbors import set_worker_count
 from .pipeline import StageError, run_pipeline, write_json, _interval_outputs
 from .registration import IcpParams, icp_align, point_to_plane_distances
@@ -64,46 +64,25 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--unnormalized",
-        action="store_true",
+        action="store_false",
+        dest="normalized",
+        default=None,
         help="use the raw squared-difference sum instead of the per-subvoxel mean",
     )
     group.add_argument("--component-radius", type=float, help="cluster filter radius, metres")
     group.add_argument("--component-min-size", type=int, help="minimum cluster size kept")
 
 
-def _detection_params(args, base: Optional[ChangeParams] = None) -> ChangeParams:
-    params = base if base is not None else ChangeParams()
+def _params_from_args(cls, args):
+    """`cls` (ChangeParams or IcpParams) with every field whose same-named
+    flag was given on the command line overridden; repeated flags give a
+    tuple."""
     updates = {}
-    if args.start_depth is not None:
-        updates["start_depth"] = args.start_depth
-    if args.max_depth is not None:
-        updates["max_depth"] = args.max_depth
-    if args.subvoxels_per_axis is not None:
-        updates["subvoxels_per_axis"] = args.subvoxels_per_axis
-    if args.thresholds:
-        updates["thresholds"] = (
-            args.thresholds[0] if len(args.thresholds) == 1 else tuple(args.thresholds)
-        )
-    if args.unnormalized:
-        updates["normalized"] = False
-    if args.component_radius is not None:
-        updates["component_radius"] = args.component_radius
-    if args.component_min_size is not None:
-        updates["component_min_size"] = args.component_min_size
-    return dataclasses.replace(params, **updates)
-
-
-def _icp_params(args) -> IcpParams:
-    updates = {}
-    if args.max_iterations is not None:
-        updates["max_iterations"] = args.max_iterations
-    if args.convergence_threshold is not None:
-        updates["convergence_threshold"] = args.convergence_threshold
-    if args.rejection_distance is not None:
-        updates["rejection_distance"] = args.rejection_distance
-    if args.trim_fraction is not None:
-        updates["trim_fraction"] = args.trim_fraction
-    return IcpParams(**updates)
+    for f in dataclasses.fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            updates[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**updates)
 
 
 def cmd_synth(args) -> int:
@@ -183,24 +162,11 @@ def cmd_register(args) -> int:
     target = load_cloud(args.target)
     if args.threads is not None:
         set_worker_count(args.threads)
-    result = icp_align(source, target, params=_icp_params(args))
-    aligned = PointCloud(
-        result.transform.apply(source.xyz),
-        colors=source.colors,
-        labels=source.labels,
-        epochs=source.epochs,
-        extras=source.extras,
-    )
+    result = icp_align(source, target, params=_params_from_args(IcpParams, args))
+    aligned = apply_transform(source, result.transform)
     if args.output:
         save_cloud(args.output, aligned)
-    payload = {
-        "rotation": [[float(v) for v in row] for row in result.transform.rotation],
-        "translation": [float(v) for v in result.transform.translation],
-        "rms_m": result.rms,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "n_pairs": result.n_pairs,
-    }
+    payload = result.to_dict()
     if args.distances:
         report = point_to_plane_distances(aligned, target)
         payload["distances"] = report.to_dict()
@@ -239,8 +205,7 @@ def cmd_detect(args) -> int:
     other = load_cloud(args.other)
     if args.threads is not None:
         set_worker_count(args.threads)
-    params = _detection_params(args)
-    changes = hierarchical_detect(reference, other, params=params)
+    changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
     os.makedirs(args.output, exist_ok=True)
     entry, volume = _interval_outputs(0, reference, other, changes, args.output, args.grid_size)
     write_json(os.path.join(args.output, "detect_report.json"), entry)
@@ -255,7 +220,7 @@ def cmd_volume(args) -> int:
         set_worker_count(args.threads)
     from .volumetrics import build_ground_grid, change_volume
 
-    changes = hierarchical_detect(reference, other, params=_detection_params(args))
+    changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
     grid = build_ground_grid(changes, reference, other, cell_size=args.grid_size)
     payload = {
         "volume_m3": change_volume(grid),

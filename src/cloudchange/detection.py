@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .geometry import BoundingCube, PointCloud, bounding_cube
 from .neighbors import kdtree
-from .octree import MAX_SUPPORTED_DEPTH, cell_bounds, morton_codes
+from .octree import MAX_SUPPORTED_DEPTH, Octree, cell_bounds, morton_codes
 
 logger = logging.getLogger(__name__)
 
@@ -201,82 +201,50 @@ def feature_distance(a: DensityFeature, b: DensityFeature, normalized: bool = Tr
     return d
 
 
-class _CodeIndex:
-    """Sorted max-resolution Morton codes of one cloud, with range counts."""
+def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int) -> Octree:
+    """Linear octree of the points inside `cube`; `order` indexes `points`."""
+    inside = np.logical_and(
+        (points >= cube.min_corner).all(axis=1),
+        (points <= cube.min_corner + cube.edge).all(axis=1),
+    )
+    return Octree(morton_codes(points[inside], cube, code_depth), code_depth, np.flatnonzero(inside))
 
-    def __init__(self, points: np.ndarray, cube: BoundingCube, code_depth: int) -> None:
-        inside = np.logical_and(
-            (points >= cube.min_corner).all(axis=1),
-            (points <= cube.min_corner + cube.edge).all(axis=1),
-        )
-        self.original_indices = np.flatnonzero(inside)
-        kept = points[inside]
-        codes = morton_codes(kept, cube, code_depth)
-        order = np.argsort(codes, kind="stable")
-        self.sorted_codes = codes[order]
-        self.original_indices = self.original_indices[order]
-        self.points = kept[order]
-        self.code_depth = code_depth
-        self.n_outside = int(len(points) - inside.sum())
 
-    def block_counts(self, cells: np.ndarray, depth: int, levels: int) -> np.ndarray:
-        """(len(cells), 8**levels) point counts of each cell's descendants
-        `levels` below `depth`, in Morton child order."""
-        shift = np.uint64(3 * (self.code_depth - depth - levels))
-        base = cells.astype(np.uint64) << np.uint64(3 * levels)
-        offsets = np.arange(8 ** levels + 1, dtype=np.uint64)
-        edges = (base[:, None] + offsets[None, :]) << shift
-        pos = np.searchsorted(self.sorted_codes, edges.ravel()).reshape(edges.shape)
-        return np.diff(pos, axis=1)
-
-    def members(self, cells: np.ndarray, depth: int) -> np.ndarray:
-        """Original indices of points inside any of the given cells."""
-        shift = np.uint64(3 * (self.code_depth - depth))
-        cells = np.asarray(cells, dtype=np.uint64)
-        lo = np.searchsorted(self.sorted_codes, cells << shift)
-        hi = np.searchsorted(self.sorted_codes, (cells + np.uint64(1)) << shift)
-        if not len(cells):
-            return np.empty(0, dtype=np.int64)
-        spans = [self.original_indices[a:b] for a, b in zip(lo, hi)]
-        out = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-        out.sort()
-        return out
+def _cell_counts(
+    index: Octree, xyz: np.ndarray, cells: np.ndarray, depth: int, cube: BoundingCube, m: int
+) -> np.ndarray:
+    """(len(cells), m**3) sub-voxel point counts of each cell at `depth`."""
+    levels = int(m).bit_length() - 1
+    if m == (1 << levels) and depth + levels <= index.code_depth:
+        return index.block_counts(cells, depth, levels)
+    # General m: bin each cell's points, read through its span of the index.
+    counts = np.zeros((len(cells), m ** 3), dtype=np.int64)
+    corners, edge = cell_bounds(cube, cells, depth)
+    lo, hi = index.spans(cells, depth).T.tolist()
+    for row, (a, b) in enumerate(zip(lo, hi)):
+        pts = xyz[index.order[a:b]]
+        if len(pts):
+            idx = np.floor((pts - corners[row]) / (edge / m)).astype(np.int64)
+            np.clip(idx, 0, m - 1, out=idx)
+            flat = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
+            counts[row] = np.bincount(flat, minlength=m ** 3)
+    return counts
 
 
 def _score_cells(
-    ref: _CodeIndex,
-    oth: _CodeIndex,
+    ref: Tuple[Octree, np.ndarray],
+    oth: Tuple[Octree, np.ndarray],
     cells: np.ndarray,
     depth: int,
     cube: BoundingCube,
     m: int,
     normalized: bool,
 ) -> np.ndarray:
-    """Density-difference score of each cell at `depth`."""
-    cell_edge = cube.edge / float(1 << depth)
-    sub_volume = (cell_edge / m) ** 3
-    levels = int(m).bit_length() - 1
-    fast = m == (1 << levels) and depth + levels <= ref.code_depth
-    if fast:
-        counts_ref = ref.block_counts(cells, depth, levels)
-        counts_oth = oth.block_counts(cells, depth, levels)
-    else:
-        # General m: extract each cell's points by code range, bin directly.
-        counts_ref = np.zeros((len(cells), m ** 3), dtype=np.int64)
-        counts_oth = np.zeros((len(cells), m ** 3), dtype=np.int64)
-        corners, _ = cell_bounds(cube, cells, depth)
-        cells64 = np.asarray(cells, dtype=np.uint64)
-        for row, corner in enumerate(corners):
-            for index, out in ((ref, counts_ref), (oth, counts_oth)):
-                shift = np.uint64(3 * (index.code_depth - depth))
-                lo = np.searchsorted(index.sorted_codes, cells64[row] << shift)
-                hi = np.searchsorted(index.sorted_codes, (cells64[row] + np.uint64(1)) << shift)
-                pts = index.points[lo:hi]
-                if len(pts):
-                    idx = np.floor((pts - corner) / (cell_edge / m)).astype(np.int64)
-                    np.clip(idx, 0, m - 1, out=idx)
-                    flat = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
-                    out[row] = np.bincount(flat, minlength=m ** 3)
+    """Density-difference score of each cell at `depth`; each epoch is given
+    as its (index, coordinates)."""
+    sub_volume = (cube.edge / float(1 << depth) / m) ** 3
+    counts_ref = _cell_counts(*ref, cells, depth, cube, m)
+    counts_oth = _cell_counts(*oth, cells, depth, cube, m)
     diff = (counts_oth - counts_ref).astype(np.float64) / sub_volume
     score = (diff ** 2).sum(axis=1)
     if normalized:
@@ -305,12 +273,12 @@ def hierarchical_detect(
     m = params.subvoxels_per_axis
     levels = max(int(m).bit_length() - 1, 1)
     code_depth = min(params.max_depth + levels, MAX_SUPPORTED_DEPTH)
-    ref = _CodeIndex(reference.xyz, cube, code_depth)
-    oth = _CodeIndex(other.xyz, cube, code_depth)
-    if oth.n_outside:
+    ref = _epoch_index(reference.xyz, cube, code_depth)
+    oth = _epoch_index(other.xyz, cube, code_depth)
+    if len(oth) < len(other):
         logger.info(
             "%d other-epoch points fall outside the reference cube and are not considered",
-            oth.n_outside,
+            len(other) - len(oth),
         )
 
     # Seed: walk the reference octree structure down to start_depth. Cells
@@ -334,7 +302,9 @@ def hierarchical_detect(
         if not buckets:
             continue
         cells = np.unique(np.concatenate(buckets))
-        score = _score_cells(ref, oth, cells, depth, cube, m, params.normalized)
+        score = _score_cells(
+            (ref, reference.xyz), (oth, other.xyz), cells, depth, cube, m, params.normalized
+        )
         survivors = cells[score >= params.threshold_at(depth)]
         if depth == params.max_depth:
             changed.append(survivors)

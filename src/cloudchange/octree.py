@@ -1,18 +1,20 @@
-"""Octree partitioning of a point cloud's bounding cube.
+"""Linear octree over a bounding cube: Morton codes, sorted-code index,
+cell bounds.
 
-The tree is stored as a permutation of point indices sorted by Morton code;
-every node is a contiguous span of that permutation, so children are located
-by binary search and materialized lazily. One quantisation at the maximum
-depth defines cell membership at every coarser depth (prefix of the code),
-which keeps parent/child assignment consistent to the last ulp.
+The octree is stored as the points' Morton codes in sorted order, with no
+node objects (Gargantini, "An effective way to represent quadtrees", CACM
+1982): every cell is a contiguous span of the sorted codes, found by binary
+search. One quantisation at the finest depth defines cell membership at
+every coarser depth (prefix of the code), which keeps parent/child
+assignment consistent to the last ulp.
 """
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geometry import BoundingCube, PointCloud, bounding_cube
+from .geometry import BoundingCube
 
 MAX_SUPPORTED_DEPTH = 21  # 3 * 21 = 63 Morton bits in a uint64
 
@@ -85,120 +87,59 @@ def cell_bounds(cube: BoundingCube, codes: np.ndarray, depth: int) -> tuple:
     return cube.min_corner + cells * edge, edge
 
 
-class OctreeNode:
-    """A node of the octree: a cube plus the span of points it contains.
-
-    Children are materialized on first access; a node has either 0 children
-    (leaf) or all 8 (each child covers exactly one octant of the parent).
-    """
-
-    __slots__ = ("_tree", "depth", "code", "start", "end", "_children")
-
-    def __init__(self, tree: "Octree", depth: int, code: int, start: int, end: int) -> None:
-        self._tree = tree
-        self.depth = depth
-        self.code = code
-        self.start = start
-        self.end = end
-        self._children: Optional[List["OctreeNode"]] = None
-
-    @property
-    def count(self) -> int:
-        return self.end - self.start
-
-    @property
-    def is_leaf(self) -> bool:
-        tree = self._tree
-        return self.depth >= tree.max_depth or self.count < tree.min_points_to_split
-
-    @property
-    def bounds(self) -> BoundingCube:
-        corners, edge = cell_bounds(
-            self._tree.cube, np.asarray([self.code], dtype=np.uint64), self.depth
-        )
-        return BoundingCube(corners[0], edge)
-
-    @property
-    def point_indices(self) -> np.ndarray:
-        """Original cloud indices of the points inside this node."""
-        return self._tree.order[self.start : self.end]
-
-    @property
-    def children(self) -> List["OctreeNode"]:
-        if self.is_leaf:
-            return []
-        if self._children is None:
-            tree = self._tree
-            shift = np.uint64(3 * (tree.max_depth - self.depth - 1))
-            span = tree.sorted_codes[self.start : self.end] >> shift
-            base = int(self.code) << 3
-            splits = np.searchsorted(span, np.arange(base, base + 9, dtype=np.uint64))
-            self._children = [
-                OctreeNode(
-                    tree,
-                    self.depth + 1,
-                    base + j,
-                    self.start + int(splits[j]),
-                    self.start + int(splits[j + 1]),
-                )
-                for j in range(8)
-            ]
-        return self._children
-
-
 class Octree:
-    """Octree over a cloud's bounding cube.
+    """Linear octree: points sorted by their Morton codes at `code_depth`.
+
+    Every cell at depth d <= code_depth is the contiguous span of
+    `sorted_codes` whose codes shifted right by 3 * (code_depth - d) equal
+    the cell's code, so cells are never materialized: one binary search
+    over the sorted codes answers every membership and count query.
 
     Attributes:
-        cube: root bounding cube.
-        max_depth: finest subdivision level.
-        min_points_to_split: a node subdivides only when it holds at least
-            this many points (default 1: occupied nodes reach max_depth,
-            empty space is never subdivided).
-        order: permutation of point indices sorted by Morton code.
-        sorted_codes: depth-max_depth Morton code per entry of `order`.
+        code_depth: depth of the codes the index was built from.
+        sorted_codes: the codes in ascending order (stable sort).
+        order: caller index of each entry of `sorted_codes`; positions in
+            the input unless `indices` was given.
     """
 
-    def __init__(self, cloud: PointCloud, cube: BoundingCube, max_depth: int, min_points_to_split: int) -> None:
-        self.cube = cube
-        self.max_depth = max_depth
-        self.min_points_to_split = min_points_to_split
-        codes = morton_codes(cloud.xyz, cube, max_depth)
-        self.order = np.argsort(codes, kind="stable")
-        self.sorted_codes = codes[self.order]
-        self.root = OctreeNode(self, 0, 0, 0, len(codes))
+    def __init__(self, codes: np.ndarray, code_depth: int, indices: Optional[np.ndarray] = None) -> None:
+        if not 0 <= code_depth <= MAX_SUPPORTED_DEPTH:
+            raise ValueError(f"code_depth must be in [0, {MAX_SUPPORTED_DEPTH}], got {code_depth}")
+        codes = np.asarray(codes, dtype=np.uint64)
+        order = np.argsort(codes, kind="stable")
+        self.code_depth = code_depth
+        self.sorted_codes = codes[order]
+        self.order = order if indices is None else np.asarray(indices)[order]
 
-    @property
-    def finest_edge(self) -> float:
-        return self.cube.edge / float(1 << self.max_depth)
+    def __len__(self) -> int:
+        return len(self.sorted_codes)
 
+    def spans(self, cells: np.ndarray, depth: int, levels: int = 0) -> np.ndarray:
+        """(len(cells), 8**levels + 1) positions in `sorted_codes`: the
+        descendant `levels` below `depth` with Morton child index j spans
+        [pos[:, j], pos[:, j + 1]); with levels=0 each row is one cell's span."""
+        if not (0 <= depth and 0 <= levels and depth + levels <= self.code_depth):
+            raise ValueError(
+                f"need 0 <= depth, 0 <= levels and depth + levels <= {self.code_depth}, "
+                f"got depth={depth} levels={levels}"
+            )
+        shift = np.uint64(3 * (self.code_depth - depth - levels))
+        base = np.asarray(cells, dtype=np.uint64) << np.uint64(3 * levels)
+        offsets = np.arange(8 ** levels + 1, dtype=np.uint64)
+        edges = (base[:, None] + offsets[None, :]) << shift
+        return np.searchsorted(self.sorted_codes, edges.ravel()).reshape(edges.shape)
 
-def build_octree(cloud: PointCloud, max_depth: int = 11, min_points_to_split: int = 1) -> Octree:
-    """Build the octree of `cloud` over its tight bounding cube."""
-    if len(cloud) == 0:
-        raise ValueError("cannot build an octree over an empty cloud")
-    if not 1 <= max_depth <= MAX_SUPPORTED_DEPTH:
-        raise ValueError(f"max_depth must be in [1, {MAX_SUPPORTED_DEPTH}], got {max_depth}")
-    if min_points_to_split < 1:
-        raise ValueError(f"min_points_to_split must be >= 1, got {min_points_to_split}")
-    return Octree(cloud, bounding_cube(cloud), max_depth, min_points_to_split)
+    def block_counts(self, cells: np.ndarray, depth: int, levels: int) -> np.ndarray:
+        """(len(cells), 8**levels) point counts of each cell's descendants
+        `levels` below `depth`, in Morton child order."""
+        return np.diff(self.spans(cells, depth, levels), axis=1)
 
-
-def nodes_at_depth(tree: Octree, depth: int) -> List[OctreeNode]:
-    """All nodes at `depth`, plus leaves that bottom out above it.
-
-    A returned node with node.depth < depth is a leaf with no descent below
-    it (terminal); its own bounds are the evaluation volume at this depth.
-    Ordering follows the Morton curve.
-    """
-    if not 0 <= depth <= tree.max_depth:
-        raise ValueError(f"depth must be in [0, {tree.max_depth}], got {depth}")
-    out: List[OctreeNode] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.depth == depth or node.is_leaf:
-            out.append(node)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+    def members(self, cells: np.ndarray, depth: int) -> np.ndarray:
+        """Sorted `order` entries of the points inside any of the given cells."""
+        lo, hi = self.spans(cells, depth).T
+        lengths = hi - lo
+        # Every span's positions, concatenated: one gather, no loop per cell.
+        pos = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        out = self.order[pos]
+        out.sort()
+        return out

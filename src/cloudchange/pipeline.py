@@ -20,7 +20,7 @@ import numpy as np
 from .cloud_io import load_cloud, save_cloud
 from .config import PipelineConfig, config_to_dict
 from .detection import hierarchical_detect
-from .geometry import ChangeLabel, PointCloud
+from .geometry import ChangeLabel, PointCloud, apply_transform
 from .neighbors import set_worker_count
 from .registration import icp_align
 from .volumetrics import build_ground_grid, change_volume, timeline_report
@@ -81,22 +81,7 @@ def _register_pair(earlier: PointCloud, later: PointCloud, config: PipelineConfi
     if config.registration == "none":
         return later, None
     result = icp_align(later, earlier, params=config.icp)
-    aligned = PointCloud(
-        result.transform.apply(later.xyz),
-        colors=later.colors,
-        labels=later.labels,
-        epochs=later.epochs,
-        extras=later.extras,
-    )
-    record = {
-        "rotation": [[float(v) for v in row] for row in result.transform.rotation],
-        "translation": [float(v) for v in result.transform.translation],
-        "rms_m": result.rms,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "n_pairs": result.n_pairs,
-    }
-    return aligned, record
+    return apply_transform(later, result.transform), result.to_dict()
 
 
 def _interval_outputs(

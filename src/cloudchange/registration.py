@@ -72,6 +72,17 @@ class IcpResult:
     n_pairs: int
     rms_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
+    def to_dict(self) -> dict:
+        """Report record: the transform and the final-step statistics."""
+        return {
+            "rotation": [[float(v) for v in row] for row in self.transform.rotation],
+            "translation": [float(v) for v in self.transform.translation],
+            "rms_m": self.rms,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "n_pairs": self.n_pairs,
+        }
+
 
 @dataclass(frozen=True)
 class DistanceReport:

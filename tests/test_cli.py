@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from cloudchange import cli
 from cloudchange.cli import main
 from cloudchange.cloud_io import load_cloud, save_cloud
 from cloudchange.config import parse_config
-from cloudchange.geometry import PointCloud
+from cloudchange.detection import ChangeParams, hierarchical_detect
+from cloudchange.geometry import PointCloud, bounding_cube
 from scenes import hollow_box
 
 
@@ -168,6 +170,61 @@ class TestDetectCommand:
         assert payload["volume_m3"] == 0.0
         labels = load_cloud(out / "labels_0_1.ply")
         assert int(labels.labels.max(initial=0)) == 0
+
+
+class TestDetectionOverrides:
+    """Every detection flag reaches ChangeParams; omitted flags keep defaults."""
+
+    @pytest.fixture
+    def detect_params(self, monkeypatch):
+        seen = []
+
+        def recording(reference, other, params=None, **kwargs):
+            seen.append(params)
+            return hierarchical_detect(reference, other, params=params, **kwargs)
+
+        monkeypatch.setattr(cli, "hierarchical_detect", recording)
+        return seen
+
+    def _args(self, scene, command, out):
+        args = [command, "--reference", str(scene / "epoch_0.ply"), "--other", str(scene / "epoch_1.ply")]
+        return args + ["--output", str(out), "--grid-size", "0.5"]
+
+    def test_every_flag_overrides_its_field(self, scene, tmp_path, capsys, detect_params):
+        overrides = [
+            "--start-depth", "5",
+            "--max-depth", "8",
+            "--subvoxels-per-axis", "3",
+            "--threshold", "1e4",
+            "--threshold", "2e4",
+            "--threshold", "3e4",
+            "--threshold", "4e4",
+            "--unnormalized",
+            "--component-radius", "0.3",
+            "--component-min-size", "7",
+        ]
+        for command, out in (("detect", tmp_path / "detect"), ("volume", tmp_path / "volume.json")):
+            assert main(self._args(scene, command, out) + overrides) == 0
+        capsys.readouterr()
+        expected = ChangeParams(
+            start_depth=5,
+            max_depth=8,
+            subvoxels_per_axis=3,
+            thresholds=(1e4, 2e4, 3e4, 4e4),
+            normalized=False,
+            component_radius=0.3,
+            component_min_size=7,
+        )
+        assert detect_params == [expected, expected]
+        # The written voxels are at the overridden finest depth.
+        report = json.loads((tmp_path / "detect" / "detect_report.json").read_text())
+        cube = bounding_cube(load_cloud(scene / "epoch_0.ply"))
+        assert report["voxel_edge_m"] == cube.edge / 2**8
+        assert report["n_changed_voxels"] > 0
+
+    def test_omitted_flags_keep_defaults(self, scene, tmp_path, capsys, detect_params):
+        assert main(self._args(scene, "volume", tmp_path / "volume.json")) == 0
+        assert detect_params == [ChangeParams()]
 
 
 class TestVolumeCommand:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cloudchange.geometry import PointCloud
+from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.octree import (
-    build_octree,
+    Octree,
+    cell_bounds,
     cell_indices,
     morton_codes,
-    nodes_at_depth,
 )
 
 
@@ -17,13 +17,35 @@ def octant_corners():
     )
 
 
-def walk(tree):
-    stack = [tree.root]
+def index_of(pts, code_depth):
+    """(index, cube) of `pts` over their tight bounding cube."""
+    cube = bounding_cube(PointCloud(pts))
+    return Octree(morton_codes(pts, cube, code_depth), code_depth), cube
+
+
+def occupied(index, depth):
+    """Codes of the occupied cells at `depth`, in Morton order."""
+    return np.unique(index.sorted_codes >> np.uint64(3 * (index.code_depth - depth)))
+
+
+def walk(index, min_split):
+    """Leaves of the adaptive octree that splits a cell only while it holds
+    at least `min_split` points, as (depth, code, lo, hi), checking at every
+    split that the eight child spans tile the parent's span in order."""
+    stack = [(0, np.uint64(0), 0, len(index))]
     while stack:
-        node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.extend(node.children)
+        depth, code, lo, hi = stack.pop()
+        if depth == index.code_depth or hi - lo < min_split:
+            yield depth, code, lo, hi
+            continue
+        pos = index.spans(np.array([code]), depth, 1)[0]
+        assert pos[0] == lo and pos[-1] == hi
+        assert np.all(np.diff(pos) >= 0)
+        children = index.spans((code << np.uint64(3)) + np.arange(8, dtype=np.uint64), depth + 1)
+        np.testing.assert_array_equal(children[:, 0], pos[:-1])
+        np.testing.assert_array_equal(children[:, 1], pos[1:])
+        for j in range(8):
+            stack.append((depth + 1, (code << np.uint64(3)) + np.uint64(j), pos[j], pos[j + 1]))
 
 
 class TestBuild:
@@ -31,25 +53,37 @@ class TestBuild:
         cube_pts = octant_corners()
         # Corners pin the bounding cube to the unit cube.
         pts = np.vstack([cube_pts, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
-        tree = build_octree(PointCloud(pts), max_depth=1)
-        kids = tree.root.children
-        assert len(kids) == 8
-        counts = sorted(k.count for k in kids)
-        assert counts == [1, 1, 1, 1, 1, 1, 2, 2]  # corners join octants 0 and 7
-        assert sum(k.count for k in kids) == len(pts)
+        index, _ = index_of(pts, 1)
+        counts = index.block_counts(np.zeros(1, dtype=np.uint64), 0, 1)[0]
+        assert len(counts) == 8
+        assert sorted(counts) == [1, 1, 1, 1, 1, 1, 2, 2]  # corners join octants 0 and 7
+        assert counts.sum() == len(pts)
 
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            build_octree(PointCloud(np.empty((0, 3))))
+    def test_empty_index_answers_every_query(self):
+        # The other epoch may have no point inside the reference cube.
+        index = Octree(np.empty(0, dtype=np.uint64), 5, np.empty(0, dtype=np.int64))
+        cells = np.arange(8, dtype=np.uint64)
+        assert len(index) == 0
+        assert index.block_counts(cells, 1, 2).shape == (8, 64)
+        assert not index.block_counts(cells, 1, 2).any()
+        assert len(index.members(cells, 1)) == 0
+        assert len(index.members(np.empty(0, dtype=np.uint64), 1)) == 0
 
     def test_depth_bounds_validated(self):
-        cloud = PointCloud(octant_corners())
+        codes = np.arange(8, dtype=np.uint64)
         with pytest.raises(ValueError):
-            build_octree(cloud, max_depth=0)
+            Octree(codes, -1)
         with pytest.raises(ValueError):
-            build_octree(cloud, max_depth=22)
-        with pytest.raises(ValueError):
-            build_octree(cloud, max_depth=5, min_points_to_split=0)
+            Octree(codes, 22)
+        Octree(codes, 21)
+
+    def test_caller_indices_follow_codes(self):
+        codes = np.array([5, 1, 5, 0, 3], dtype=np.uint64)
+        index = Octree(codes, 1, np.array([10, 11, 12, 13, 14]))
+        np.testing.assert_array_equal(index.sorted_codes, [0, 1, 3, 5, 5])
+        # The sort is stable: equal codes keep their input order.
+        np.testing.assert_array_equal(index.order, [13, 11, 14, 10, 12])
+        np.testing.assert_array_equal(index.members(np.array([5, 1], dtype=np.uint64), 1), [10, 11, 12])
 
 
 class TestStructure:
@@ -63,88 +97,108 @@ class TestStructure:
     def test_partition_and_leaf_rules(self, seed, n, depth, min_split):
         rng = np.random.default_rng(seed)
         pts = rng.normal(scale=5.0, size=(n, 3))
-        tree = build_octree(PointCloud(pts), max_depth=depth, min_points_to_split=min_split)
-        leaf_spans = []
-        for node in walk(tree):
-            assert node.depth <= depth
-            if node.is_leaf:
-                leaf_spans.append((node.start, node.end))
-                # A leaf above max_depth must be below the split threshold.
-                if node.depth < depth:
-                    assert node.count < min_split
-            else:
-                kids = node.children
-                assert len(kids) == 8
-                # Children tile the parent's span exactly, in order.
-                assert kids[0].start == node.start
-                assert kids[-1].end == node.end
-                for a, b in zip(kids, kids[1:]):
-                    assert a.end == b.start
-        # Every point lies in exactly one leaf.
-        leaf_spans.sort()
-        assert leaf_spans[0][0] == 0
-        assert leaf_spans[-1][1] == n
-        for (_, e0), (s1, _) in zip(leaf_spans, leaf_spans[1:]):
+        index, _ = index_of(pts, depth)
+        np.testing.assert_array_equal(np.sort(index.order), np.arange(n))
+        for d in range(depth + 1):
+            cells = occupied(index, d)
+            pos = index.spans(cells, d)
+            # The occupied cells' spans tile [0, n) in Morton order.
+            assert pos[0, 0] == 0 and pos[-1, 1] == n
+            np.testing.assert_array_equal(pos[1:, 0], pos[:-1, 1])
+            assert np.all(pos[:, 1] > pos[:, 0])
+            if d < depth:
+                # Children's counts sum to each parent's count.
+                np.testing.assert_array_equal(
+                    index.block_counts(cells, d, 1).sum(axis=1), pos[:, 1] - pos[:, 0]
+                )
+        # Leaves of an adaptive walk tile [0, n) too; one above the finest
+        # depth holds fewer points than the split threshold.
+        leaves = sorted(walk(index, min_split), key=lambda leaf: leaf[2:])
+        assert leaves[0][2] == 0 and leaves[-1][3] == n
+        for (_, _, _, e0), (_, _, s1, _) in zip(leaves, leaves[1:]):
             assert e0 == s1
+        for leaf_depth, _, lo, hi in leaves:
+            assert leaf_depth == depth or hi - lo < min_split
 
     def test_points_inside_node_bounds(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-3.0, 7.0, (800, 3))
-        cloud = PointCloud(pts)
-        tree = build_octree(cloud, max_depth=5)
-        for node in walk(tree):
-            if node.count:
-                assert node.bounds.contains(pts[node.point_indices]).all()
+        index, cube = index_of(pts, 5)
+        for d in range(6):
+            cells = occupied(index, d)
+            corners, edge = cell_bounds(cube, cells, d)
+            for cell, corner in zip(cells, corners):
+                inside = pts[index.members(np.array([cell]), d)]
+                assert len(inside)
+                # Closed bounds: points on the cube's top face stay inside.
+                assert BoundingCube(corner, edge).contains(inside).all()
 
     def test_volume_law_exact(self):
         rng = np.random.default_rng(10)
         pts = rng.uniform(0.0, 13.7, (400, 3))
-        tree = build_octree(PointCloud(pts), max_depth=8)
-        root_edge = tree.cube.edge
-        for node in walk(tree):
-            edge = node.bounds.edge
+        index, cube = index_of(pts, 8)
+        for d in range(9):
+            _, edge = cell_bounds(cube, occupied(index, d), d)
             # Power-of-two scaling is exact in floating point.
-            assert edge * (2 ** node.depth) == root_edge
-            assert (edge ** 3) * (8 ** node.depth) == root_edge ** 3
+            assert edge * (2 ** d) == cube.edge
+            assert (edge ** 3) * (8 ** d) == cube.edge ** 3
 
     def test_boundary_point_goes_to_higher_cell(self):
         # A point exactly on the midplane belongs to the upper octant.
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.25, 0.25]])
-        tree = build_octree(PointCloud(pts), max_depth=1)
-        kids = tree.root.children
-        by_count = {int(k.code): k.count for k in kids}
-        assert by_count[0b100] == 1  # x in upper half, y and z lower
+        index, _ = index_of(pts, 1)
+        counts = index.block_counts(np.zeros(1, dtype=np.uint64), 0, 1)[0]
+        assert counts[0b100] == 1  # x in upper half, y and z lower
+        np.testing.assert_array_equal(index.members(np.array([0b100], dtype=np.uint64), 1), [2])
 
     def test_max_boundary_closed(self):
-        from cloudchange.geometry import bounding_cube
-
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         idx = cell_indices(cloud.xyz, bounding_cube(cloud), 3)
         assert idx.max() == 7  # clamped into the last cell, not one past it
 
+    @pytest.mark.parametrize("seed,code_depth", [(15, 4), (16, 7), (17, 11)])
+    def test_members_match_brute_force(self, seed, code_depth):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(1200, 3))
+        index, cube = index_of(pts, code_depth)
+        codes = morton_codes(pts, cube, code_depth)
+        for d in range(code_depth + 1):
+            cells = occupied(index, d)
+            pick = rng.choice(cells, size=max(1, len(cells) // 3), replace=False)
+            if cells[-1] + 1 < 8 ** d:
+                # An unoccupied cell contributes nothing.
+                pick = np.append(pick, cells[-1] + np.uint64(1))
+            expected = np.flatnonzero(np.isin(codes >> np.uint64(3 * (code_depth - d)), pick))
+            np.testing.assert_array_equal(index.members(pick, d), expected)
+
 
 class TestNodesAtDepth:
+    """Occupied cells at each depth: the nodes of the linear octree."""
+
     def test_counts_monotone_and_bounded(self):
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(1500, 3))
-        tree = build_octree(PointCloud(pts), max_depth=6, min_points_to_split=4)
+        index, _ = index_of(pts, 6)
         previous = None
         for d in range(7):
-            nodes = nodes_at_depth(tree, d)
-            assert sum(n.count for n in nodes) == 1500
-            for n in nodes:
-                if n.depth < d:
-                    assert n.is_leaf
+            cells = occupied(index, d)
+            assert index.block_counts(cells, d, 0).sum() == 1500
             if previous is not None:
-                assert previous <= len(nodes) <= 8 * previous
-            previous = len(nodes)
+                assert previous <= len(cells) <= 8 * previous
+            previous = len(cells)
 
     def test_depth_validation(self):
-        tree = build_octree(PointCloud(octant_corners()), max_depth=2)
+        index, _ = index_of(octant_corners(), 2)
+        cells = np.zeros(1, dtype=np.uint64)
         with pytest.raises(ValueError):
-            nodes_at_depth(tree, 3)
+            index.spans(cells, 3)
         with pytest.raises(ValueError):
-            nodes_at_depth(tree, -1)
+            index.spans(cells, -1)
+        with pytest.raises(ValueError):
+            index.block_counts(cells, 1, 2)
+        with pytest.raises(ValueError):
+            index.members(cells, 3)
+        index.block_counts(cells, 0, 2)
 
 
 class TestMorton:

@@ -109,6 +109,19 @@ class TestIcpAlign:
         assert (np.diff(result.rms_history) <= 1e-12).all()
         assert result.rms == result.rms_history.min()
 
+    def test_report_record_fields(self):
+        rng = np.random.default_rng(57)
+        cloud = PointCloud(rng.uniform(0.0, 5.0, (300, 3)))
+        result = icp_align(cloud, cloud, RECOVERY_PARAMS)
+        record = result.to_dict()
+        # The report carries these six keys only; rms_history would change its bytes.
+        assert sorted(record) == [
+            "converged", "iterations", "n_pairs", "rms_m", "rotation", "translation"
+        ]
+        np.testing.assert_array_equal(record["rotation"], result.transform.rotation)
+        np.testing.assert_array_equal(record["translation"], result.transform.translation)
+        assert (record["rms_m"], record["n_pairs"]) == (result.rms, result.n_pairs)
+
     def test_transform_never_worse_than_identity(self):
         rng = np.random.default_rng(55)
         cloud = PointCloud(rng.uniform(0.0, 5.0, (400, 3)))
