@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .geometry import BoundingCube, PointCloud, bounding_cube
 from .neighbors import kdtree
-from .octree import MAX_SUPPORTED_DEPTH, Octree, cell_bounds, morton_codes
+from .octree import MAX_SUPPORTED_DEPTH, Octree, cell_bounds, morton_codes, span_positions
 
 logger = logging.getLogger(__name__)
 
@@ -210,46 +210,30 @@ def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int) -> Oct
     return Octree(morton_codes(points[inside], cube, code_depth), code_depth, np.flatnonzero(inside))
 
 
-def _cell_counts(
-    index: Octree, xyz: np.ndarray, cells: np.ndarray, depth: int, cube: BoundingCube, m: int
+def _children(cells: np.ndarray) -> np.ndarray:
+    """The eight children of each cell, in Morton order; sorted when `cells` is."""
+    return ((cells << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
+
+
+def _subvoxel_counts(
+    index: Octree, xyz: np.ndarray, cells: np.ndarray, spans: np.ndarray, depth: int,
+    cube: BoundingCube, m: int,
 ) -> np.ndarray:
-    """(len(cells), m**3) sub-voxel point counts of each cell at `depth`."""
+    """(len(cells), m**3) sub-voxel point counts of each cell at `depth`,
+    binned from the points inside the cell's span of the index."""
+    rows, pos = span_positions(spans)
     levels = int(m).bit_length() - 1
     if m == (1 << levels) and depth + levels <= index.code_depth:
-        return index.block_counts(cells, depth, levels)
-    # General m: bin each cell's points, read through its span of the index.
-    counts = np.zeros((len(cells), m ** 3), dtype=np.int64)
-    corners, edge = cell_bounds(cube, cells, depth)
-    lo, hi = index.spans(cells, depth).T.tolist()
-    for row, (a, b) in enumerate(zip(lo, hi)):
-        pts = xyz[index.order[a:b]]
-        if len(pts):
-            idx = np.floor((pts - corners[row]) / (edge / m)).astype(np.int64)
-            np.clip(idx, 0, m - 1, out=idx)
-            flat = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
-            counts[row] = np.bincount(flat, minlength=m ** 3)
-    return counts
-
-
-def _score_cells(
-    ref: Tuple[Octree, np.ndarray],
-    oth: Tuple[Octree, np.ndarray],
-    cells: np.ndarray,
-    depth: int,
-    cube: BoundingCube,
-    m: int,
-    normalized: bool,
-) -> np.ndarray:
-    """Density-difference score of each cell at `depth`; each epoch is given
-    as its (index, coordinates)."""
-    sub_volume = (cube.edge / float(1 << depth) / m) ** 3
-    counts_ref = _cell_counts(*ref, cells, depth, cube, m)
-    counts_oth = _cell_counts(*oth, cells, depth, cube, m)
-    diff = (counts_oth - counts_ref).astype(np.float64) / sub_volume
-    score = (diff ** 2).sum(axis=1)
-    if normalized:
-        score /= m ** 3
-    return score
+        # Sub-voxels are the descendants `levels` below: read the code bits.
+        shift = np.uint64(3 * (index.code_depth - depth - levels))
+        sub = ((index.sorted_codes[pos] >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
+    else:
+        corners, edge = cell_bounds(cube, cells, depth)
+        idx = np.floor((xyz[index.order[pos]] - corners[rows]) / (edge / m)).astype(np.int64)
+        np.clip(idx, 0, m - 1, out=idx)
+        sub = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
+    counts = np.bincount(rows * m ** 3 + sub, minlength=len(cells) * m ** 3)
+    return counts.reshape(len(cells), m ** 3)
 
 
 def hierarchical_detect(
@@ -265,6 +249,12 @@ def hierarchical_detect(
     params.start_depth on the reference octree's cells (reference-empty
     leaves are scored once at their own bounds) and descends only into cells
     whose score reaches the depth's threshold.
+
+    Each depth's frontier is one sorted, disjoint array of cell codes. Cells
+    empty in both epochs score exactly 0, below every threshold, so they are
+    dropped unscored: only cells holding a point of either epoch are scored
+    or descend, and their sub-voxel counts are binned from the points in
+    their spans of the two indexes.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -285,35 +275,36 @@ def hierarchical_detect(
     # the reference occupies keep subdividing; reference-empty cells are
     # terminal leaves, scored once at their own bounds (their score is zero
     # unless the other epoch has points there).
-    work: dict[int, list] = {d: [] for d in range(1, params.max_depth + 1)}
-    frontier = np.zeros(1, dtype=np.uint64)
-    for d in range(params.start_depth):
-        children = ((frontier << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
-        ref_counts = ref.block_counts(frontier, d, 1).ravel()
-        if d + 1 == params.start_depth:
-            work[d + 1].append(children)
-        else:
-            work[d + 1].append(children[ref_counts == 0])
-            frontier = children[ref_counts > 0]
+    seeds = {}
+    walk = np.zeros(1, dtype=np.uint64)
+    for depth in range(1, params.start_depth):
+        children = _children(walk)
+        occupied = ref.block_counts(walk, depth - 1, 1).ravel() > 0
+        seeds[depth] = children[~occupied]
+        walk = children[occupied]
+    seeds[params.start_depth] = _children(walk)
 
-    changed = []
+    survivors = np.empty(0, dtype=np.uint64)
     for depth in range(1, params.max_depth + 1):
-        buckets = [b for b in work[depth] if len(b)]
-        if not buckets:
-            continue
-        cells = np.unique(np.concatenate(buckets))
-        score = _score_cells(
-            (ref, reference.xyz), (oth, other.xyz), cells, depth, cube, m, params.normalized
-        )
+        cells = _children(survivors)
+        if depth in seeds:
+            # Seeds lie under reference-occupied parents, children of
+            # survivors under reference-empty ones: disjoint, so a sort merges.
+            cells = np.sort(np.concatenate([cells, seeds[depth]]))
+        spans_ref = ref.spans(cells, depth)
+        spans_oth = oth.spans(cells, depth)
+        occupied = (spans_ref[:, 1] > spans_ref[:, 0]) | (spans_oth[:, 1] > spans_oth[:, 0])
+        cells = cells[occupied]
+        counts_ref = _subvoxel_counts(ref, reference.xyz, cells, spans_ref[occupied], depth, cube, m)
+        counts_oth = _subvoxel_counts(oth, other.xyz, cells, spans_oth[occupied], depth, cube, m)
+        sub_volume = (cube.edge / float(1 << depth) / m) ** 3
+        diff = (counts_oth - counts_ref).astype(np.float64) / sub_volume
+        score = (diff ** 2).sum(axis=1)
+        if params.normalized:
+            score /= m ** 3
         survivors = cells[score >= params.threshold_at(depth)]
-        if depth == params.max_depth:
-            changed.append(survivors)
-        elif len(survivors):
-            kids = ((survivors << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
-            work[depth + 1].append(kids)
 
-    voxels = np.concatenate(changed) if changed else np.empty(0, dtype=np.uint64)
-    voxels = np.unique(voxels)
+    voxels = survivors
     raw_ref = ref.members(voxels, params.max_depth)
     raw_oth = oth.members(voxels, params.max_depth)
 
@@ -395,10 +386,9 @@ def component_filter(points, radius: float, min_size: int):
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))] = np.arange(n)
     cluster_ids = labels[kept]
-    min_rank = {}
-    for cid, r in zip(cluster_ids, rank[kept]):
-        if cid not in min_rank or r < min_rank[cid]:
-            min_rank[cid] = r
-    order = {cid: i for i, (cid, _) in enumerate(sorted(min_rank.items(), key=lambda kv: kv[1]))}
-    new_labels = np.asarray([order[cid] for cid in cluster_ids], dtype=np.int64)
-    return kept, new_labels
+    first = np.full(len(sizes), n, dtype=np.int64)
+    np.minimum.at(first, cluster_ids, rank[kept])
+    # Dropped clusters keep first == n and sort last; ranks are distinct.
+    order = np.empty(len(sizes), dtype=np.int64)
+    order[np.argsort(first)] = np.arange(len(sizes))
+    return kept, order[cluster_ids]

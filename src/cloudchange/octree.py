@@ -136,10 +136,18 @@ class Octree:
 
     def members(self, cells: np.ndarray, depth: int) -> np.ndarray:
         """Sorted `order` entries of the points inside any of the given cells."""
-        lo, hi = self.spans(cells, depth).T
-        lengths = hi - lo
-        # Every span's positions, concatenated: one gather, no loop per cell.
-        pos = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        _, pos = span_positions(self.spans(cells, depth))
         out = self.order[pos]
         out.sort()
         return out
+
+
+def span_positions(spans: np.ndarray) -> tuple:
+    """(rows, positions): every position inside the [lo, hi) spans given as
+    the rows of an (n, 2) array, concatenated in row order, and the row each
+    came from. One gather, no loop per span."""
+    lo, hi = np.asarray(spans).T
+    lengths = hi - lo
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(lengths.sum()) + (lo - (np.cumsum(lengths) - lengths))[rows]
+    return rows, pos

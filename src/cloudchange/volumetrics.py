@@ -71,15 +71,15 @@ class GroundGrid:
 
 
 def _top_bottom_per_cell(xy: np.ndarray, z: np.ndarray, origin: np.ndarray, s: float):
-    """Map points to cells and reduce to per-cell max and min z."""
+    """Map points to cells; (sorted cell keys, per-cell max z, per-cell min z)."""
     idx = np.floor((xy - origin) / s).astype(np.int64)
     keys = idx[:, 0] * _STRIDE + idx[:, 1]
-    unique, inverse = np.unique(keys, return_inverse=True)
-    top = np.full(len(unique), -np.inf)
-    bottom = np.full(len(unique), np.inf)
-    np.maximum.at(top, inverse, z)
-    np.minimum.at(bottom, inverse, z)
-    return {int(k): (float(t), float(b)) for k, t, b in zip(unique, top, bottom)}
+    order = np.argsort(keys, kind="stable")
+    keys, z = keys[order], z[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.maximum.reduceat(z, starts), np.minimum.reduceat(z, starts)
 
 
 def build_ground_grid(
@@ -90,19 +90,26 @@ def build_ground_grid(
 ) -> GroundGrid:
     """Project the changed region onto the ground plane.
 
-    Both clouds are restricted to points inside the changed voxels. Cells
-    occupied in both epochs get h = |z_top(earlier) - z_top(later)|; cells
-    occupied in only one epoch fall back to that epoch's own vertical
-    extent in the cell and are flagged. The default cell size is the
-    changed-voxel edge. An empty ChangeSet yields an empty grid.
+    Both clouds are restricted to points inside the changed voxels, the
+    member indices `changes` already holds, so `earlier` and `later` must be
+    the clouds `changes` was detected on. Cells occupied in both epochs get
+    h = |z_top(earlier) - z_top(later)|; cells occupied in only one epoch
+    fall back to that epoch's own vertical extent in the cell and are
+    flagged. The default cell size is the changed-voxel edge. An empty
+    ChangeSet yields an empty grid.
     """
     s = changes.voxel_edge if cell_size is None else float(cell_size)
     if s <= 0:
         raise ValueError(f"cell size must be > 0, got {s}")
     pts_e = earlier.xyz if hasattr(earlier, "xyz") else np.asarray(earlier, dtype=np.float64)
     pts_l = later.xyz if hasattr(later, "xyz") else np.asarray(later, dtype=np.float64)
-    in_e = pts_e[changes.contains(pts_e)] if len(pts_e) else pts_e.reshape(0, 3)
-    in_l = pts_l[changes.contains(pts_l)] if len(pts_l) else pts_l.reshape(0, 3)
+    if len(pts_e) != changes.reference_size or len(pts_l) != changes.other_size:
+        raise ValueError(
+            f"clouds of {len(pts_e)} and {len(pts_l)} points do not match the "
+            f"{changes.reference_size} and {changes.other_size} points the changes were detected on"
+        )
+    in_e = pts_e[changes.raw_changed_reference]
+    in_l = pts_l[changes.raw_changed_other]
     empty = (np.zeros((0, 2), dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))
     if len(in_e) == 0 and len(in_l) == 0:
         return GroundGrid(s, np.zeros(2), *empty)
@@ -114,24 +121,18 @@ def build_ground_grid(
     stacked_xy = np.vstack([in_e[:, :2], in_l[:, :2]])
     corner = np.asarray(changes.cube.min_corner[:2], dtype=np.float64)
     origin = corner + np.floor((stacked_xy.min(axis=0) - corner) / s) * s
-    cells_e = _top_bottom_per_cell(in_e[:, :2], in_e[:, 2], origin, s) if len(in_e) else {}
-    cells_l = _top_bottom_per_cell(in_l[:, :2], in_l[:, 2], origin, s) if len(in_l) else {}
-
-    keys = sorted(set(cells_e) | set(cells_l))
-    heights = np.zeros(len(keys))
-    fallback = np.zeros(len(keys), dtype=bool)
-    for i, key in enumerate(keys):
-        if key in cells_e and key in cells_l:
-            heights[i] = abs(cells_e[key][0] - cells_l[key][0])
-        elif key in cells_e:
-            heights[i] = cells_e[key][0] - cells_e[key][1]
-            fallback[i] = True
-        else:
-            heights[i] = cells_l[key][0] - cells_l[key][1]
-            fallback[i] = True
-    cells = np.array([[k // int(_STRIDE), k % int(_STRIDE)] for k in keys], dtype=np.int64)
-    if not len(cells):
-        cells = np.zeros((0, 2), dtype=np.int64)
+    per_epoch = [_top_bottom_per_cell(pts[:, :2], pts[:, 2], origin, s) for pts in (in_e, in_l)]
+    keys = np.union1d(per_epoch[0][0], per_epoch[1][0])
+    # Per epoch and cell: top z and vertical extent, NaN where unoccupied.
+    top = np.full((2, len(keys)), np.nan)
+    extent = np.full((2, len(keys)), np.nan)
+    for k, (keys_k, top_k, bottom_k) in enumerate(per_epoch):
+        at = np.searchsorted(keys, keys_k)
+        top[k, at] = top_k
+        extent[k, at] = top_k - bottom_k
+    fallback = np.isnan(top).any(axis=0)
+    heights = np.where(fallback, np.fmax(extent[0], extent[1]), np.abs(top[0] - top[1]))
+    cells = np.stack([keys // _STRIDE, keys % _STRIDE], axis=1)
     return GroundGrid(s, origin, cells, heights, fallback)
 
 

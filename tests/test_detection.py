@@ -376,6 +376,105 @@ class TestHierarchicalDetect:
         assert result.params.max_depth == 11
 
 
+def walk_oracle(ref, oth, params):
+    """Coarse-to-fine walk scored cell by cell with density_feature.
+
+    Every reference-empty seed leaf and every child of every surviving cell
+    is scored, including cells that hold no point of either epoch.
+    Returns (sorted survivor codes at max_depth, number of scored cells
+    empty in both epochs).
+    """
+    cube = bounding_cube(ref)
+    m = params.subvoxels_per_axis
+
+    def bounds(code, depth):
+        corners, edge = cell_bounds(cube, np.array([code], dtype=np.uint64), depth)
+        return BoundingCube(corners[0], edge)
+
+    def count(cloud, code, depth):
+        return density_feature(bounds(code, depth), cloud, 1).densities[0]
+
+    candidates = {depth: [] for depth in range(1, params.max_depth + 1)}
+    walk = [0]
+    for depth in range(1, params.start_depth + 1):
+        children = [8 * code + j for code in walk for j in range(8)]
+        if depth == params.start_depth:
+            candidates[depth] += children
+        else:
+            walk = [c for c in children if count(ref, c, depth) > 0]
+            candidates[depth] += [c for c in children if count(ref, c, depth) == 0]
+    empty_scored = 0
+    for depth in range(1, params.max_depth + 1):
+        survivors = []
+        for code in candidates[depth]:
+            cell = bounds(code, depth)
+            a, b = density_feature(cell, ref, m), density_feature(cell, oth, m)
+            empty_scored += int(a.densities.sum() == 0 and b.densities.sum() == 0)
+            if feature_distance(a, b, params.normalized) >= params.threshold_at(depth):
+                survivors.append(code)
+        if depth < params.max_depth:
+            candidates[depth + 1] += [8 * code + j for code in survivors for j in range(8)]
+    return np.array(sorted(survivors), dtype=np.uint64), empty_scored
+
+
+def removal_and_addition_scene(rng):
+    """Uniform block with a box removed and a cluster added inside it."""
+    ref_pts = rng.uniform(0.0, 8.0, (3000, 3))
+    keep = ~((ref_pts >= [2.0, 2.0, 2.0]) & (ref_pts <= [4.0, 3.0, 4.0])).all(axis=1)
+    oth_pts = np.vstack([ref_pts[keep], rng.uniform(5.0, 7.0, (200, 3))])
+    return PointCloud(ref_pts), PointCloud(oth_pts)
+
+
+def added_in_empty_space_scene(rng):
+    """Two occupied corners; the later epoch adds clusters in reference-empty
+    cells at depths 1 and 2, at both ends of the code order."""
+    corners = np.vstack([rng.uniform(0.0, 2.0, (400, 3)), rng.uniform(18.0, 20.0, (400, 3))])
+    added = np.vstack([
+        rng.uniform(12.6, 14.6, (300, 3)),
+        rng.uniform(6.0, 8.0, (300, 3)),
+        rng.uniform([12.0, 3.0, 3.0], [14.0, 5.0, 5.0], (300, 3)),
+    ])
+    return PointCloud(corners), PointCloud(np.vstack([corners, added]))
+
+
+def noisy_shell_scene(rng):
+    """Sparse box shell off the lattice faces, with one wall patch removed."""
+    pts = hollow_box(rng, density=4.0)
+    pts = pts + rng.normal(0.0, 0.02, pts.shape)
+    removed = ((pts >= (5.0, -0.5, 2.0)) & (pts <= (10.0, 0.5, 5.0))).all(axis=1)
+    return PointCloud(pts), PointCloud(pts[~removed])
+
+
+ORACLE_CASES = {
+    # scene, start_depth, max_depth, thresholds
+    "removal-scalar": (removal_and_addition_scene, 2, 4, 5.0),
+    "removal-per-depth": (removal_and_addition_scene, 1, 4, [0.5, 4.0, 30.0, 200.0]),
+    "empty-space": (added_in_empty_space_scene, 3, 5, 0.1),
+    "empty-space-per-depth": (added_in_empty_space_scene, 2, 5, [0.01, 0.1, 1.0, 5.0]),
+    "shell": (noisy_shell_scene, 2, 5, [0.05, 0.5, 5.0, 40.0]),
+}
+
+
+class TestWalkOracle:
+    """hierarchical_detect against the cell-by-cell walk at every m."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_walk(self, case, m):
+        scene, start, stop, taus = ORACLE_CASES[case]
+        ref, oth = scene(np.random.default_rng(51))
+        params = ChangeParams(
+            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
+            thresholds=taus, component_min_size=1,
+        )
+        expected, empty_scored = walk_oracle(ref, oth, params)
+        assert len(expected) > 0
+        # Pruning empty cells must be exercised, not just permitted.
+        assert empty_scored > 0
+        result = hierarchical_detect(ref, oth, params)
+        np.testing.assert_array_equal(result.voxel_codes, expected)
+
+
 class TestThresholdDefault:
     """Empirical placement of DEFAULT_THRESHOLD.
 

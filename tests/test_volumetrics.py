@@ -165,6 +165,100 @@ class TestBuildGroundGrid:
             build_ground_grid(changes, earlier, later, cell_size=0.0)
 
 
+def contains_ground_grid(changes, earlier, later, cell_size):
+    """Reference grid: members re-found with ChangeSet.contains, reduced per
+    cell with a dict and a loop over cells."""
+    stride = 1 << 32
+
+    def top_bottom(pts, origin):
+        idx = np.floor((pts[:, :2] - origin) / cell_size).astype(np.int64)
+        cells = {}
+        for key, z in zip((idx[:, 0] * stride + idx[:, 1]).tolist(), pts[:, 2]):
+            top, bottom = cells.get(key, (-np.inf, np.inf))
+            cells[key] = (max(top, z), min(bottom, z))
+        return cells
+
+    in_e = earlier.xyz[changes.contains(earlier.xyz)]
+    in_l = later.xyz[changes.contains(later.xyz)]
+    if len(in_e) == 0 and len(in_l) == 0:
+        return np.zeros(2), np.zeros((0, 2), dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool)
+    corner = changes.cube.min_corner[:2]
+    low = np.vstack([in_e[:, :2], in_l[:, :2]]).min(axis=0)
+    origin = corner + np.floor((low - corner) / cell_size) * cell_size
+    cells_e, cells_l = top_bottom(in_e, origin), top_bottom(in_l, origin)
+    keys = sorted(set(cells_e) | set(cells_l))
+    heights, fallback = [], []
+    for key in keys:
+        if key in cells_e and key in cells_l:
+            heights.append(abs(cells_e[key][0] - cells_l[key][0]))
+        else:
+            top, bottom = cells_e[key] if key in cells_e else cells_l[key]
+            heights.append(top - bottom)
+        fallback.append(not (key in cells_e and key in cells_l))
+    cells = np.array([[k // stride, k % stride] for k in keys], dtype=np.int64).reshape(-1, 2)
+    return origin, cells, np.array(heights, dtype=np.float64), np.array(fallback, dtype=bool)
+
+
+GRID_SCENES = {
+    # boxes, rubble, cell size
+    "full-height": ((RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0)),), None, CELL),
+    "rubble": (
+        (RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0)),),
+        RubbleSpec(points_per_m3=30.0, height=0.4, seed=1),
+        CELL,
+    ),
+    "disjoint": (
+        (
+            RemovalBox(1, (1.0, 1.0, 0.0), (3.5, 9.0, 6.0)),
+            RemovalBox(1, (6.0, 2.0, 0.0), (8.5, 8.0, 6.0)),
+        ),
+        None,
+        CELL,
+    ),
+    "unaligned-coarse": ((RemovalBox(1, (2.13, 2.21, 0.0), (6.37, 7.93, 6.0)),), None, 1.0),
+    "unaligned-fine": ((RemovalBox(1, (2.13, 2.21, 0.0), (6.37, 7.93, 6.0)),), None, 0.25),
+    "voxel-edge": ((RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0)),), None, None),
+}
+
+
+class TestGroundGridMembers:
+    """build_ground_grid reads the ChangeSet's members; the grid must equal
+    the one built from points re-found with ChangeSet.contains, bit for bit."""
+
+    @pytest.mark.parametrize("scene", sorted(GRID_SCENES))
+    def test_matches_contains_reference(self, scene):
+        boxes, rubble, cell = GRID_SCENES[scene]
+        spec = BuildingSpec(width=10, length=10, height=6, density=400.0)
+        earlier, later, _ = demolish(spec, boxes, rubble=rubble)
+        changes = hierarchical_detect(earlier, later)
+        grid = build_ground_grid(changes, earlier, later, cell_size=cell)
+        expected = contains_ground_grid(changes, earlier, later, grid.cell_size)
+        assert grid.n_cells > 0
+        for got, want in zip((grid.origin, grid.cells, grid.heights, grid.fallback), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_identical_epochs_match_reference(self):
+        cloud = generate_building(BuildingSpec(width=8, length=8, height=4, density=200.0))
+        changes = hierarchical_detect(cloud, cloud)
+        grid = build_ground_grid(changes, cloud, cloud, cell_size=CELL)
+        expected = contains_ground_grid(changes, cloud, cloud, CELL)
+        for got, want in zip((grid.origin, grid.cells, grid.heights, grid.fallback), expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_clouds_other_than_the_detected_ones_rejected(self):
+        spec = BuildingSpec(width=10, length=10, height=6, density=100.0)
+        box = RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0))
+        earlier, later, _ = demolish(spec, (box,))
+        changes = hierarchical_detect(earlier, later)
+        with pytest.raises(ValueError, match="do not match"):
+            build_ground_grid(changes, earlier, PointCloud(later.xyz[:-1]), cell_size=CELL)
+        with pytest.raises(ValueError, match="do not match"):
+            build_ground_grid(changes, PointCloud(earlier.xyz[1:]), later, cell_size=CELL)
+        with pytest.raises(ValueError, match="do not match"):
+            build_ground_grid(changes, later, earlier, cell_size=CELL)
+
+
 class TestTimeline:
     def test_running_totals_and_rates(self):
         report = timeline_report([0.0, 2.0, 5.0], [10.0, 30.0])
