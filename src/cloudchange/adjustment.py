@@ -12,9 +12,13 @@ huge prior exists to verify that equivalence.
 The minimization is Levenberg-Marquardt on the weighted reprojection error,
 with the object points eliminated through the standard reduced (Schur
 complement) system so that the dense solve only spans camera and calibration
-parameters. After convergence, observations whose reprojection error exceeds
-a robust threshold (scaled median absolute deviation) are removed and the
-solve repeats a bounded number of times.
+parameters. Each iteration projects all retained observations in one batched
+call and assembles the Jacobian sparse, two rows per observation. The
+reduced camera system is then formed densely from the per-point 3x3 blocks:
+every camera network this package generates has full visibility, so the
+camera-point coupling block is dense anyway. After convergence, observations
+whose reprojection error exceeds a robust threshold (scaled median absolute
+deviation) are removed and the solve repeats a bounded number of times.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .cameras import (
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
-    _jacobians_raw,
+    _projection,
+    _require_in_front,
 )
 
 __all__ = [
@@ -194,10 +199,12 @@ class _Problem:
         cam_cen = [new_epoch.cameras[c].center for c in self.new_ids]
         cam_cal = [0] * len(self.new_ids)
         cal_values = [new_epoch.calibration.as_array()]
+        seen = set(self.cam_ids)
         for slot, epoch in enumerate(fixed_epochs, start=1):
             for cam_id in sorted(epoch.cameras):
-                if cam_id in set(self.cam_ids):
+                if cam_id in seen:
                     raise ValueError(f"camera id {cam_id} appears in more than one epoch")
+                seen.add(cam_id)
                 self.cam_ids.append(cam_id)
                 cam_rot.append(epoch.cameras[cam_id].rotation)
                 cam_cen.append(epoch.cameras[cam_id].center)
@@ -227,7 +234,6 @@ class _Problem:
             for slot in range(1, n_cals):
                 self.cal_col[slot] = offset
                 offset += _CAL_PARAMS
-        self.fixed_width = offset - self.new_width
         self.n_cam_cal_cols = offset
         self.include_fixed = include_fixed
         self.input_rot = self.cam_rot.copy()
@@ -269,30 +275,31 @@ class _Problem:
         ]
         return float(np.linalg.norm(np.concatenate(parts)))
 
+    def _project(self, rows: np.ndarray, jacobians: bool = False) -> tuple:
+        """The projection kernel over observations `rows`: every camera's
+        rotation matrix is built once and gathered per observation."""
+        cams = self.obs_cam[rows]
+        rot = Rotation.from_rotvec(self.cam_rot).as_matrix()
+        return _projection(
+            self.positions[self.obs_track[rows]],
+            rot[cams],
+            self.cam_cen[cams],
+            self.cal_values[self.cam_cal[cams]],
+            jacobians,
+        )
+
     def residuals(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Residuals (m, 2) for masked observations; second array flags rows
         whose point sits at or behind the camera plane (residual NaN)."""
         m = len(self.obs_cam)
         res = np.full((m, 2), np.nan)
         behind = np.zeros(m, dtype=bool)
-        rows_all = np.flatnonzero(mask)
-        for cam_row in np.unique(self.obs_cam[rows_all]):
-            rows = rows_all[self.obs_cam[rows_all] == cam_row]
-            pts = self.positions[self.obs_track[rows]]
-            rot = Rotation.from_rotvec(self.cam_rot[cam_row]).as_matrix()
-            cam = (pts - self.cam_cen[cam_row]) @ rot.T
-            bad = cam[:, 2] <= 0
-            behind[rows[bad]] = True
-            ok = rows[~bad]
-            if not len(ok):
-                continue
-            f, cx, cy, k1, k2 = self.cal_values[self.cam_cal[cam_row]]
-            u = cam[~bad, 0] / cam[~bad, 2]
-            v = cam[~bad, 1] / cam[~bad, 2]
-            r2 = u * u + v * v
-            factor = 1.0 + k1 * r2 + k2 * r2 * r2
-            res[ok, 0] = self.measured[ok, 0] - (f * u * factor + cx)
-            res[ok, 1] = self.measured[ok, 1] - (f * v * factor + cy)
+        rows = np.flatnonzero(mask)
+        pixels, depth = self._project(rows)
+        bad = depth <= 0
+        behind[rows[bad]] = True
+        ok = ~bad
+        res[rows[ok]] = self.measured[rows[ok]] - pixels[ok]
         return res, behind
 
     def cost(self, mask: np.ndarray) -> float:
@@ -305,88 +312,50 @@ class _Problem:
         return float((self.obs_weight[rows, None] * res[rows] ** 2).sum())
 
     def linearize(self, mask: np.ndarray, track_active: np.ndarray) -> LinearizedSystem:
-        rows_all = np.flatnonzero(mask)
-        m = len(rows_all)
-        row_of = np.full(len(self.obs_cam), -1, dtype=np.intp)
-        row_of[rows_all] = np.arange(m)
-        residuals = np.empty(2 * m)
-        weights = np.repeat(self.obs_weight[rows_all], 2)
+        rows = np.flatnonzero(mask)
+        m = len(rows)
+        pixels, depth, d_point, d_pose, d_cal = self._project(rows, jacobians=True)
+        _require_in_front(depth)
+        residuals = (self.measured[rows] - pixels).ravel()
+        weights = np.repeat(self.obs_weight[rows], 2)
 
-        # Active tracks get contiguous 3-column slots in input order.
-        active_slot = np.full(len(self.track_ids), -1, dtype=np.intp)
-        active_slot[track_active] = np.arange(int(track_active.sum()))
-        self.point_slot = active_slot
-
-        pt_rows, pt_cols, pt_vals = [], [], []
-        new_rows, new_cols, new_vals = [], [], []
-        fix_rows, fix_cols, fix_vals = [], [], []
-
-        for cam_row in np.unique(self.obs_cam[rows_all]):
-            rows = rows_all[self.obs_cam[rows_all] == cam_row]
-            tracks = self.obs_track[rows]
-            pts = self.positions[tracks]
-            rot = Rotation.from_rotvec(self.cam_rot[cam_row]).as_matrix()
-            pixels, d_point, d_pose, d_cal = _jacobians_raw(
-                pts, rot, self.cam_cen[cam_row], self.cal_values[self.cam_cal[cam_row]]
-            )
-            out = row_of[rows]
-            res = self.measured[rows] - pixels
-            residuals[2 * out] = res[:, 0]
-            residuals[2 * out + 1] = res[:, 1]
-
-            k = len(rows)
-            pair = np.empty(2 * k, dtype=np.intp)
-            pair[0::2] = 2 * out
-            pair[1::2] = 2 * out + 1
-
-            slots = active_slot[tracks]
-            pt_rows.append(np.repeat(pair, _POINT_PARAMS))
-            cols = (_POINT_PARAMS * slots)[:, None] + np.arange(_POINT_PARAMS)
-            pt_cols.append(np.repeat(cols, 2, axis=0).ravel())
-            pt_vals.append(d_point.reshape(2 * k, _POINT_PARAMS).ravel())
-
-            cam_base = self.cam_col[cam_row]
-            if cam_base >= 0:
-                dest = (new_rows, new_cols, new_vals) if cam_row < self.n_new_cams else (
-                    fix_rows,
-                    fix_cols,
-                    fix_vals,
-                )
-                base = cam_base if cam_row < self.n_new_cams else cam_base - self.new_width
-                dest[0].append(np.repeat(pair, _CAM_PARAMS))
-                dest[1].append(
-                    np.tile(base + np.arange(_CAM_PARAMS), 2 * k)
-                )
-                dest[2].append(d_pose.reshape(2 * k, _CAM_PARAMS).ravel())
-            cal_slot = self.cam_cal[cam_row]
-            cal_base = self.cal_col[cal_slot]
-            if cal_base >= 0:
-                dest = (new_rows, new_cols, new_vals) if cal_slot == 0 else (
-                    fix_rows,
-                    fix_cols,
-                    fix_vals,
-                )
-                base = cal_base if cal_slot == 0 else cal_base - self.new_width
-                dest[0].append(np.repeat(pair, _CAL_PARAMS))
-                dest[1].append(np.tile(base + np.arange(_CAL_PARAMS), 2 * k))
-                dest[2].append(d_cal.reshape(2 * k, _CAL_PARAMS).ravel())
-
-        def build(rows, cols, vals, width):
-            if rows:
-                data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-                return sparse.coo_matrix(data, shape=(2 * m, width)).tocsr()
-            return sparse.csr_matrix((2 * m, width))
-
+        # Active tracks get contiguous 3-column slots in input order. Every
+        # row holds its observation's point block, columns ascending.
         n_active = int(track_active.sum())
-        jac_points = build(pt_rows, pt_cols, pt_vals, _POINT_PARAMS * n_active)
-        jac_new = build(new_rows, new_cols, new_vals, self.new_width)
-        jac_fixed = (
-            build(fix_rows, fix_cols, fix_vals, self.fixed_width) if self.include_fixed else None
+        active_slot = np.full(len(self.track_ids), -1, dtype=np.intp)
+        active_slot[track_active] = np.arange(n_active)
+        point_cols = _POINT_PARAMS * np.repeat(active_slot[self.obs_track[rows]], 2)
+        jac_points = sparse.csr_matrix(
+            (
+                d_point.ravel(),
+                (point_cols[:, None] + np.arange(_POINT_PARAMS)).ravel(),
+                _POINT_PARAMS * np.arange(2 * m + 1),
+            ),
+            shape=(2 * m, _POINT_PARAMS * n_active),
+        )
+
+        # Camera and calibration entries over all camera/calibration
+        # columns, kept where that parameter group is in the system.
+        cams = self.obs_cam[rows]
+        base = np.repeat(
+            np.column_stack([self.cam_col[cams], self.cal_col[self.cam_cal[cams]]]),
+            [_CAM_PARAMS, _CAL_PARAMS],
+            axis=1,
+        )
+        offsets = np.concatenate([np.arange(_CAM_PARAMS), np.arange(_CAL_PARAMS)])
+        present = np.repeat(base >= 0, 2, axis=0)
+        jac_cams = sparse.csr_matrix(
+            (
+                np.concatenate([d_pose, d_cal], axis=2).reshape(2 * m, -1)[present],
+                np.repeat(base + offsets, 2, axis=0)[present],
+                np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
+            ),
+            shape=(2 * m, self.n_cam_cal_cols),
         )
         return LinearizedSystem(
             jac_points=jac_points,
-            jac_new=jac_new,
-            jac_fixed=jac_fixed,
+            jac_new=jac_cams[:, : self.new_width],
+            jac_fixed=jac_cams[:, self.new_width :] if self.include_fixed else None,
             residuals=residuals,
             weights=weights,
         )
@@ -394,46 +363,35 @@ class _Problem:
     def prior_rows(self, weight: float) -> Tuple[sparse.spmatrix, np.ndarray, np.ndarray]:
         """Prior equations keeping fixed parameters at their inputs
         (prior_weight mode): identity Jacobians, residual = input - current
-        (rotations via the local deviation rotation vector)."""
-        rows, cols, vals, res = [], [], [], []
+        (rotations via the local deviation rotation vector).
 
-        def add(col_base, residual):
-            k = len(residual)
-            start = len(res)
-            rows.extend(range(start, start + k))
-            cols.extend(range(col_base, col_base + k))
-            vals.extend([1.0] * k)
-            res.extend(residual)
-
-        for cam_row in range(self.n_new_cams, len(self.cam_ids)):
-            col = self.cam_col[cam_row]
-            r_in = Rotation.from_rotvec(self.input_rot[cam_row])
-            r_cur = Rotation.from_rotvec(self.cam_rot[cam_row])
-            deviation = (r_in.inv() * r_cur).as_rotvec()
-            add(col, list(-deviation))
-            add(col + 3, list(self.input_cen[cam_row] - self.cam_cen[cam_row]))
-        for slot in range(1, len(self.cal_values)):
-            add(self.cal_col[slot], list(self.input_cal[slot] - self.cal_values[slot]))
-
+        Rows follow the fixed columns: each fixed camera's rotation and
+        center, then each fixed calibration."""
+        fixed = slice(self.n_new_cams, None)
+        deviation = (
+            Rotation.from_rotvec(self.input_rot[fixed]).inv()
+            * Rotation.from_rotvec(self.cam_rot[fixed])
+        ).as_rotvec()
+        cameras = np.concatenate([-deviation, self.input_cen[fixed] - self.cam_cen[fixed]], axis=1)
+        calibrations = self.input_cal[1:] - self.cal_values[1:]
+        res = np.concatenate([cameras.ravel(), calibrations.ravel()])
         q = len(res)
-        jac = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(q, self.n_cam_cal_cols)
-        ).tocsr()
-        return jac, np.array(res), np.full(q, weight)
+        jac = sparse.csr_matrix(
+            (np.ones(q), self.new_width + np.arange(q), np.arange(q + 1)),
+            shape=(q, self.n_cam_cal_cols),
+        )
+        return jac, res, np.full(q, weight)
 
     def apply_step(self, delta: np.ndarray, track_active: np.ndarray) -> None:
-        for cam_row in range(len(self.cam_ids)):
-            col = self.cam_col[cam_row]
-            if col < 0:
-                continue
-            d_rot, d_cen = delta[col : col + 3], delta[col + 3 : col + 6]
-            composed = Rotation.from_rotvec(self.cam_rot[cam_row]) * Rotation.from_rotvec(d_rot)
-            self.cam_rot[cam_row] = composed.as_rotvec()
-            self.cam_cen[cam_row] += d_cen
-        for slot in range(len(self.cal_values)):
-            col = self.cal_col[slot]
-            if col >= 0:
-                self.cal_values[slot] += delta[col : col + _CAL_PARAMS]
+        var_cams = self.cam_col >= 0
+        cam_delta = delta[self.cam_col[var_cams, None] + np.arange(_CAM_PARAMS)]
+        composed = Rotation.from_rotvec(self.cam_rot[var_cams]) * Rotation.from_rotvec(
+            cam_delta[:, :3]
+        )
+        self.cam_rot[var_cams] = composed.as_rotvec()
+        self.cam_cen[var_cams] += cam_delta[:, 3:]
+        var_cals = self.cal_col >= 0
+        self.cal_values[var_cals] += delta[self.cal_col[var_cals, None] + np.arange(_CAL_PARAMS)]
         point_part = delta[self.n_cam_cal_cols :].reshape(-1, _POINT_PARAMS)
         self.positions[track_active] += point_part
 
@@ -445,62 +403,64 @@ def _solve_reduced(
     n_cam_cal_cols: int,
 ) -> np.ndarray:
     """One damped normal-equation solve, eliminating points by Schur
-    complement. Returns the full parameter step."""
-    blocks = [system.jac_new]
+    complement. Returns the full parameter step.
+
+    With H = [[H_cc, H_cp], [H_cp^T, V]] (cameras and calibrations first,
+    points last), V block-diagonal per point and the whole diagonal damped
+    by (1 + lam), the camera step solves S dc = g_c - Y g_p with
+    Y = H_cp V^-1 and S = H_cc - Y H_cp^T; then dp = V^-1 (g_p - H_cp^T dc).
+    Every camera sees every point in the networks this package generates,
+    so H_cp is dense, and Y and S are formed as dense arrays.
+    """
+    jac_c = system.jac_new
     if system.jac_fixed is not None:
-        blocks.append(system.jac_fixed)
-    blocks.append(system.jac_points)
-    jac = sparse.hstack(blocks, format="csr")
-    residuals = system.residuals
-    weights = system.weights
+        jac_c = sparse.hstack([jac_c, system.jac_fixed], format="csr")
+    jac_p = system.jac_points
+    weighted_c = sparse.diags(system.weights) @ jac_c
+    weighted_res = system.weights * system.residuals
+
+    h_cc = (jac_c.T @ weighted_c).toarray()
+    h_cp = (weighted_c.T @ jac_p).toarray()
+    grad_c = jac_c.T @ weighted_res
+    grad_p = jac_p.T @ weighted_res
     if prior is not None:
         prior_jac, prior_res, prior_w = prior
-        pad = sparse.csr_matrix((prior_jac.shape[0], jac.shape[1] - prior_jac.shape[1]))
-        jac = sparse.vstack([jac, sparse.hstack([prior_jac, pad], format="csr")], format="csr")
-        residuals = np.concatenate([residuals, prior_res])
-        weights = np.concatenate([weights, prior_w])
+        h_cc += (prior_jac.T @ sparse.diags(prior_w) @ prior_jac).toarray()
+        grad_c += prior_jac.T @ (prior_w * prior_res)
 
-    weighted = jac.multiply(weights[:, None]).tocsr()
-    hess = (jac.T @ weighted).tocsc()
-    grad = jac.T @ (weights * residuals)
-    diag = hess.diagonal()
-    if (diag <= 0).any():
-        raise ValueError("rank-deficient normal equations: parameter without support")
-    hess = hess + sparse.diags(lam * diag)
-
-    nc = n_cam_cal_cols
-    h_cc = hess[:nc, :nc].toarray()
-    h_cp = hess[:nc, nc:].tocsr()
-    h_pp = hess[nc:, nc:].tocoo()
-    n_points = (jac.shape[1] - nc) // _POINT_PARAMS
+    h_pp = (jac_p.T @ sparse.diags(system.weights) @ jac_p).tocoo()
     block_row = h_pp.row // _POINT_PARAMS
     if (h_pp.col // _POINT_PARAMS != block_row).any():
         raise ValueError("point block of the normal matrix is not block-diagonal")
-    blocks_pp = np.zeros((n_points, _POINT_PARAMS, _POINT_PARAMS))
-    np.add.at(
-        blocks_pp,
-        (block_row, h_pp.row % _POINT_PARAMS, h_pp.col % _POINT_PARAMS),
-        h_pp.data,
-    )
+    n_points = jac_p.shape[1] // _POINT_PARAMS
+    v = np.zeros((n_points, _POINT_PARAMS, _POINT_PARAMS))
+    np.add.at(v, (block_row, h_pp.row % _POINT_PARAMS, h_pp.col % _POINT_PARAMS), h_pp.data)
+
+    diag_c = np.diagonal(h_cc).copy()
+    diag_p = np.diagonal(v, axis1=1, axis2=2).copy()
+    if (diag_c <= 0).any() or (diag_p <= 0).any():
+        raise ValueError("rank-deficient normal equations: parameter without support")
+    h_cc[np.diag_indices_from(h_cc)] += lam * diag_c
+    v[:, np.arange(_POINT_PARAMS), np.arange(_POINT_PARAMS)] += lam * diag_p
     try:
-        inv_blocks = np.linalg.inv(blocks_pp)
+        v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient normal equations in the point block") from exc
-    indptr = np.arange(n_points + 1)
-    pp_inv = sparse.bsr_matrix(
-        (inv_blocks, np.arange(n_points), indptr),
-        shape=(jac.shape[1] - nc, jac.shape[1] - nc),
-    )
 
-    reduced = h_cc - (h_cp @ pp_inv @ h_cp.T).toarray()
-    rhs = grad[:nc] - h_cp @ (pp_inv @ grad[nc:])
+    # Y = H_cp V^-1, one (n_cam_cal_cols, 3) @ (3, 3) product per point.
+    nc = n_cam_cal_cols
+    per_point = h_cp.reshape(nc, n_points, _POINT_PARAMS).transpose(1, 0, 2)
+    y = (per_point @ v_inv).transpose(1, 0, 2).reshape(nc, -1)
+    reduced = h_cc - y @ h_cp.T
+    rhs = grad_c - y @ grad_p
     try:
         delta_c = np.linalg.solve(reduced, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient normal equations in the reduced system") from exc
     if not np.isfinite(delta_c).all():
         raise ValueError("rank-deficient normal equations in the reduced system")
-    delta_p = pp_inv @ (grad[nc:] - h_cp.T @ delta_c)
+    back = (grad_p - h_cp.T @ delta_c).reshape(n_points, _POINT_PARAMS)
+    delta_p = np.einsum("pij,pj->pi", v_inv, back).ravel()
     return np.concatenate([delta_c, delta_p])
 
 

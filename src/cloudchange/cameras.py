@@ -146,21 +146,74 @@ def _positions(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
 
-def _project_raw(pts: np.ndarray, rot: np.ndarray, center, cal: np.ndarray) -> np.ndarray:
-    """Projection onto pixels from a rotation matrix, center, and the
-    calibration array [f, cx, cy, k1, k2]. Raises on non-positive depth."""
-    f, cx, cy, k1, k2 = cal
-    cam = (pts - center) @ rot.T
-    depths = cam[:, 2]
-    if (depths <= 0).any():
-        raise ValueError(
-            f"{int((depths <= 0).sum())} of {len(pts)} points at or behind the camera plane"
-        )
-    u = cam[:, 0] / depths
-    v = cam[:, 1] / depths
-    r2 = u * u + v * v
-    factor = 1.0 + k1 * r2 + k2 * r2 * r2
-    return np.column_stack([f * u * factor + cx, f * v * factor + cy])
+def _projection(pts, rot, center, cal, jacobians: bool = False) -> tuple:
+    """The projection model, row by row.
+
+    Row i projects pts[i] through rotation matrix rot[i], center center[i]
+    and calibration row cal[i] = [f, cx, cy, k1, k2]; a single (3, 3)
+    rotation, (3,) center or (5,) calibration broadcasts over all rows.
+    Rows at or behind the camera plane are not rejected here: they come back
+    with depth <= 0 and meaningless values, for the caller to raise on or
+    mask.
+
+    Returns (pixels (n,2), depth (n,)) and, with `jacobians`, also d_point
+    (n,2,3), d_pose (n,2,6) and d_cal (n,2,5), laid out as in
+    projection_jacobians.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, cx, cy, k1, k2 = (cal[..., k] for k in range(5))
+        offset = pts - center
+        cam = np.einsum("...ij,...j->...i", rot, offset)
+        depth = cam[:, 2]
+        u = cam[:, 0] / depth
+        v = cam[:, 1] / depth
+        r2 = u * u + v * v
+        factor = 1.0 + k1 * r2 + k2 * r2 * r2
+        ud = u * factor
+        vd = v * factor
+        pixels = np.column_stack([f * ud + cx, f * vd + cy])
+        if not jacobians:
+            return pixels, depth
+
+        # d(pixel)/d(u, v): distortion couples the axes through r^2.
+        dfactor = k1 + 2.0 * k2 * r2  # d(factor)/d(r2)
+        dx_du = f * (factor + 2.0 * u * u * dfactor)
+        dx_dv = f * (2.0 * u * v * dfactor)  # also dy/du
+        dy_dv = f * (factor + 2.0 * v * v * dfactor)
+
+        # d(pixel)/d(cam point), with d(u, v)/d(cam) = [[1, 0, -u], [0, 1, -v]] / z.
+        inv_z = 1.0 / depth
+        d_pix_dcam = np.empty((len(pts), 2, 3))
+        d_pix_dcam[:, 0, 0] = dx_du * inv_z
+        d_pix_dcam[:, 0, 1] = dx_dv * inv_z
+        d_pix_dcam[:, 0, 2] = -(dx_du * u + dx_dv * v) * inv_z
+        d_pix_dcam[:, 1, 0] = dx_dv * inv_z
+        d_pix_dcam[:, 1, 1] = dy_dv * inv_z
+        d_pix_dcam[:, 1, 2] = -(dx_dv * u + dy_dv * v) * inv_z
+
+        # cam = R (X - C): d(cam)/dX = R; d(cam)/dC = -R;
+        # d(cam)/d(delta) = -R [X - C]x for R <- R exp([delta]x), and a row
+        # vector a times -[o]x is o x a.
+        d_point = d_pix_dcam @ rot
+        d_rot = np.cross(offset[:, None, :], d_point)
+        d_pose = np.concatenate([d_rot, -d_point], axis=2)
+
+        d_cal = np.zeros((len(pts), 2, 5))
+        d_cal[:, 0, 0] = ud
+        d_cal[:, 1, 0] = vd
+        d_cal[:, 0, 1] = 1.0
+        d_cal[:, 1, 2] = 1.0
+        d_cal[:, 0, 3] = f * u * r2
+        d_cal[:, 1, 3] = f * v * r2
+        d_cal[:, 0, 4] = f * u * r2 * r2
+        d_cal[:, 1, 4] = f * v * r2 * r2
+        return pixels, depth, d_point, d_pose, d_cal
+
+
+def _require_in_front(depth: np.ndarray) -> None:
+    behind = int((depth <= 0).sum())
+    if behind:
+        raise ValueError(f"{behind} of {len(depth)} points at or behind the camera plane")
 
 
 def project_points(points, eo: ExteriorOrientation, sc: SelfCalibration) -> np.ndarray:
@@ -169,77 +222,14 @@ def project_points(points, eo: ExteriorOrientation, sc: SelfCalibration) -> np.n
     Raises if any point has non-positive depth (at or behind the camera
     plane).
     """
-    return _project_raw(_positions(points), eo.matrix, eo.center, sc.as_array())
+    pixels, depth = _projection(_positions(points), eo.matrix, eo.center, sc.as_array())
+    _require_in_front(depth)
+    return pixels
 
 
 def project_point(point, eo: ExteriorOrientation, sc: SelfCalibration) -> np.ndarray:
     """Pixel coordinates (2,) of a single object point."""
     return project_points(point, eo, sc)[0]
-
-
-def _jacobians_raw(
-    pts: np.ndarray, rot: np.ndarray, center, cal: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = len(pts)
-    f, cx, cy, k1, k2 = cal
-    offset = pts - center
-    cam = offset @ rot.T
-    depths = cam[:, 2]
-    if (depths <= 0).any():
-        raise ValueError(
-            f"{int((depths <= 0).sum())} of {n} points at or behind the camera plane"
-        )
-    u = cam[:, 0] / depths
-    v = cam[:, 1] / depths
-    r2 = u * u + v * v
-    factor = 1.0 + k1 * r2 + k2 * r2 * r2
-    dfactor = k1 + 2.0 * k2 * r2  # d(factor)/d(r2)
-    ud = u * factor
-    vd = v * factor
-    pixels = np.column_stack([f * ud + cx, f * vd + cy])
-
-    # d(pixel)/d(u, v): distortion couples the axes through r^2.
-    dx_du = f * (factor + 2.0 * u * u * dfactor)
-    dx_dv = f * (2.0 * u * v * dfactor)
-    dy_du = dx_dv
-    dy_dv = f * (factor + 2.0 * v * v * dfactor)
-
-    # d(u, v)/d(cam point).
-    inv_z = 1.0 / depths
-    du_dcam = np.zeros((n, 3))
-    dv_dcam = np.zeros((n, 3))
-    du_dcam[:, 0] = inv_z
-    du_dcam[:, 2] = -u * inv_z
-    dv_dcam[:, 1] = inv_z
-    dv_dcam[:, 2] = -v * inv_z
-
-    dx_dcam = dx_du[:, None] * du_dcam + dx_dv[:, None] * dv_dcam
-    dy_dcam = dy_du[:, None] * du_dcam + dy_dv[:, None] * dv_dcam
-    d_pix_dcam = np.stack([dx_dcam, dy_dcam], axis=1)  # (n, 2, 3)
-
-    # cam = R (X - C): d(cam)/dX = R; d(cam)/dC = -R;
-    # d(cam)/d(delta) = -R [X - C]x for R <- R exp([delta]x).
-    d_point = d_pix_dcam @ rot
-    cross = np.zeros((n, 3, 3))
-    cross[:, 0, 1] = -offset[:, 2]
-    cross[:, 0, 2] = offset[:, 1]
-    cross[:, 1, 0] = offset[:, 2]
-    cross[:, 1, 2] = -offset[:, 0]
-    cross[:, 2, 0] = -offset[:, 1]
-    cross[:, 2, 1] = offset[:, 0]
-    d_rot = -np.einsum("nij,jk,nkl->nil", d_pix_dcam, rot, cross)
-    d_pose = np.concatenate([d_rot, -d_point], axis=2)  # (n, 2, 6)
-
-    d_cal = np.zeros((n, 2, 5))
-    d_cal[:, 0, 0] = ud
-    d_cal[:, 1, 0] = vd
-    d_cal[:, 0, 1] = 1.0
-    d_cal[:, 1, 2] = 1.0
-    d_cal[:, 0, 3] = f * u * r2
-    d_cal[:, 1, 3] = f * v * r2
-    d_cal[:, 0, 4] = f * u * r2 * r2
-    d_cal[:, 1, 4] = f * v * r2 * r2
-    return pixels, d_point, d_pose, d_cal
 
 
 def projection_jacobians(
@@ -250,9 +240,13 @@ def projection_jacobians(
     Returns (pixels (n,2), d_point (n,2,3), d_pose (n,2,6), d_cal (n,2,5)).
     Pose derivatives are ordered [local rotation increment (3) | center (3)],
     where the increment acts as R <- R exp([delta]x). Calibration derivatives
-    follow [f, cx, cy, k1, k2].
+    follow [f, cx, cy, k1, k2]. Raises if any point has non-positive depth.
     """
-    return _jacobians_raw(_positions(points), eo.matrix, eo.center, sc.as_array())
+    pixels, depth, d_point, d_pose, d_cal = _projection(
+        _positions(points), eo.matrix, eo.center, sc.as_array(), jacobians=True
+    )
+    _require_in_front(depth)
+    return pixels, d_point, d_pose, d_cal
 
 
 def compute_residuals(

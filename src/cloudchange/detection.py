@@ -330,8 +330,9 @@ def hierarchical_detect(
     )
 
 
-def _auto_radius(points: np.ndarray, finest_edge: float) -> float:
-    """Component radius: no smaller than typical point spacing."""
+def _auto_radius(points: np.ndarray, tree, finest_edge: float) -> float:
+    """Component radius: no smaller than typical point spacing. `tree` is a
+    kd-tree on `points`."""
     base = 1.5 * finest_edge
     if len(points) < 2:
         return base
@@ -339,7 +340,7 @@ def _auto_radius(points: np.ndarray, finest_edge: float) -> float:
     if len(sample) > 5000:
         step = len(sample) // 5000
         sample = sample[::step]
-    dist, _ = kdtree(points).query(sample, k=2)
+    dist, _ = tree.query(sample, k=2)
     spacing = float(np.median(dist[:, 1]))
     return max(base, 3.0 * spacing)
 
@@ -348,20 +349,22 @@ def _filter_epoch(points: np.ndarray, raw_indices: np.ndarray, finest_edge: floa
     if not len(raw_indices):
         return raw_indices.copy(), np.empty(0, dtype=np.int64)
     pts = points[raw_indices]
+    tree = kdtree(pts)
     radius = params.component_radius
     if radius is None:
-        radius = _auto_radius(pts, finest_edge)
-    kept_local, labels = component_filter(pts, radius, params.component_min_size)
+        radius = _auto_radius(pts, tree, finest_edge)
+    kept_local, labels = component_filter(pts, radius, params.component_min_size, tree=tree)
     return raw_indices[kept_local], labels
 
 
-def component_filter(points, radius: float, min_size: int):
+def component_filter(points, radius: float, min_size: int, *, tree=None):
     """Single-linkage clusters of `points`; drop clusters below `min_size`.
 
     Points within `radius` (inclusive) are connected. Returns (indices of
     surviving points, cluster label per surviving point). Labels are
     assigned by each cluster's lexicographically smallest coordinate, so the
-    result is invariant under input ordering.
+    result is invariant under input ordering. `tree`, a kd-tree already built
+    on exactly `points`, is queried instead of building a new one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(pts)
@@ -371,7 +374,9 @@ def component_filter(points, radius: float, min_size: int):
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pairs = kdtree(pts).query_pairs(radius, output_type="ndarray")
+    if tree is None:
+        tree = kdtree(pts)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
     graph = sparse.coo_matrix(
         (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )

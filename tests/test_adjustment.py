@@ -9,6 +9,8 @@ from scipy.spatial.transform import Rotation
 from cloudchange.adjustment import (
     AdjustmentOptions,
     LinearizedSystem,
+    _Problem,
+    _solve_reduced,
     load_scenario,
     refine_progressive,
     save_scenario,
@@ -19,6 +21,7 @@ from cloudchange.cameras import (
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
+    compute_residuals,
     project_points,
 )
 from cloudchange.synth import PoseScenarioConfig, generate_pose_scenario
@@ -310,6 +313,97 @@ class TestLinearizedSystem:
             LinearizedSystem(
                 points, sparse.csr_matrix((4, 11)), None, np.zeros(2), np.ones(4)
             )
+
+
+class TestSolverOracles:
+    @staticmethod
+    def _problem(scenario, fixed_epochs, include_fixed):
+        return _Problem(
+            fixed_epochs,
+            scenario.new_initial,
+            scenario.points_initial,
+            scenario.observations,
+            include_fixed=include_fixed,
+        )
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    @pytest.mark.parametrize("fixed_handling", ["exclude", "prior_weight"])
+    def test_reduced_step_solves_full_damped_normal_equations(self, fixed_handling, lam):
+        scenario = small_scenario(
+            n_fixed_cameras=2, n_new_cameras=2, n_points=12, noise_sigma=0.5, seed=5
+        )
+        include_fixed = fixed_handling == "prior_weight"
+        problem = self._problem(scenario, [scenario.fixed], include_fixed)
+        if include_fixed:
+            # Move the fixed parameters off their inputs so the prior rows
+            # carry nonzero residuals.
+            problem.cam_rot[problem.n_new_cams :] += 1e-3
+            problem.cam_cen[problem.n_new_cams :] -= 2e-3
+            problem.cal_values[1:] += 0.5
+        mask = np.ones(len(scenario.observations), dtype=bool)
+        track_active = np.ones(len(problem.track_ids), dtype=bool)
+        system = problem.linearize(mask, track_active)
+        # A moderate prior weight: at the default 1e12 the full system's
+        # condition number leaves no 1e-9 agreement for any solver to meet.
+        prior = problem.prior_rows(1e4) if include_fixed else None
+
+        blocks = [system.jac_new] + ([system.jac_fixed] if include_fixed else [])
+        jac = sparse.hstack(blocks + [system.jac_points]).toarray()
+        residuals, weights = system.residuals, system.weights
+        if include_fixed:
+            prior_jac, prior_res, prior_w = prior
+            pad = np.zeros((prior_jac.shape[0], jac.shape[1] - prior_jac.shape[1]))
+            jac = np.vstack([jac, np.hstack([prior_jac.toarray(), pad])])
+            residuals = np.concatenate([residuals, prior_res])
+            weights = np.concatenate([weights, prior_w])
+        hess = jac.T @ (weights[:, None] * jac)
+        expected = np.linalg.solve(
+            hess + lam * np.diag(np.diag(hess)), jac.T @ (weights * residuals)
+        )
+
+        step = _solve_reduced(system, prior, lam, problem.n_cam_cal_cols)
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_residuals_use_each_observation_calibration(self):
+        scenario = small_scenario(
+            n_fixed_cameras=6,
+            n_new_cameras=5,
+            n_points=40,
+            initial_calibration=SelfCalibration(1100.0, -20.0, 15.0, 0.05, 0.0),
+        )
+        # Split the reference cameras into two epochs with their own
+        # calibrations, so three calibration slots are in use.
+        fixed_ids = sorted(scenario.fixed.cameras)
+        other_calibration = SelfCalibration(1300.0, 25.0, -10.0, -0.02, 0.004)
+        fixed_epochs = [
+            EpochCameras(
+                epoch=0,
+                calibration=scenario.fixed.calibration,
+                cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[:3]},
+            ),
+            EpochCameras(
+                epoch=1,
+                calibration=other_calibration,
+                cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[3:]},
+            ),
+        ]
+        problem = self._problem(scenario, fixed_epochs, include_fixed=False)
+        cameras, calibrations = {}, {}
+        for epoch in fixed_epochs + [scenario.new_initial]:
+            cameras.update(epoch.cameras)
+            calibrations.update(dict.fromkeys(epoch.cameras, epoch.calibration))
+        expected, _ = compute_residuals(
+            scenario.observations, cameras, calibrations, scenario.points_initial
+        )
+
+        mask = np.ones(len(scenario.observations), dtype=bool)
+        mask[::7] = False
+        res, behind = problem.residuals(mask)
+        assert not behind.any()
+        assert np.isnan(res[~mask]).all()
+        np.testing.assert_allclose(
+            res[mask], expected.reshape(-1, 2)[mask], rtol=0.0, atol=1e-9
+        )
 
 
 class TestScenarioFiles:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cloudchange import detection
 from cloudchange.detection import (
     DEFAULT_THRESHOLD,
     ChangeParams,
@@ -11,6 +12,7 @@ from cloudchange.detection import (
     hierarchical_detect,
 )
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
+from cloudchange.neighbors import kdtree
 from cloudchange.octree import cell_bounds, morton_codes
 from scenes import hollow_box, removal_scene
 
@@ -157,10 +159,11 @@ class TestComponentFilter:
             pts = np.vstack([c + rng.normal(0.0, 0.2, (rng.integers(3, 40), 3)) for c in centers])
             radius = float(rng.uniform(0.3, 1.5))
             min_size = int(rng.integers(1, 10))
-            kept, labels = component_filter(pts, radius, min_size)
             kept_bf, labels_bf = brute_force_components(pts, radius, min_size)
-            np.testing.assert_array_equal(kept, kept_bf)
-            np.testing.assert_array_equal(labels, labels_bf)
+            for tree in (None, kdtree(pts)):
+                kept, labels = component_filter(pts, radius, min_size, tree=tree)
+                np.testing.assert_array_equal(kept, kept_bf)
+                np.testing.assert_array_equal(labels, labels_bf)
 
     def test_small_cluster_dropped(self):
         rng = np.random.default_rng(12)
@@ -224,6 +227,23 @@ class TestHierarchicalDetect:
         assert tp / max(pred.sum(), 1) > 0.99
         assert tp / removed.sum() > 0.99
         assert len(result.raw_changed_other) < 0.01 * len(oth)
+
+    @pytest.mark.parametrize("radius", [None, 0.3])
+    def test_one_kdtree_per_filtered_epoch(self, monkeypatch, radius):
+        # The spacing sample of the automatic radius and the component
+        # filter query the same tree.
+        built = []
+
+        def counting_kdtree(points):
+            built.append(len(points))
+            return kdtree(points)
+
+        monkeypatch.setattr(detection, "kdtree", counting_kdtree)
+        rng = np.random.default_rng(23)
+        ref, oth, _ = removal_scene(rng, density=400.0)
+        result = hierarchical_detect(ref, oth, ChangeParams(component_radius=radius))
+        raw = [len(result.raw_changed_reference), len(result.raw_changed_other)]
+        assert built == [n for n in raw if n]
 
     def test_default_params_on_removal_scene(self):
         rng = np.random.default_rng(23)
