@@ -21,6 +21,7 @@ from .octree import Octree
 from .detection import (
     ChangeParams,
     ChangeSet,
+    DetectionStats,
     component_filter,
     density_feature,
     feature_distance,
@@ -98,6 +99,7 @@ __all__ = [
     "ColumnGrid",
     "ConfusionCounts",
     "DemolitionScript",
+    "DetectionStats",
     "DistanceReport",
     "DistanceStats",
     "EpochCameras",

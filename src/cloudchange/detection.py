@@ -101,6 +101,21 @@ class ChangeParams:
         return float(taus[np.clip(depth - self.start_depth, 0, taus.size - 1)])
 
 
+@dataclass(frozen=True)
+class DetectionStats:
+    """Per-depth funnel of one hierarchical_detect call; deterministic.
+
+    Attributes:
+        scored: cells scored at each depth 1..max_depth (entry depth - 1).
+            Only cells holding a point of either epoch are scored; above
+            start_depth only the reference-empty ones are.
+        kept: scored cells whose score reached the depth's threshold.
+    """
+
+    scored: Tuple[int, ...]
+    kept: Tuple[int, ...]
+
+
 @dataclass
 class ChangeSet:
     """Result of hierarchical_detect for one epoch pair.
@@ -115,6 +130,7 @@ class ChangeSet:
         changed_reference / changed_other: the filtered subsets.
         component_labels_reference / _other: cluster id per filtered point.
         params, epoch_pair, reference_size, other_size: provenance.
+        stats: the per-depth detection funnel.
     """
 
     cube: BoundingCube
@@ -131,6 +147,7 @@ class ChangeSet:
     epoch_pair: Tuple = (0, 1)
     reference_size: int = 0
     other_size: int = 0
+    stats: Optional[DetectionStats] = None
 
     @property
     def n_voxels(self) -> int:
@@ -210,9 +227,28 @@ def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int) -> Oct
     return Octree(morton_codes(points[inside], cube, code_depth), code_depth, np.flatnonzero(inside))
 
 
-def _children(cells: np.ndarray) -> np.ndarray:
-    """The eight children of each cell, in Morton order; sorted when `cells` is."""
-    return ((cells << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
+def _child_frontier(ref: Octree, oth: Octree, spans_ref: np.ndarray, spans_oth: np.ndarray, depth: int):
+    """(cells, spans_ref, spans_oth): the children at depth + 1 of the sorted,
+    disjoint cells at `depth` with the given spans, that either epoch
+    occupies, merged in Morton order with their spans in each index. A child
+    one epoch does not occupy gets the empty span [0, 0) there."""
+    cells_ref, child_ref = ref.children(spans_ref, depth)
+    cells_oth, child_oth = oth.children(spans_oth, depth)
+    # Both lists are sorted, so the stable sort is a linear merge; a child
+    # both epochs occupy appears twice in a row and keeps one frontier row.
+    both = np.concatenate([cells_ref, cells_oth])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    new = np.empty(len(merged), dtype=bool)
+    new[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=new[1:])
+    row = np.empty(len(both), dtype=np.intp)
+    row[order] = np.cumsum(new) - 1
+    cells = merged[new]
+    spans = np.zeros((2, len(cells), 2), dtype=np.intp)
+    spans[0, row[:len(cells_ref)]] = child_ref
+    spans[1, row[len(cells_ref):]] = child_oth
+    return cells, spans[0], spans[1]
 
 
 def _subvoxel_counts(
@@ -250,11 +286,14 @@ def hierarchical_detect(
     leaves are scored once at their own bounds) and descends only into cells
     whose score reaches the depth's threshold.
 
-    Each depth's frontier is one sorted, disjoint array of cell codes. Cells
-    empty in both epochs score exactly 0, below every threshold, so they are
-    dropped unscored: only cells holding a point of either epoch are scored
-    or descend, and their sub-voxel counts are binned from the points in
-    their spans of the two indexes.
+    Each depth's frontier is one sorted, disjoint array of cell codes that
+    carries every cell's [lo, hi) span in both epochs' indexes, starting
+    from the root span [0, len). The next frontier is read off the codes
+    inside the spans of the cells that descend (`Octree.children`), so no
+    depth searches the index. Cells empty in both epochs score exactly 0,
+    below every threshold, so they never enter the frontier. The sub-voxel
+    counts of the scored cells are binned from the points in their spans,
+    and the changed points are the points in the final survivors' spans.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -271,42 +310,37 @@ def hierarchical_detect(
             len(other) - len(oth),
         )
 
-    # Seed: walk the reference octree structure down to start_depth. Cells
-    # the reference occupies keep subdividing; reference-empty cells are
-    # terminal leaves, scored once at their own bounds (their score is zero
-    # unless the other epoch has points there).
-    seeds = {}
-    walk = np.zeros(1, dtype=np.uint64)
-    for depth in range(1, params.start_depth):
-        children = _children(walk)
-        occupied = ref.block_counts(walk, depth - 1, 1).ravel() > 0
-        seeds[depth] = children[~occupied]
-        walk = children[occupied]
-    seeds[params.start_depth] = _children(walk)
-
-    survivors = np.empty(0, dtype=np.uint64)
+    # The root holds every point of both indexes. Above start_depth, cells
+    # the reference occupies descend unscored; reference-empty cells are
+    # leaves of the reference octree, scored once at their own bounds (their
+    # score is zero unless the other epoch has points there), and only their
+    # survivors descend. From start_depth on every frontier cell is scored.
+    spans_ref = np.array([[0, len(ref)]])
+    spans_oth = np.array([[0, len(oth)]])
+    scored, kept = [], []
     for depth in range(1, params.max_depth + 1):
-        cells = _children(survivors)
-        if depth in seeds:
-            # Seeds lie under reference-occupied parents, children of
-            # survivors under reference-empty ones: disjoint, so a sort merges.
-            cells = np.sort(np.concatenate([cells, seeds[depth]]))
-        spans_ref = ref.spans(cells, depth)
-        spans_oth = oth.spans(cells, depth)
-        occupied = (spans_ref[:, 1] > spans_ref[:, 0]) | (spans_oth[:, 1] > spans_oth[:, 0])
-        cells = cells[occupied]
-        counts_ref = _subvoxel_counts(ref, reference.xyz, cells, spans_ref[occupied], depth, cube, m)
-        counts_oth = _subvoxel_counts(oth, other.xyz, cells, spans_oth[occupied], depth, cube, m)
+        cells, spans_ref, spans_oth = _child_frontier(ref, oth, spans_ref, spans_oth, depth - 1)
+        if depth < params.start_depth:
+            descend = spans_ref[:, 1] > spans_ref[:, 0]
+        else:
+            descend = np.zeros(len(cells), dtype=bool)
+        rows = np.flatnonzero(~descend)
+        counts_ref = _subvoxel_counts(ref, reference.xyz, cells[rows], spans_ref[rows], depth, cube, m)
+        counts_oth = _subvoxel_counts(oth, other.xyz, cells[rows], spans_oth[rows], depth, cube, m)
         sub_volume = (cube.edge / float(1 << depth) / m) ** 3
         diff = (counts_oth - counts_ref).astype(np.float64) / sub_volume
         score = (diff ** 2).sum(axis=1)
         if params.normalized:
             score /= m ** 3
-        survivors = cells[score >= params.threshold_at(depth)]
+        passed = rows[score >= params.threshold_at(depth)]
+        scored.append(len(rows))
+        kept.append(len(passed))
+        descend[passed] = True
+        cells, spans_ref, spans_oth = cells[descend], spans_ref[descend], spans_oth[descend]
 
-    voxels = survivors
-    raw_ref = ref.members(voxels, params.max_depth)
-    raw_oth = oth.members(voxels, params.max_depth)
+    voxels = cells
+    raw_ref = ref.span_members(spans_ref)
+    raw_oth = oth.span_members(spans_oth)
 
     finest_edge = cube.edge / float(1 << params.max_depth)
     kept_ref, labels_ref = _filter_epoch(reference.xyz, raw_ref, finest_edge, params)
@@ -327,6 +361,7 @@ def hierarchical_detect(
         epoch_pair=epoch_pair,
         reference_size=len(reference),
         other_size=len(other),
+        stats=DetectionStats(tuple(scored), tuple(kept)),
     )
 
 

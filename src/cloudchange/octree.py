@@ -3,10 +3,14 @@ cell bounds.
 
 The octree is stored as the points' Morton codes in sorted order, with no
 node objects (Gargantini, "An effective way to represent quadtrees", CACM
-1982): every cell is a contiguous span of the sorted codes, found by binary
-search. One quantisation at the finest depth defines cell membership at
-every coarser depth (prefix of the code), which keeps parent/child
-assignment consistent to the last ulp.
+1982): every cell is a contiguous span of the sorted codes. A span is found
+by binary search (`Octree.spans`), or, for the occupied children of cells
+whose spans are already known, read off the codes inside those spans
+(`Octree.children`), so a coarse-to-fine walk that carries its cells' spans
+down from the root never searches the whole index (Sundar, Sampath & Biros,
+SIAM J. Sci. Comput. 2008). One quantisation at the finest depth defines
+cell membership at every coarser depth (prefix of the code), which keeps
+parent/child assignment consistent to the last ulp.
 """
 from __future__ import annotations
 
@@ -134,9 +138,35 @@ class Octree:
         `levels` below `depth`, in Morton child order."""
         return np.diff(self.spans(cells, depth, levels), axis=1)
 
+    def children(self, spans: np.ndarray, depth: int) -> tuple:
+        """(codes, spans) of the occupied children at depth + 1 of the cells
+        at `depth` whose spans are the rows of `spans`, in Morton order.
+
+        The cells must be sorted and disjoint, so their spans are too; empty
+        spans are allowed. The children are the runs of equal codes among
+        the codes inside those spans, shifted to depth + 1: no search.
+        """
+        if not 0 <= depth < self.code_depth:
+            raise ValueError(f"need 0 <= depth < {self.code_depth}, got depth={depth}")
+        _, pos = span_positions(spans)
+        codes = self.sorted_codes[pos] >> np.uint64(3 * (self.code_depth - depth - 1))
+        # A new child starts wherever the code changes; a child never spans
+        # two parents, so each run is contiguous in `sorted_codes`.
+        change = np.empty(len(codes), dtype=bool)
+        change[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=change[1:])
+        heads = np.flatnonzero(change)
+        lo = pos[heads]
+        hi = lo + np.diff(heads, append=len(codes))
+        return codes[heads], np.stack([lo, hi], axis=1)
+
     def members(self, cells: np.ndarray, depth: int) -> np.ndarray:
         """Sorted `order` entries of the points inside any of the given cells."""
-        _, pos = span_positions(self.spans(cells, depth))
+        return self.span_members(self.spans(cells, depth))
+
+    def span_members(self, spans: np.ndarray) -> np.ndarray:
+        """Sorted `order` entries of the points inside the given spans."""
+        _, pos = span_positions(spans)
         out = self.order[pos]
         out.sort()
         return out

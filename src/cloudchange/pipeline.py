@@ -123,7 +123,7 @@ def _interval_outputs(
             "edge_m": changes.voxel_edge,
             "min_corner": [float(v) for v in changes.cube.min_corner],
             "root_edge_m": float(changes.cube.edge),
-            "codes": [int(c) for c in changes.voxel_codes],
+            "codes": changes.voxel_codes.tolist(),
         },
     )
 

@@ -404,6 +404,15 @@ def walk_oracle(ref, oth, params):
     Returns (sorted survivor codes at max_depth, number of scored cells
     empty in both epochs).
     """
+    survivors, empty_scored, _, _ = walk_funnel(ref, oth, params)
+    return survivors, empty_scored
+
+
+def walk_funnel(ref, oth, params):
+    """walk_oracle plus its per-depth funnel: (survivors, empty_scored,
+    scored, kept), where scored[d - 1] counts the cells scored at depth d
+    that hold a point of either epoch and kept[d - 1] the cells that
+    survived at depth d."""
     cube = bounding_cube(ref)
     m = params.subvoxels_per_axis
 
@@ -424,17 +433,22 @@ def walk_oracle(ref, oth, params):
             walk = [c for c in children if count(ref, c, depth) > 0]
             candidates[depth] += [c for c in children if count(ref, c, depth) == 0]
     empty_scored = 0
+    scored, kept = [], []
     for depth in range(1, params.max_depth + 1):
         survivors = []
+        empty_here = 0
         for code in candidates[depth]:
             cell = bounds(code, depth)
             a, b = density_feature(cell, ref, m), density_feature(cell, oth, m)
-            empty_scored += int(a.densities.sum() == 0 and b.densities.sum() == 0)
+            empty_here += int(a.densities.sum() == 0 and b.densities.sum() == 0)
             if feature_distance(a, b, params.normalized) >= params.threshold_at(depth):
                 survivors.append(code)
+        empty_scored += empty_here
+        scored.append(len(candidates[depth]) - empty_here)
+        kept.append(len(survivors))
         if depth < params.max_depth:
             candidates[depth + 1] += [8 * code + j for code in survivors for j in range(8)]
-    return np.array(sorted(survivors), dtype=np.uint64), empty_scored
+    return np.array(sorted(survivors), dtype=np.uint64), empty_scored, scored, kept
 
 
 def removal_and_addition_scene(rng):
@@ -465,6 +479,25 @@ def noisy_shell_scene(rng):
     return PointCloud(pts), PointCloud(pts[~removed])
 
 
+def outside_cube_scene(rng):
+    """removal_and_addition_scene whose later epoch also gains points
+    outside the reference cube, on both sides of it."""
+    ref, oth = removal_and_addition_scene(rng)
+    beyond = np.vstack([
+        rng.uniform([1.0, 1.0, 8.5], [7.0, 7.0, 10.0], (300, 3)),
+        rng.uniform([-2.0, 1.0, 1.0], [-0.5, 7.0, 7.0], (300, 3)),
+    ])
+    return ref, PointCloud(np.vstack([oth.xyz, beyond]))
+
+
+def finest_depth_scene(rng):
+    """A few dozen points in the unit cube, pinned by its corners so that
+    cell bounds are exact at depth 21; some points removed, some added."""
+    pts = np.vstack([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], rng.uniform(0.0, 1.0, (20, 3))])
+    added = rng.uniform(0.0, 1.0, (3, 3))
+    return PointCloud(pts), PointCloud(np.vstack([pts[:-4], added]))
+
+
 ORACLE_CASES = {
     # scene, start_depth, max_depth, thresholds
     "removal-scalar": (removal_and_addition_scene, 2, 4, 5.0),
@@ -472,6 +505,12 @@ ORACLE_CASES = {
     "empty-space": (added_in_empty_space_scene, 3, 5, 0.1),
     "empty-space-per-depth": (added_in_empty_space_scene, 2, 5, [0.01, 0.1, 1.0, 5.0]),
     "shell": (noisy_shell_scene, 2, 5, [0.05, 0.5, 5.0, 40.0]),
+    "empty-space-start-1": (added_in_empty_space_scene, 1, 4, 0.01),
+    "start-equals-max": (added_in_empty_space_scene, 4, 4, 0.1),
+    "other-outside-cube": (outside_cube_scene, 2, 4, 5.0),
+    # code_depth == max_depth: power-of-two m bins by coordinates at the
+    # finest depths, where no code bits are left below the cell.
+    "max-depth-21": (finest_depth_scene, 17, 21, 1.0),
 }
 
 
@@ -493,6 +532,24 @@ class TestWalkOracle:
         assert empty_scored > 0
         result = hierarchical_detect(ref, oth, params)
         np.testing.assert_array_equal(result.voxel_codes, expected)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_members_and_funnel_match_walk(self, case, m):
+        scene, start, stop, taus = ORACLE_CASES[case]
+        ref, oth = scene(np.random.default_rng(51))
+        params = ChangeParams(
+            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
+            thresholds=taus, component_min_size=1,
+        )
+        _, _, scored, kept = walk_funnel(ref, oth, params)
+        result = hierarchical_detect(ref, oth, params)
+        # Members are read off the survivors' spans; contains re-encodes.
+        np.testing.assert_array_equal(result.raw_changed_reference, np.flatnonzero(result.contains(ref.xyz)))
+        np.testing.assert_array_equal(result.raw_changed_other, np.flatnonzero(result.contains(oth.xyz)))
+        assert len(result.raw_changed_reference) + len(result.raw_changed_other) > 0
+        assert result.stats.scored == tuple(scored)
+        assert result.stats.kept == tuple(kept)
 
 
 class TestThresholdDefault:

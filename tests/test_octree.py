@@ -172,6 +172,109 @@ class TestStructure:
             np.testing.assert_array_equal(index.members(pick, d), expected)
 
 
+def children_by_search(index, cells, depth):
+    """All eight children of each cell at `depth`, searched one by one with
+    `Octree.spans`, keeping those with a non-empty span."""
+    kids = ((cells << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
+    spans = index.spans(kids, depth + 1)
+    keep = spans[:, 1] > spans[:, 0]
+    return kids[keep], spans[keep]
+
+
+def assert_children_law(index, cells, depth):
+    codes, spans = index.children(index.spans(cells, depth), depth)
+    expected_codes, expected_spans = children_by_search(index, cells, depth)
+    np.testing.assert_array_equal(codes, expected_codes)
+    np.testing.assert_array_equal(spans, expected_spans)
+    assert codes.dtype == np.uint64
+    np.testing.assert_array_equal(index.span_members(spans), index.members(codes, depth + 1))
+
+
+class TestChildren:
+    """Occupied children read off the codes in the parents' spans equal a
+    search over all eight children of every parent."""
+
+    @pytest.mark.parametrize("seed,n,code_depth", [(20, 800, 5), (21, 3000, 8), (22, 500, 13)])
+    def test_matches_search_at_every_depth(self, seed, n, code_depth):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=3.0, size=(n, 3))
+        index, _ = index_of(pts, code_depth)
+        for d in range(code_depth):
+            cells = occupied(index, d)
+            assert_children_law(index, cells, d)
+            # A sorted subset of the parents, with empty cells mixed in.
+            pick = rng.choice(cells, size=max(1, len(cells) // 2), replace=False)
+            empty = np.setdiff1d(rng.integers(0, 8 ** d, size=10, dtype=np.uint64), cells)
+            assert_children_law(index, np.sort(np.concatenate([pick, empty])), d)
+
+    def test_empty_parent_spans(self):
+        rng = np.random.default_rng(23)
+        index, _ = index_of(rng.uniform(0.0, 1.0, (50, 3)), 6)
+        for d in range(6):
+            cells = np.setdiff1d(np.arange(min(8 ** d, 64), dtype=np.uint64), occupied(index, d))
+            codes, spans = index.children(index.spans(cells, d), d)
+            assert len(codes) == 0 and spans.shape == (0, 2)
+        codes, spans = index.children(np.empty((0, 2), dtype=np.int64), 2)
+        assert len(codes) == 0 and spans.shape == (0, 2)
+        empty = Octree(np.empty(0, dtype=np.uint64), 4, np.empty(0, dtype=np.int64))
+        codes, spans = empty.children(np.array([[0, 0]]), 0)
+        assert len(codes) == 0 and spans.shape == (0, 2)
+
+    def test_single_point(self):
+        index = Octree(morton_codes(np.array([[0.3, 0.6, 0.1]]), BoundingCube(np.zeros(3), 1.0), 9), 9)
+        spans = np.array([[0, 1]])
+        cell = np.zeros(1, dtype=np.uint64)
+        for d in range(9):
+            assert_children_law(index, cell, d)
+            cell, spans = index.children(spans, d)
+            assert len(cell) == 1
+            np.testing.assert_array_equal(spans, [[0, 1]])
+        np.testing.assert_array_equal(cell, index.sorted_codes)
+
+    def test_points_on_max_face(self):
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(0.0, 1.0, (300, 3))
+        pts[np.arange(100), rng.integers(0, 3, 100)] = 1.0
+        pts[100:110] = 1.0
+        index, _ = index_of(np.vstack([pts, [[0.0, 0.0, 0.0]]]), 7)
+        for d in range(7):
+            assert_children_law(index, occupied(index, d), d)
+        # The max corner sits in the last cell at every depth.
+        last = index.sorted_codes[-1]
+        assert last == 8 ** 7 - 1
+
+    def test_children_occupied_in_one_epoch_only(self):
+        # Two indexes over one cube, as detection builds them: the parents
+        # are every cell either epoch occupies, so some parents are empty
+        # in one epoch and some children of shared parents are too.
+        rng = np.random.default_rng(25)
+        first = rng.uniform(0.0, 8.0, (1500, 3))
+        keep = ~((first >= [2.0, 2.0, 2.0]) & (first <= [5.0, 3.0, 5.0])).all(axis=1)
+        second = np.vstack([first[keep], rng.uniform(5.5, 7.5, (200, 3))])
+        cube = bounding_cube(PointCloud(first))
+        code_depth = 7
+        a = Octree(morton_codes(first, cube, code_depth), code_depth)
+        b = Octree(morton_codes(second, cube, code_depth), code_depth)
+        one_sided = 0
+        for d in range(code_depth):
+            cells = np.union1d(occupied(a, d), occupied(b, d))
+            for index in (a, b):
+                assert_children_law(index, cells, d)
+            kids_a, _ = a.children(a.spans(cells, d), d)
+            kids_b, _ = b.children(b.spans(cells, d), d)
+            one_sided += len(np.setxor1d(kids_a, kids_b))
+        assert one_sided > 0
+
+    def test_depth_validation(self):
+        index, _ = index_of(octant_corners(), 3)
+        spans = np.array([[0, len(index)]])
+        with pytest.raises(ValueError):
+            index.children(spans, 3)
+        with pytest.raises(ValueError):
+            index.children(spans, -1)
+        index.children(spans, 0)
+
+
 class TestNodesAtDepth:
     """Occupied cells at each depth: the nodes of the linear octree."""
 
