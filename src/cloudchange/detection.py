@@ -218,8 +218,14 @@ def feature_distance(a: DensityFeature, b: DensityFeature, normalized: bool = Tr
     return d
 
 
-def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int) -> Octree:
-    """Linear octree of the points inside `cube`; `order` indexes `points`."""
+def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int, bounded: bool = False) -> Octree:
+    """Linear octree of the points inside `cube`; `order` indexes `points`.
+
+    `bounded` says every point is known to lie inside the cube, as the
+    points `geometry.bounding_cube` was built from do, so no mask is needed.
+    """
+    if bounded:
+        return Octree(morton_codes(points, cube, code_depth), code_depth)
     inside = np.logical_and(
         (points >= cube.min_corner).all(axis=1),
         (points <= cube.min_corner + cube.edge).all(axis=1),
@@ -302,7 +308,7 @@ def hierarchical_detect(
     m = params.subvoxels_per_axis
     levels = max(int(m).bit_length() - 1, 1)
     code_depth = min(params.max_depth + levels, MAX_SUPPORTED_DEPTH)
-    ref = _epoch_index(reference.xyz, cube, code_depth)
+    ref = _epoch_index(reference.xyz, cube, code_depth, bounded=True)
     oth = _epoch_index(other.xyz, cube, code_depth)
     if len(oth) < len(other):
         logger.info(

@@ -288,6 +288,26 @@ class TestHierarchicalDetect:
         assert result.n_voxels == 0
         assert len(result.raw_changed_other) == 0
 
+    def test_reference_point_on_max_face_indexed(self):
+        rng = np.random.default_rng(27)
+        ref = rng.uniform(0.0, 3.0, (800, 3))
+        # The 4 m x extent is the cube edge, so ref[1] lies on the max x face.
+        ref[0, 0] = 0.0
+        ref[1, 0] = 4.0
+        cube = bounding_cube(PointCloud(ref))
+        assert ref[1, 0] == cube.min_corner[0] + cube.edge
+        index = detection._epoch_index(ref, cube, 12, bounded=True)
+        masked = detection._epoch_index(ref, cube, 12)
+        assert len(index) == len(ref)
+        np.testing.assert_array_equal(index.order, masked.order)
+        np.testing.assert_array_equal(index.sorted_codes, masked.sorted_codes)
+        result = hierarchical_detect(
+            PointCloud(ref),
+            PointCloud(np.delete(ref, 1, axis=0)),
+            ChangeParams(thresholds=10.0, component_min_size=1),
+        )
+        assert 1 in result.raw_changed_reference
+
     def test_coarse_start_contained_in_direct_start(self):
         rng = np.random.default_rng(26)
         ref, oth, _ = removal_scene(rng, density=400.0)

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from cloudchange import registration
 from cloudchange.geometry import BoundingCube, PointCloud
+from cloudchange.neighbors import kdtree
 from cloudchange.registration import (
     DistanceReport,
     IcpParams,
@@ -162,6 +164,152 @@ class TestIcpAlign:
         cloud = PointCloud(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="nonempty"):
             icp_align(cloud, PointCloud(np.empty((0, 3))))
+
+
+def resurvey_pair(rng, density=60.0, sigma=0.005, yaw_deg=0.5, offset=(0.05, -0.03, 0.02)):
+    """Two independently sampled, noisy epochs of one box shell, the later
+    one rotated about z and shifted: (later, earlier)."""
+    earlier = hollow_box(rng, w=8.0, l=8.0, h=5.0, density=density)
+    later = hollow_box(rng, w=8.0, l=8.0, h=5.0, density=density)
+    earlier = earlier + rng.normal(0.0, sigma, earlier.shape)
+    later = later + rng.normal(0.0, sigma, later.shape)
+    rot = Rotation.from_euler("z", yaw_deg, degrees=True).as_matrix()
+    return later @ rot.T + offset, earlier
+
+
+def wide_pose_scenes():
+    """The three (source, target) scenes of test_wide_pose_recovered."""
+    rng = np.random.default_rng(52)
+    scenes = []
+    for _ in range(3):
+        pts = hollow_box(rng, w=10.0, l=8.0, h=5.0, density=30.0)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = rng.uniform(np.deg2rad(15), np.deg2rad(30))
+        rot = Rotation.from_rotvec(axis * angle).as_matrix()
+        t = rng.normal(size=3)
+        t *= rng.uniform(3.0, 5.0) / np.linalg.norm(t)
+        scenes.append((pts @ rot.T + t, pts))
+    return scenes
+
+
+def cache_case(name):
+    """(source, target, params) of one correspondence-cache oracle case."""
+    rng = np.random.default_rng(80)
+    if name == "resurvey":
+        return (*resurvey_pair(rng), IcpParams())
+    if name.startswith("wide"):
+        return (*wide_pose_scenes()[int(name[-1])], RECOVERY_PARAMS)
+    if name == "duplicated_target":
+        # Every third target point appears twice: exact distance ties.
+        pts = hollow_box(rng, w=6.0, l=5.0, h=3.0, density=40.0)
+        rot = Rotation.from_euler("z", 2.0, degrees=True).as_matrix()
+        return pts @ rot.T + [0.1, -0.05, 0.0], np.vstack([pts, pts[::3]]), RECOVERY_PARAMS
+    if name == "rejection_drops_most":
+        later, earlier = resurvey_pair(rng, density=30.0, sigma=0.03)
+        return later, earlier, IcpParams(rejection_distance=0.04)
+    if name == "no_trim":
+        later, earlier = resurvey_pair(rng)
+        return later, earlier, IcpParams(trim_fraction=0.0)
+    if name == "three_point_target":
+        target = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.2]])
+        return rng.uniform(-0.5, 1.5, (40, 3)), target, RECOVERY_PARAMS
+    raise KeyError(name)
+
+
+CACHE_CASES = [
+    "resurvey", "wide0", "wide1", "wide2", "duplicated_target",
+    "rejection_drops_most", "no_trim", "three_point_target",
+]
+
+
+class TestCorrespondenceCache:
+    @pytest.mark.parametrize("name", CACHE_CASES)
+    def test_matches_fresh_query_every_iteration(self, monkeypatch, name):
+        source, target, params = cache_case(name)
+        trees = []
+
+        def counting_kdtree(cloud):
+            trees.append(kdtree(cloud))
+            return trees[-1]
+
+        cached_query = registration._NeighbourCache.query
+        states, pairs = [], []
+
+        def checked_query(cache, moved):
+            dist, idx = cached_query(cache, moved)
+            fresh_dist, fresh_idx = cache.tree.query(moved)
+            np.testing.assert_array_equal(idx, fresh_idx)
+            np.testing.assert_array_equal(dist, fresh_dist)
+            states.append(cache.state)
+            pairs.append(np.count_nonzero(dist <= params.rejection_distance))
+            return dist, idx
+
+        monkeypatch.setattr(registration, "kdtree", counting_kdtree)
+        monkeypatch.setattr(registration._NeighbourCache, "query", checked_query)
+        result = icp_align(PointCloud(source), PointCloud(target), params)
+        assert len(trees) == 1
+        assert len(states) == len(result.rms_history)
+        if name == "rejection_drops_most":
+            assert max(pairs) < 0.5 * len(source)
+        if name in ("resurvey", "no_trim"):
+            # Small motion: the cache stays valid from the first iteration on.
+            assert set(states) == {"valid"}
+        if name.startswith("wide"):
+            # Large motion first falls back to plain queries, then rebuilds.
+            assert "dropped" in states and states[-1] == "valid"
+
+    def test_distances_match_kdtree_bit_for_bit(self):
+        rng = np.random.default_rng(81)
+        target = rng.uniform(-3.0, 3.0, (2000, 3))
+        query = rng.uniform(-4.0, 4.0, (5000, 3))
+        dist, idx = kdtree(target).query(query, k=4)
+        near = target[idx]
+        computed = registration._distances(query[:, None, :], near)
+        np.testing.assert_array_equal(computed, dist)
+        np.testing.assert_array_equal(
+            computed, np.sqrt(((query[:, None, :] - near) ** 2).sum(axis=-1))
+        )
+
+
+class _FixedQuery:
+    """Stands in for the cache: every source row matches target row i."""
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def query(self, moved):
+        return self.dist, np.arange(len(self.dist))
+
+
+def argsort_trim(dist, keep, n_keep):
+    return keep[np.sort(np.argsort(dist[keep], kind="stable")[:n_keep])]
+
+
+class TestTrim:
+    def test_matches_stable_argsort_with_ties(self):
+        rng = np.random.default_rng(90)
+        # Quarter-metre steps: runs of exact ties, every n_keep below hits
+        # each tie boundary and the inside of each run.
+        dist = rng.integers(0, 8, 300) / 4.0
+        keep = np.flatnonzero(dist <= 1.5)
+        for n_keep in range(1, len(keep) + 1):
+            np.testing.assert_array_equal(
+                registration._trim(dist, keep, n_keep), argsort_trim(dist, keep, n_keep)
+            )
+
+    @pytest.mark.parametrize("n_within", [3, 4, 5, 40])
+    def test_correspondences_floor_matches_argsort(self, n_within):
+        rng = np.random.default_rng(91)
+        dist = np.concatenate([np.full(n_within, 0.5), rng.integers(0, 3, n_within) / 4.0, [5.0, 7.0]])
+        rng.shuffle(dist)
+        moved = rng.uniform(0.0, 1.0, (len(dist), 3))
+        params = IcpParams(rejection_distance=1.0, trim_fraction=0.9)
+        keep = np.flatnonzero(dist <= 1.0)
+        n_keep = max(int(np.ceil(len(keep) * 0.1)), min(3, len(keep)))
+        rows, idx, _ = registration._correspondences(moved, moved, _FixedQuery(dist), params)
+        np.testing.assert_array_equal(rows, argsort_trim(dist, keep, n_keep))
+        np.testing.assert_array_equal(idx, rows)
 
 
 class TestPointToPlane:
