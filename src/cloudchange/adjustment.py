@@ -13,12 +13,17 @@ The minimization is Levenberg-Marquardt on the weighted reprojection error,
 with the object points eliminated through the standard reduced (Schur
 complement) system so that the dense solve only spans camera and calibration
 parameters. Each iteration projects all retained observations in one batched
-call and assembles the Jacobian sparse, two rows per observation. The
-reduced camera system is then formed densely from the per-point 3x3 blocks:
-every camera network this package generates has full visibility, so the
-camera-point coupling block is dense anyway. After convergence, observations
-whose reprojection error exceeds a robust threshold (scaled median absolute
-deviation) are removed and the solve repeats a bounded number of times.
+call, which returns every observation's 2x3 point block and 2x11 camera and
+calibration block. The normal-equation blocks (camera-camera, camera-point,
+the 3x3 block of each point, and both gradients) are summed straight from
+those per-observation blocks into their final dense layout; the index layout
+that says where each block lands is built once per set of retained
+observations. The reduced camera system is formed densely from the per-point
+3x3 blocks: every camera network this package generates has full visibility,
+so the camera-point coupling block is dense anyway. After convergence,
+observations whose reprojection error exceeds a robust threshold (scaled
+median absolute deviation) are removed and the solve repeats a bounded number
+of times.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -58,6 +63,7 @@ logger = logging.getLogger(__name__)
 _CAM_PARAMS = 6  # local rotation increment (3) + center (3)
 _CAL_PARAMS = 5  # focal length, cx, cy, k1, k2
 _POINT_PARAMS = 3
+_CAM_CAL_PARAMS = _CAM_PARAMS + _CAL_PARAMS
 
 
 @dataclass
@@ -149,6 +155,101 @@ class LinearizedSystem:
                 raise ValueError("Jacobian blocks disagree on row count")
         if self.residuals.shape != (rows,) or self.weights.shape != (rows,):
             raise ValueError("residual/weight length must equal the row count")
+
+
+class _NormalEquations(NamedTuple):
+    """Blocks of the undamped normal equations J^T W J dx = J^T W r, with
+    cameras and calibrations (c) first and active points (p) last.
+
+    Attributes:
+        h_cc: (nc, nc) camera-camera block.
+        h_cp: (nc, 3 n_active) camera-point block.
+        v: (n_active, 3, 3) diagonal blocks of the point-point block, which
+            has no other nonzero entries.
+        grad_c: (nc,) camera part of J^T W r.
+        grad_p: (3 n_active,) point part of J^T W r.
+    """
+
+    h_cc: np.ndarray
+    h_cp: np.ndarray
+    v: np.ndarray
+    grad_c: np.ndarray
+    grad_p: np.ndarray
+
+
+class _BlockLayout:
+    """Where each retained observation's Jacobian blocks land in the normal
+    equations, for one (mask, track_active).
+
+    Every index array addresses a flattened final block, so one bincount per
+    block sums the per-observation products in place and observations that
+    share a target (a point seen by several cameras, a calibration shared by
+    several cameras, a track observed twice by one camera) accumulate.
+    """
+
+    def __init__(self, problem: _Problem, mask: np.ndarray, track_active: np.ndarray) -> None:
+        self.mask = mask.copy()
+        self.track_active = track_active.copy()
+        self.rows = np.flatnonzero(mask)
+        self.weight = problem.obs_weight[self.rows]
+        self.n_points = int(track_active.sum())
+        self.n_cols = nc = problem.n_cam_cal_cols
+
+        # Active tracks get contiguous 3-column slots in input order.
+        slot = np.full(len(track_active), -1, dtype=np.intp)
+        slot[track_active] = np.arange(self.n_points)
+        point = slot[problem.obs_track[self.rows]]
+        self.v_index = (_POINT_PARAMS**2 * point[:, None] + np.arange(_POINT_PARAMS**2)).ravel()
+        self.gp_index = (_POINT_PARAMS * point[:, None] + np.arange(_POINT_PARAMS)).ravel()
+
+        # The 11 camera and calibration columns of each camera. A camera's
+        # calibration is in the system exactly when the camera is, so the
+        # rows of cameras in the system carry all 11 columns; they are kept
+        # grouped by camera (positions into `rows`).
+        cam_cols = np.concatenate(
+            [
+                problem.cam_col[:, None] + np.arange(_CAM_PARAMS),
+                problem.cal_col[problem.cam_cal][:, None] + np.arange(_CAL_PARAMS),
+            ],
+            axis=1,
+        )
+        cams = problem.obs_cam[self.rows]
+        in_system = np.flatnonzero(problem.cam_col[cams] >= 0)
+        self.cam_rows = in_system[np.argsort(cams[in_system], kind="stable")]
+        group_cams, starts, counts = np.unique(
+            cams[self.cam_rows], return_index=True, return_counts=True
+        )
+
+        # Each camera's rows padded to the longest group; padding points at
+        # row 0 with weight 0, so it adds exact zeros. The weights repeat
+        # once per Jacobian row (x, then y).
+        width = int(counts.max(initial=0))
+        rank = np.arange(width)
+        real = rank < counts[:, None]
+        self.padded = np.where(real, starts[:, None] + rank, 0)
+        self.padded_weight = np.repeat(
+            np.where(real, self.weight[self.cam_rows][self.padded], 0.0), 2, axis=1
+        )
+
+        cols = cam_cols[group_cams]
+        self.hcc_index = (cols[:, :, None] * nc + cols[:, None, :]).ravel()
+        row_cols = cam_cols[cams[self.cam_rows]]
+        self.gc_index = row_cols.ravel()
+        self.hcp_index = (
+            row_cols[:, :, None] * (_POINT_PARAMS * self.n_points)
+            + _POINT_PARAMS * point[self.cam_rows, None, None]
+            + np.arange(_POINT_PARAMS)
+        ).ravel()
+
+    def matches(self, mask: np.ndarray, track_active: np.ndarray) -> bool:
+        return np.array_equal(mask, self.mask) and np.array_equal(
+            track_active, self.track_active
+        )
+
+
+def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum `values` into `size` slots by `index`."""
+    return np.bincount(index, weights=values.ravel(), minlength=size)
 
 
 @dataclass
@@ -253,6 +354,7 @@ class _Problem:
             -1, 2
         )
         self.obs_weight = np.array([o.weight for o in observations], dtype=np.float64)
+        self._layout: Optional[_BlockLayout] = None
 
     def snapshot(self) -> tuple:
         return self.cam_rot.copy(), self.cam_cen.copy(), self.cal_values.copy(), self.positions.copy()
@@ -360,12 +462,12 @@ class _Problem:
             weights=weights,
         )
 
-    def prior_rows(self, weight: float) -> Tuple[sparse.spmatrix, np.ndarray, np.ndarray]:
-        """Prior equations keeping fixed parameters at their inputs
-        (prior_weight mode): identity Jacobians, residual = input - current
-        (rotations via the local deviation rotation vector).
+    def prior_residuals(self) -> np.ndarray:
+        """Residuals of the prior equations keeping fixed parameters at their
+        inputs (prior_weight mode): input - current, rotations via the local
+        deviation rotation vector.
 
-        Rows follow the fixed columns: each fixed camera's rotation and
+        Entries follow the fixed columns: each fixed camera's rotation and
         center, then each fixed calibration."""
         fixed = slice(self.n_new_cams, None)
         deviation = (
@@ -374,13 +476,66 @@ class _Problem:
         ).as_rotvec()
         cameras = np.concatenate([-deviation, self.input_cen[fixed] - self.cam_cen[fixed]], axis=1)
         calibrations = self.input_cal[1:] - self.cal_values[1:]
-        res = np.concatenate([cameras.ravel(), calibrations.ravel()])
+        return np.concatenate([cameras.ravel(), calibrations.ravel()])
+
+    def prior_rows(self, weight: float) -> Tuple[sparse.spmatrix, np.ndarray, np.ndarray]:
+        """The prior equations as rows (Jacobian, residuals, weights): one
+        identity row per fixed column, residuals from prior_residuals."""
+        res = self.prior_residuals()
         q = len(res)
         jac = sparse.csr_matrix(
             (np.ones(q), self.new_width + np.arange(q), np.arange(q + 1)),
             shape=(q, self.n_cam_cal_cols),
         )
         return jac, res, np.full(q, weight)
+
+    def normal_equations(
+        self, mask: np.ndarray, track_active: np.ndarray, prior_weight: Optional[float]
+    ) -> _NormalEquations:
+        """The normal-equation blocks at the current parameters over masked
+        observations, plus the identity prior rows of weight `prior_weight`
+        on the fixed columns unless it is None.
+
+        The index layout is rebuilt only when `mask` or `track_active`
+        differ from the ones it was built for."""
+        layout = self._layout
+        if layout is None or not layout.matches(mask, track_active):
+            layout = self._layout = _BlockLayout(self, mask, track_active)
+        rows = layout.rows
+        pixels, depth, d_point, d_pose, d_cal = self._project(rows, jacobians=True)
+        _require_in_front(depth)
+        w_res = layout.weight[:, None] * (self.measured[rows] - pixels)
+        w_point = layout.weight[:, None, None] * d_point
+        n_p = layout.n_points
+        v = _accumulate(
+            layout.v_index, d_point.transpose(0, 2, 1) @ w_point, _POINT_PARAMS**2 * n_p
+        ).reshape(n_p, _POINT_PARAMS, _POINT_PARAMS)
+        grad_p = _accumulate(
+            layout.gp_index, np.einsum("rki,rk->ri", d_point, w_res), _POINT_PARAMS * n_p
+        )
+
+        nc = layout.n_cols
+        jac_c = np.concatenate([d_pose, d_cal], axis=2)[layout.cam_rows]
+        per_cam = jac_c[layout.padded].reshape(len(layout.padded), -1, _CAM_CAL_PARAMS)
+        h_cc = _accumulate(
+            layout.hcc_index,
+            per_cam.transpose(0, 2, 1) @ (layout.padded_weight[:, :, None] * per_cam),
+            nc * nc,
+        ).reshape(nc, nc)
+        grad_c = _accumulate(
+            layout.gc_index, np.einsum("rki,rk->ri", jac_c, w_res[layout.cam_rows]), nc
+        )
+        h_cp = _accumulate(
+            layout.hcp_index,
+            jac_c.transpose(0, 2, 1) @ w_point[layout.cam_rows],
+            nc * _POINT_PARAMS * n_p,
+        ).reshape(nc, _POINT_PARAMS * n_p)
+        if prior_weight is not None:
+            # J^T W J and J^T W r of one identity row per fixed column.
+            fixed = np.arange(self.new_width, nc)
+            h_cc[fixed, fixed] += prior_weight
+            grad_c[fixed] += prior_weight * self.prior_residuals()
+        return _NormalEquations(h_cc, h_cp, v, grad_c, grad_p)
 
     def apply_step(self, delta: np.ndarray, track_active: np.ndarray) -> None:
         var_cams = self.cam_col >= 0
@@ -397,58 +552,39 @@ class _Problem:
 
 
 def _solve_reduced(
-    system: LinearizedSystem,
-    prior: Optional[Tuple[sparse.spmatrix, np.ndarray, np.ndarray]],
+    h_cc: np.ndarray,
+    h_cp: np.ndarray,
+    v: np.ndarray,
+    grad_c: np.ndarray,
+    grad_p: np.ndarray,
     lam: float,
-    n_cam_cal_cols: int,
 ) -> np.ndarray:
     """One damped normal-equation solve, eliminating points by Schur
-    complement. Returns the full parameter step.
+    complement. Returns the full parameter step, camera and calibration
+    columns first, points last. The blocks are those of _NormalEquations
+    and are not modified.
 
-    With H = [[H_cc, H_cp], [H_cp^T, V]] (cameras and calibrations first,
-    points last), V block-diagonal per point and the whole diagonal damped
-    by (1 + lam), the camera step solves S dc = g_c - Y g_p with
-    Y = H_cp V^-1 and S = H_cc - Y H_cp^T; then dp = V^-1 (g_p - H_cp^T dc).
-    Every camera sees every point in the networks this package generates,
-    so H_cp is dense, and Y and S are formed as dense arrays.
+    With H = [[H_cc, H_cp], [H_cp^T, V]], V block-diagonal per point and the
+    whole diagonal damped by (1 + lam), the camera step solves
+    S dc = g_c - Y g_p with Y = H_cp V^-1 and S = H_cc - Y H_cp^T; then
+    dp = V^-1 (g_p - H_cp^T dc). Every camera sees every point in the
+    networks this package generates, so H_cp is dense, and Y and S are
+    formed as dense arrays.
     """
-    jac_c = system.jac_new
-    if system.jac_fixed is not None:
-        jac_c = sparse.hstack([jac_c, system.jac_fixed], format="csr")
-    jac_p = system.jac_points
-    weighted_c = sparse.diags(system.weights) @ jac_c
-    weighted_res = system.weights * system.residuals
-
-    h_cc = (jac_c.T @ weighted_c).toarray()
-    h_cp = (weighted_c.T @ jac_p).toarray()
-    grad_c = jac_c.T @ weighted_res
-    grad_p = jac_p.T @ weighted_res
-    if prior is not None:
-        prior_jac, prior_res, prior_w = prior
-        h_cc += (prior_jac.T @ sparse.diags(prior_w) @ prior_jac).toarray()
-        grad_c += prior_jac.T @ (prior_w * prior_res)
-
-    h_pp = (jac_p.T @ sparse.diags(system.weights) @ jac_p).tocoo()
-    block_row = h_pp.row // _POINT_PARAMS
-    if (h_pp.col // _POINT_PARAMS != block_row).any():
-        raise ValueError("point block of the normal matrix is not block-diagonal")
-    n_points = jac_p.shape[1] // _POINT_PARAMS
-    v = np.zeros((n_points, _POINT_PARAMS, _POINT_PARAMS))
-    np.add.at(v, (block_row, h_pp.row % _POINT_PARAMS, h_pp.col % _POINT_PARAMS), h_pp.data)
-
+    n_points = len(v)
     diag_c = np.diagonal(h_cc).copy()
     diag_p = np.diagonal(v, axis1=1, axis2=2).copy()
     if (diag_c <= 0).any() or (diag_p <= 0).any():
         raise ValueError("rank-deficient normal equations: parameter without support")
-    h_cc[np.diag_indices_from(h_cc)] += lam * diag_c
-    v[:, np.arange(_POINT_PARAMS), np.arange(_POINT_PARAMS)] += lam * diag_p
+    h_cc = h_cc + np.diag(lam * diag_c)
+    v = v + (lam * diag_p)[:, :, None] * np.eye(_POINT_PARAMS)
     try:
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient normal equations in the point block") from exc
 
-    # Y = H_cp V^-1, one (n_cam_cal_cols, 3) @ (3, 3) product per point.
-    nc = n_cam_cal_cols
+    # Y = H_cp V^-1, one (nc, 3) @ (3, 3) product per point.
+    nc = len(h_cc)
     per_point = h_cp.reshape(nc, n_points, _POINT_PARAMS).transpose(1, 0, 2)
     y = (per_point @ v_inv).transpose(1, 0, 2).reshape(nc, -1)
     reduced = h_cc - y @ h_cp.T
@@ -479,8 +615,7 @@ def _levenberg_marquardt(
     def total_cost() -> float:
         value = problem.cost(mask)
         if prior_weight is not None and np.isfinite(value):
-            _, prior_res, prior_w = problem.prior_rows(prior_weight)
-            value += float((prior_w * prior_res**2).sum())
+            value += float((prior_weight * problem.prior_residuals() ** 2).sum())
         return value
 
     cost = total_cost()
@@ -490,9 +625,7 @@ def _levenberg_marquardt(
     n_kept = int(mask.sum())
 
     for iteration in range(options.max_iterations):
-        system = problem.linearize(mask, track_active)
-        prior = problem.prior_rows(prior_weight) if prior_weight is not None else None
-        delta = _solve_reduced(system, prior, lam, problem.n_cam_cal_cols)
+        delta = _solve_reduced(*problem.normal_equations(mask, track_active, prior_weight), lam)
         step_norm = float(np.linalg.norm(delta))
         tiny_step = step_norm <= options.step_tolerance * (
             1.0 + problem.param_norm(track_active)
@@ -603,11 +736,11 @@ def refine_progressive(
             starved = track_active & (counts < options.min_track_length)
             if not starved.any():
                 break
+            track_active[starved] = False
+            dropped = np.flatnonzero(mask & starved[problem.obs_track])
+            mask[dropped] = False
+            rejected.extend(dropped.tolist())
             for j in np.flatnonzero(starved):
-                track_active[j] = False
-                dropped = np.flatnonzero(mask & (problem.obs_track == j))
-                mask[dropped] = False
-                rejected.extend(int(i) for i in dropped)
                 logger.warning(
                     "track %s kept %d observation(s), fewer than %d; dropped from the solve",
                     problem.track_ids[j],

@@ -7,9 +7,10 @@ parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union, get_type_hints
 
 import yaml
 
@@ -180,22 +181,25 @@ def _optional_float(value):
     return None if value is None else float(value)
 
 
-_ICP_FIELDS = {
-    "max_iterations": int,
-    "convergence_threshold": float,
-    "rejection_distance": float,
-    "trim_fraction": float,
+# Converter from a parsed YAML value for each field type of the params
+# dataclasses; serializing applies the same converter.
+_CONVERTERS = {
+    int: int,
+    float: float,
+    bool: bool,
+    Optional[float]: _optional_float,
+    Union[float, Sequence[float]]: _thresholds,
 }
 
-_DETECTION_FIELDS = {
-    "start_depth": int,
-    "max_depth": int,
-    "subvoxels_per_axis": int,
-    "thresholds": _thresholds,
-    "normalized": bool,
-    "component_radius": _optional_float,
-    "component_min_size": int,
-}
+
+def _section_fields(cls) -> dict:
+    """Field name -> converter for every field of a params dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: _CONVERTERS[hints[f.name]] for f in dataclasses.fields(cls)}
+
+
+_ICP_FIELDS = _section_fields(IcpParams)
+_DETECTION_FIELDS = _section_fields(ChangeParams)
 
 _TOP_KEYS = {
     "epochs",
@@ -249,35 +253,26 @@ def _timestamp_value(timestamp):
     return timestamp
 
 
+def _section_to_dict(params, fields: dict) -> dict:
+    """A params dataclass as plain YAML values: every field through its
+    converter, tuples as lists."""
+    out = {}
+    for key, convert in fields.items():
+        value = convert(getattr(params, key))
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
     """Full-provenance mapping: every field present, defaults included."""
-    detection = config.detection
-    thresholds = detection.thresholds
-    if isinstance(thresholds, (list, tuple)):
-        thresholds = [float(v) for v in thresholds]
-    else:
-        thresholds = float(thresholds)
     return {
         "epochs": [
             {"path": e.path, "timestamp": _timestamp_value(e.timestamp)}
             for e in config.epochs
         ],
         "registration": config.registration,
-        "icp": {
-            "max_iterations": config.icp.max_iterations,
-            "convergence_threshold": config.icp.convergence_threshold,
-            "rejection_distance": config.icp.rejection_distance,
-            "trim_fraction": config.icp.trim_fraction,
-        },
-        "detection": {
-            "start_depth": detection.start_depth,
-            "max_depth": detection.max_depth,
-            "subvoxels_per_axis": detection.subvoxels_per_axis,
-            "thresholds": thresholds,
-            "normalized": detection.normalized,
-            "component_radius": detection.component_radius,
-            "component_min_size": detection.component_min_size,
-        },
+        "icp": _section_to_dict(config.icp, _ICP_FIELDS),
+        "detection": _section_to_dict(config.detection, _DETECTION_FIELDS),
         "grid_size": config.grid_size,
         "output_dir": config.output_dir,
         "report_version": config.report_version,

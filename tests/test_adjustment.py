@@ -1,4 +1,5 @@
 """Tests for progressive constrained bundle adjustment."""
+import dataclasses
 import logging
 
 import numpy as np
@@ -37,6 +38,25 @@ def small_scenario(**kwargs):
     defaults = dict(n_fixed_cameras=6, n_new_cameras=5, n_points=80, seed=4)
     defaults.update(kwargs)
     return generate_pose_scenario(PoseScenarioConfig(**defaults))
+
+
+def split_fixed_epoch(scenario):
+    """The reference cameras split into two epochs with their own
+    calibrations, so three calibration slots are in use."""
+    fixed_ids = sorted(scenario.fixed.cameras)
+    other_calibration = SelfCalibration(1300.0, 25.0, -10.0, -0.02, 0.004)
+    return [
+        EpochCameras(
+            epoch=0,
+            calibration=scenario.fixed.calibration,
+            cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[:3]},
+        ),
+        EpochCameras(
+            epoch=1,
+            calibration=other_calibration,
+            cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[3:]},
+        ),
+    ]
 
 
 def solve(scenario, **options):
@@ -361,8 +381,90 @@ class TestSolverOracles:
             hess + lam * np.diag(np.diag(hess)), jac.T @ (weights * residuals)
         )
 
-        step = _solve_reduced(system, prior, lam, problem.n_cam_cal_cols)
+        equations = problem.normal_equations(mask, track_active, 1e4 if include_fixed else None)
+        step = _solve_reduced(*equations, lam)
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @staticmethod
+    def _dense_normal_equations(problem, mask, track_active, prior_weight):
+        """J^T W J and J^T W r from the sparse Jacobian of linearize (and the
+        prior rows), split as _NormalEquations."""
+        system = problem.linearize(mask, track_active)
+        blocks = [system.jac_new] + ([system.jac_fixed] if problem.include_fixed else [])
+        jac_c = sparse.hstack(blocks).toarray()
+        jac_p = system.jac_points.toarray()
+        weights, residuals = system.weights, system.residuals
+        h_cc = jac_c.T @ (weights[:, None] * jac_c)
+        grad_c = jac_c.T @ (weights * residuals)
+        if prior_weight is not None:
+            prior_jac, prior_res, prior_w = problem.prior_rows(prior_weight)
+            prior_jac = prior_jac.toarray()
+            h_cc += prior_jac.T @ (prior_w[:, None] * prior_jac)
+            grad_c += prior_jac.T @ (prior_w * prior_res)
+        n = jac_p.shape[1] // 3
+        h_pp = (jac_p.T @ (weights[:, None] * jac_p)).reshape(n, 3, n, 3)
+        v = h_pp[np.arange(n), :, np.arange(n), :]
+        off_block = h_pp.copy()
+        off_block[np.arange(n), :, np.arange(n), :] = 0.0
+        assert not off_block.any()
+        return (
+            h_cc,
+            jac_c.T @ (weights[:, None] * jac_p),
+            v,
+            grad_c,
+            jac_p.T @ (weights * residuals),
+        )
+
+    @pytest.mark.parametrize("fixed_handling", ["exclude", "prior_weight"])
+    def test_normal_equations_equal_dense_jacobian_products(self, fixed_handling):
+        scenario = small_scenario(
+            n_fixed_cameras=6, n_new_cameras=5, n_points=40, noise_sigma=0.5, seed=8
+        )
+        # Partial visibility: the k-th camera misses tracks 3k..4k-1, so
+        # every camera has its own observation count. Weights vary per
+        # observation. One new and one reference camera observe a track a
+        # second time.
+        camera_ids = sorted({o.camera_id for o in scenario.observations})
+        rank = {c: k for k, c in enumerate(camera_ids)}
+        observations = [
+            dataclasses.replace(o, weight=0.5 + 0.25 * (i % 5))
+            for i, o in enumerate(scenario.observations)
+            if not 3 * rank[o.camera_id] <= o.track_id < 4 * rank[o.camera_id]
+        ]
+        for camera_id in (min(scenario.new_initial.cameras), max(scenario.fixed.cameras)):
+            first = next(o for o in observations if o.camera_id == camera_id)
+            observations.append(dataclasses.replace(first, x=first.x + 0.3, weight=2.0))
+        fixed_epochs = split_fixed_epoch(scenario)
+        include_fixed = fixed_handling == "prior_weight"
+        problem = _Problem(
+            fixed_epochs,
+            scenario.new_initial,
+            scenario.points_initial,
+            observations,
+            include_fixed=include_fixed,
+        )
+        if include_fixed:
+            problem.cam_rot[problem.n_new_cams :] += 1e-3
+            problem.cam_cen[problem.n_new_cams :] -= 2e-3
+            problem.cal_values[1:] += 0.5
+        prior_weight = 1e4 if include_fixed else None
+
+        full = np.ones(len(observations), dtype=bool)
+        all_tracks = np.ones(len(problem.track_ids), dtype=bool)
+        # Masked rows and a dropped track, then the full set again: the same
+        # problem must not serve one mask's layout for another.
+        masked = full.copy()
+        masked[::7] = False
+        dropped_track = all_tracks.copy()
+        dropped_track[5] = False
+        masked &= dropped_track[problem.obs_track]
+        for mask, track_active in ((full, all_tracks), (masked, dropped_track), (full, all_tracks)):
+            got = problem.normal_equations(mask, track_active, prior_weight)
+            want = self._dense_normal_equations(problem, mask, track_active, prior_weight)
+            for name, block, expected in zip(got._fields, got, want):
+                assert block.shape == expected.shape, name
+                gap = np.linalg.norm(block - expected)
+                assert gap <= 1e-12 * np.linalg.norm(expected), name
 
     def test_residuals_use_each_observation_calibration(self):
         scenario = small_scenario(
@@ -371,22 +473,7 @@ class TestSolverOracles:
             n_points=40,
             initial_calibration=SelfCalibration(1100.0, -20.0, 15.0, 0.05, 0.0),
         )
-        # Split the reference cameras into two epochs with their own
-        # calibrations, so three calibration slots are in use.
-        fixed_ids = sorted(scenario.fixed.cameras)
-        other_calibration = SelfCalibration(1300.0, 25.0, -10.0, -0.02, 0.004)
-        fixed_epochs = [
-            EpochCameras(
-                epoch=0,
-                calibration=scenario.fixed.calibration,
-                cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[:3]},
-            ),
-            EpochCameras(
-                epoch=1,
-                calibration=other_calibration,
-                cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[3:]},
-            ),
-        ]
+        fixed_epochs = split_fixed_epoch(scenario)
         problem = self._problem(scenario, fixed_epochs, include_fixed=False)
         cameras, calibrations = {}, {}
         for epoch in fixed_epochs + [scenario.new_initial]:

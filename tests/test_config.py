@@ -1,4 +1,5 @@
 """Tests for strict pipeline configuration parsing."""
+import dataclasses
 import datetime
 import textwrap
 
@@ -162,6 +163,45 @@ class TestSerialization:
         ):
             config = parse_config_text(text)
             assert parse_config_text(serialize_config(config)) == config
+
+    def test_every_field_non_default_round_trips(self):
+        config = parse_config_text(
+            textwrap.dedent(
+                """
+                epochs:
+                  - {path: a.ply, timestamp: 2026-03-01}
+                  - {path: b.ply, timestamp: 2026-03-11}
+                registration: icp
+                icp:
+                  max_iterations: 9
+                  convergence_threshold: 1.0e-5
+                  rejection_distance: 0.25
+                  trim_fraction: 0.3
+                detection:
+                  start_depth: 5
+                  max_depth: 8
+                  subvoxels_per_axis: 3
+                  thresholds: [10.0, 20.0, 30.0, 40.0]
+                  normalized: false
+                  component_radius: 0.4
+                  component_min_size: 7
+                grid_size: 0.25
+                output_dir: elsewhere
+                report_version: 2
+                seed: 5
+                threads: 3
+                """
+            )
+        )
+        for params, default in ((config.icp, IcpParams()), (config.detection, ChangeParams())):
+            for f in dataclasses.fields(params):
+                assert getattr(params, f.name) != getattr(default, f.name), f.name
+        for f in dataclasses.fields(PipelineConfig):
+            if f.name != "epochs":
+                assert getattr(config, f.name) != f.default, f.name
+        text = serialize_config(config)
+        assert parse_config_text(text) == config
+        assert serialize_config(parse_config_text(text)) == text
 
     def test_serialized_config_is_complete(self):
         payload = config_to_dict(parse_config_text(MINIMAL))
