@@ -22,6 +22,7 @@ from .detection import (
     ChangeParams,
     ChangeSet,
     DetectionStats,
+    Lattice,
     component_filter,
     density_feature,
     feature_distance,
@@ -109,6 +110,7 @@ __all__ = [
     "IcpParams",
     "IcpResult",
     "ImageObservation",
+    "Lattice",
     "ObjectPoint",
     "Octree",
     "PipelineConfig",

@@ -26,7 +26,7 @@ __all__ = [
     "serialize_config",
 ]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _REGISTRATION_MODES = ("none", "icp")
 

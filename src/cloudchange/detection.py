@@ -1,6 +1,8 @@
 """Coarse-to-fine volumetric change detection between two epochs.
 
-The earlier (reference) epoch's bounding cube fixes the voxel lattice. Each
+A `Lattice` fixes the voxel lattice: the union bounding cube of every cloud
+it indexes, so no point of either epoch falls outside it, and one Morton
+index per cloud, built once however many intervals share the cloud. Each
 candidate cell is scored by the squared difference of sub-voxel point
 densities between the epochs; only cells above threshold are subdivided, so
 unchanged space is discarded at coarse scale and changed space is located at
@@ -9,7 +11,7 @@ points.
 """
 from __future__ import annotations
 
-import logging
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -20,8 +22,6 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import BoundingCube, PointCloud, bounding_cube
 from .neighbors import kdtree
 from .octree import MAX_SUPPORTED_DEPTH, Octree, cell_bounds, morton_codes, span_positions
-
-logger = logging.getLogger(__name__)
 
 # Default score threshold in (points/m^3)^2, calibrated on the synthetic
 # demolition suite (see tests/test_detection.py::TestThresholdDefault for the
@@ -121,7 +121,8 @@ class ChangeSet:
     """Result of hierarchical_detect for one epoch pair.
 
     Attributes:
-        cube: the reference epoch's bounding cube (the voxel lattice root).
+        cube: the lattice's cube (the voxel lattice root): the union bounding
+            cube of both epochs, or of every epoch of a pipeline run.
         depth: depth of the changed voxels (params.max_depth).
         voxel_codes: sorted Morton codes of the changed voxels at `depth`.
         voxel_edge: edge length of those voxels, metres.
@@ -218,19 +219,40 @@ def feature_distance(a: DensityFeature, b: DensityFeature, normalized: bool = Tr
     return d
 
 
-def _epoch_index(points: np.ndarray, cube: BoundingCube, code_depth: int, bounded: bool = False) -> Octree:
-    """Linear octree of the points inside `cube`; `order` indexes `points`.
+class Lattice:
+    """One voxel lattice over a fixed set of clouds, and each cloud's index.
 
-    `bounded` says every point is known to lie inside the cube, as the
-    points `geometry.bounding_cube` was built from do, so no mask is needed.
+    The cube is the union bounding cube of the clouds, so every point of
+    every cloud lies inside it and no index needs a containment mask. A
+    cloud is recognised by identity; any other cloud is refused, since its
+    points outside the cube would be clipped into edge cells. An index is
+    encoded on its first request and kept while it is one of the two most
+    recently requested: consecutive intervals of a series share one epoch.
+
+    Attributes:
+        cube: the union bounding cube, the root of every voxel code.
     """
-    if bounded:
-        return Octree(morton_codes(points, cube, code_depth), code_depth)
-    inside = np.logical_and(
-        (points >= cube.min_corner).all(axis=1),
-        (points <= cube.min_corner + cube.edge).all(axis=1),
-    )
-    return Octree(morton_codes(points[inside], cube, code_depth), code_depth, np.flatnonzero(inside))
+
+    def __init__(self, clouds: Sequence[PointCloud]) -> None:
+        self._clouds = {}
+        for cloud in clouds:
+            self._clouds.setdefault(id(cloud), cloud)
+        self.cube = bounding_cube(*self._clouds.values())
+        self._indexes: OrderedDict = OrderedDict()
+
+    def index(self, cloud: PointCloud, code_depth: int) -> Octree:
+        """Linear octree of `cloud` on the lattice at `code_depth`; `order`
+        indexes the cloud's points."""
+        if self._clouds.get(id(cloud)) is not cloud:
+            raise ValueError("cloud is not one of the clouds the lattice was built from")
+        key = (id(cloud), code_depth)
+        tree = self._indexes.pop(key, None)
+        if tree is None:
+            while len(self._indexes) > 1:
+                self._indexes.popitem(last=False)
+            tree = Octree(morton_codes(cloud.xyz, self.cube, code_depth), code_depth)
+        self._indexes[key] = tree
+        return tree
 
 
 def _child_frontier(ref: Octree, oth: Octree, spans_ref: np.ndarray, spans_oth: np.ndarray, depth: int):
@@ -283,14 +305,18 @@ def hierarchical_detect(
     other: PointCloud,
     params: Optional[ChangeParams] = None,
     epoch_pair: Tuple = (0, 1),
+    *,
+    lattice: Optional[Lattice] = None,
 ) -> ChangeSet:
     """Locate changed voxels between `reference` (earlier) and `other`.
 
-    The voxel lattice derives from the reference cloud's bounding cube;
-    `other` points outside that cube can never be flagged. Scoring starts at
-    params.start_depth on the reference octree's cells (reference-empty
-    leaves are scored once at their own bounds) and descends only into cells
-    whose score reaches the depth's threshold.
+    The voxel lattice is `lattice`, which must have been built from both
+    clouds, or else a new one over the two; either way its cube holds every
+    point of both epochs. Each epoch's index is `lattice.index`, so a
+    lattice shared by consecutive intervals encodes each cloud once. Scoring
+    starts at params.start_depth on the reference octree's cells
+    (reference-empty leaves are scored once at their own bounds) and
+    descends only into cells whose score reaches the depth's threshold.
 
     Each depth's frontier is one sorted, disjoint array of cell codes that
     carries every cell's [lo, hi) span in both epochs' indexes, starting
@@ -304,17 +330,14 @@ def hierarchical_detect(
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
         raise ValueError("both epochs must be nonempty")
-    cube = bounding_cube(reference)
+    if lattice is None:
+        lattice = Lattice((reference, other))
+    cube = lattice.cube
     m = params.subvoxels_per_axis
     levels = max(int(m).bit_length() - 1, 1)
     code_depth = min(params.max_depth + levels, MAX_SUPPORTED_DEPTH)
-    ref = _epoch_index(reference.xyz, cube, code_depth, bounded=True)
-    oth = _epoch_index(other.xyz, cube, code_depth)
-    if len(oth) < len(other):
-        logger.info(
-            "%d other-epoch points fall outside the reference cube and are not considered",
-            len(other) - len(oth),
-        )
+    ref = lattice.index(reference, code_depth)
+    oth = lattice.index(other, code_depth)
 
     # The root holds every point of both indexes. Above start_depth, cells
     # the reference occupies descend unscored; reference-empty cells are

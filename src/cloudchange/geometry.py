@@ -239,18 +239,32 @@ def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     )
 
 
-def bounding_cube(cloud: PointCloud, padding: float = 0.0) -> BoundingCube:
-    """Smallest axis-aligned cube containing the cloud, grown by `padding`.
+def bounding_box(*clouds: PointCloud) -> tuple:
+    """(lo, hi): the per-axis minimum and maximum over every point of the
+    clouds, as `np.vstack` of them reduced along axis 0 would give.
+
+    Each coordinate column is reduced on its own: a strided column reduction
+    is several times faster than `min(axis=0)` over a C-order (n, 3) array,
+    and min and max are exact, so the bits are the same.
+    """
+    arrays = [cloud.xyz for cloud in clouds if len(cloud)]
+    if not arrays:
+        raise ValueError("cannot bound an empty cloud")
+    lo = np.array([min(xyz[:, k].min() for xyz in arrays) for k in range(3)])
+    hi = np.array([max(xyz[:, k].max() for xyz in arrays) for k in range(3)])
+    return lo, hi
+
+
+def bounding_cube(*clouds: PointCloud, padding: float = 0.0) -> BoundingCube:
+    """Smallest axis-aligned cube containing every point of the clouds, grown
+    by `padding`.
 
     The cube is centred on the tight bounding box; its edge is the largest
     axis extent plus twice the padding.
     """
-    if len(cloud) == 0:
-        raise ValueError("cannot bound an empty cloud")
     if padding < 0.0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    lo = cloud.xyz.min(axis=0)
-    hi = cloud.xyz.max(axis=0)
+    lo, hi = bounding_box(*clouds)
     edge = float((hi - lo).max()) + 2.0 * padding
     if edge <= 0.0:
         raise ValueError("degenerate cloud (all points coincide) needs padding > 0")

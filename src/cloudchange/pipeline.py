@@ -8,6 +8,8 @@ timings live in their own manifest field and are the only nondeterminism.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 import os
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cloud_io import load_cloud, save_cloud
 from .config import PipelineConfig, config_to_dict
-from .detection import hierarchical_detect
+from .detection import Lattice, hierarchical_detect
 from .geometry import ChangeLabel, PointCloud, apply_transform
 from .neighbors import set_worker_count
 from .registration import icp_align
@@ -93,7 +95,11 @@ def _interval_outputs(
     grid_size: Optional[float],
 ):
     """Write the labeled cloud, the colorized changed subset, and the voxel
-    list for one epoch interval; returns the report entry and the volume."""
+    list for one epoch interval; returns the report entry and the volume.
+
+    The voxel codes go to `voxels_<i>_<j>.npy` as uint64; `voxels_<i>_<j>.json`
+    holds the lattice metadata, that file's name, the code count and the
+    file's sha256."""
     tag = f"{index}_{index + 1}"
     labels = np.full(len(earlier), int(ChangeLabel.UNCHANGED), dtype=np.uint8)
     labels[changes.changed_reference] = int(ChangeLabel.CHANGED)
@@ -116,6 +122,11 @@ def _interval_outputs(
     )
     save_cloud(os.path.join(out_dir, f"changed_{tag}.ply"), changed)
 
+    codes_name = f"voxels_{tag}.npy"
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(changes.voxel_codes, dtype=np.uint64))
+    with open(os.path.join(out_dir, codes_name), "wb") as handle:
+        handle.write(buffer.getbuffer())
     write_json(
         os.path.join(out_dir, f"voxels_{tag}.json"),
         {
@@ -123,7 +134,9 @@ def _interval_outputs(
             "edge_m": changes.voxel_edge,
             "min_corner": [float(v) for v in changes.cube.min_corner],
             "root_edge_m": float(changes.cube.edge),
-            "codes": changes.voxel_codes.tolist(),
+            "codes_file": codes_name,
+            "n_codes": changes.n_voxels,
+            "codes_sha256": hashlib.sha256(buffer.getbuffer()).hexdigest(),
         },
     )
 
@@ -167,24 +180,33 @@ def run_pipeline(config: PipelineConfig) -> dict:
         clouds = _load_epochs(config)
         timings["load"] = time.perf_counter() - started
 
-        intervals = []
-        volumes = []
+        # Every interval is registered before any is detected, so the one
+        # lattice of the run bounds each aligned later epoch. ICP aligns each
+        # epoch onto the previous one only: an aligned cloud is a cloud of
+        # its own and gets its own index. Without registration, epoch k is
+        # the `other` of interval k-1 -> k and the `reference` of k -> k+1,
+        # and is encoded once.
+        laters = []
         registrations = []
         for i in range(len(clouds) - 1):
-            tag = f"interval_{i}_{i + 1}"
-            earlier, later = clouds[i], clouds[i + 1]
             try:
                 started = time.perf_counter()
-                later, registration = _register_pair(earlier, later, config)
-                timings[f"{tag}.register"] = time.perf_counter() - started
-            except StageError:
-                raise
+                later, registration = _register_pair(clouds[i], clouds[i + 1], config)
+                timings[f"interval_{i}_{i + 1}.register"] = time.perf_counter() - started
             except Exception as exc:
                 raise StageError(f"register[{i}]", str(exc)) from exc
+            laters.append(later)
+            registrations.append(registration)
+        lattice = Lattice(clouds[:-1] + laters)
+
+        intervals = []
+        volumes = []
+        for i, (earlier, later, registration) in enumerate(zip(clouds, laters, registrations)):
+            tag = f"interval_{i}_{i + 1}"
             try:
                 started = time.perf_counter()
                 changes = hierarchical_detect(
-                    earlier, later, params=config.detection, epoch_pair=(i, i + 1)
+                    earlier, later, params=config.detection, epoch_pair=(i, i + 1), lattice=lattice
                 )
                 timings[f"{tag}.detect"] = time.perf_counter() - started
             except Exception as exc:
@@ -199,7 +221,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 raise StageError(f"volume[{i}]", str(exc)) from exc
             if registration is not None:
                 entry["registration"] = registration
-            registrations.append(registration)
             intervals.append(entry)
             volumes.append(volume)
             logger.info(

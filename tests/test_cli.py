@@ -84,7 +84,7 @@ class TestRun:
         out, _ = pipeline_run
         report = json.loads((out / "report.json").read_text())
         manifest = json.loads((out / "manifest.json").read_text())
-        assert report["report_version"] == 1
+        assert report["report_version"] == 2
         assert len(report["intervals"]) == 2
         assert manifest["status"] == "ok"
         assert manifest["timings_s"]

@@ -187,7 +187,7 @@ class TestSerialization:
                   component_min_size: 7
                 grid_size: 0.25
                 output_dir: elsewhere
-                report_version: 2
+                report_version: 3
                 seed: 5
                 threads: 3
                 """

@@ -6,6 +6,7 @@ from cloudchange import detection
 from cloudchange.detection import (
     DEFAULT_THRESHOLD,
     ChangeParams,
+    Lattice,
     component_filter,
     density_feature,
     feature_distance,
@@ -13,7 +14,7 @@ from cloudchange.detection import (
 )
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.neighbors import kdtree
-from cloudchange.octree import cell_bounds, morton_codes
+from cloudchange.octree import cell_bounds, decode_cell, morton_codes
 from scenes import hollow_box, removal_scene
 
 
@@ -276,17 +277,21 @@ class TestHierarchicalDetect:
         assert flagged[1000:].all()
         assert not flagged[:1000].any()
 
-    def test_other_points_outside_cube_ignored(self):
+    def test_other_points_above_reference_box_flagged(self):
+        # The lattice bounds both epochs, so a dense later-epoch block just
+        # above the earlier epoch's bounding box is scored like any other
+        # reference-empty space. A reference-only cube would drop it.
         rng = np.random.default_rng(25)
         base = rng.uniform(0.0, 10.0, (800, 3))
-        far = rng.uniform(100.0, 101.0, (50, 3))
+        block = rng.uniform([4.0, 4.0, 10.1], [6.0, 6.0, 10.6], (200, 3))
+        other = PointCloud(np.vstack([base, block]))
         result = hierarchical_detect(
-            PointCloud(base),
-            PointCloud(np.vstack([base, far])),
-            ChangeParams(thresholds=10.0, component_min_size=1),
+            PointCloud(base), other, ChangeParams(thresholds=10.0, component_min_size=1),
         )
-        assert result.n_voxels == 0
-        assert len(result.raw_changed_other) == 0
+        assert result.cube.contains(other.xyz).all()
+        assert result.n_voxels > 0
+        assert len(result.raw_changed_reference) == 0
+        np.testing.assert_array_equal(result.raw_changed_other, np.arange(800, 1000))
 
     def test_reference_point_on_max_face_indexed(self):
         rng = np.random.default_rng(27)
@@ -294,17 +299,19 @@ class TestHierarchicalDetect:
         # The 4 m x extent is the cube edge, so ref[1] lies on the max x face.
         ref[0, 0] = 0.0
         ref[1, 0] = 4.0
-        cube = bounding_cube(PointCloud(ref))
+        reference = PointCloud(ref)
+        other = PointCloud(np.delete(ref, 1, axis=0))
+        lattice = Lattice((reference, other))
+        cube = lattice.cube
         assert ref[1, 0] == cube.min_corner[0] + cube.edge
-        index = detection._epoch_index(ref, cube, 12, bounded=True)
-        masked = detection._epoch_index(ref, cube, 12)
+        index = lattice.index(reference, 12)
         assert len(index) == len(ref)
-        np.testing.assert_array_equal(index.order, masked.order)
-        np.testing.assert_array_equal(index.sorted_codes, masked.sorted_codes)
+        np.testing.assert_array_equal(np.sort(index.order), np.arange(len(ref)))
+        np.testing.assert_array_equal(index.sorted_codes, np.sort(morton_codes(ref, cube, 12)))
+        # The max-face point sits in the last cell along x.
+        assert decode_cell(index.sorted_codes[index.order == 1], 12)[0, 0] == 2**12 - 1
         result = hierarchical_detect(
-            PointCloud(ref),
-            PointCloud(np.delete(ref, 1, axis=0)),
-            ChangeParams(thresholds=10.0, component_min_size=1),
+            reference, other, ChangeParams(thresholds=10.0, component_min_size=1), lattice=lattice
         )
         assert 1 in result.raw_changed_reference
 
@@ -416,7 +423,75 @@ class TestHierarchicalDetect:
         assert result.params.max_depth == 11
 
 
-def walk_oracle(ref, oth, params):
+class TestLattice:
+    def clouds(self, n=3):
+        rng = np.random.default_rng(33)
+        return [PointCloud(rng.uniform(-k, 5.0 + k, (300 + 50 * k, 3))) for k in range(n)]
+
+    def test_cube_is_union_cube(self):
+        clouds = self.clouds()
+        cube = Lattice(clouds).cube
+        union = bounding_cube(PointCloud(np.vstack([c.xyz for c in clouds])))
+        np.testing.assert_array_equal(cube.min_corner, union.min_corner)
+        assert cube.edge == union.edge
+
+    def test_foreign_cloud_rejected(self):
+        a, b, _ = self.clouds()
+        lattice = Lattice((a, b))
+        # Equal points, but not a cloud the lattice bounds by construction.
+        with pytest.raises(ValueError, match="lattice was built from"):
+            lattice.index(PointCloud(a.xyz.copy()), 8)
+        with pytest.raises(ValueError, match="lattice was built from"):
+            hierarchical_detect(a, PointCloud(b.xyz.copy()), lattice=lattice)
+
+    def test_encodes_once_and_keeps_two(self, monkeypatch):
+        encoded = []
+        morton = detection.morton_codes
+
+        def counting(points, *args):
+            encoded.append(len(points))
+            return morton(points, *args)
+
+        monkeypatch.setattr(detection, "morton_codes", counting)
+        a, b, c = self.clouds()
+        lattice = Lattice((a, b, b, c))
+        first = lattice.index(a, 8)
+        assert lattice.index(a, 8) is first
+        lattice.index(b, 8)
+        assert lattice.index(a, 8) is first
+        assert encoded == [len(a), len(b)]
+        # c evicts b, the least recently requested; a stays.
+        lattice.index(c, 8)
+        assert lattice.index(a, 8) is first
+        lattice.index(b, 8)
+        assert encoded == [len(a), len(b), len(c), len(b)]
+        # A different code depth is a different index.
+        lattice.index(b, 9)
+        assert encoded[-1] == len(b)
+        assert len(encoded) == 5
+
+    def test_library_call_uses_union_cube(self):
+        a, b, _ = self.clouds()
+        result = hierarchical_detect(a, b, ChangeParams(start_depth=3, max_depth=5))
+        union = bounding_cube(a, b)
+        np.testing.assert_array_equal(result.cube.min_corner, union.min_corner)
+        assert result.cube.edge == union.edge
+        assert union.edge > bounding_cube(a).edge
+
+    def test_shared_lattice_matches_pairwise_union(self):
+        # Detection on a lattice built from more clouds equals detection on
+        # the same cube; the codes are the same cells.
+        a, b, c = self.clouds()
+        params = ChangeParams(start_depth=2, max_depth=4, thresholds=5.0, component_min_size=1)
+        lattice = Lattice((a, b, c))
+        shared = hierarchical_detect(a, b, params, lattice=lattice)
+        expected, _ = walk_oracle(a, b, params, cube=lattice.cube)
+        assert len(expected) > 0
+        np.testing.assert_array_equal(shared.voxel_codes, expected)
+        np.testing.assert_array_equal(shared.raw_changed_other, np.flatnonzero(shared.contains(b.xyz)))
+
+
+def walk_oracle(ref, oth, params, cube=None):
     """Coarse-to-fine walk scored cell by cell with density_feature.
 
     Every reference-empty seed leaf and every child of every surviving cell
@@ -424,16 +499,17 @@ def walk_oracle(ref, oth, params):
     Returns (sorted survivor codes at max_depth, number of scored cells
     empty in both epochs).
     """
-    survivors, empty_scored, _, _ = walk_funnel(ref, oth, params)
+    survivors, empty_scored, _, _ = walk_funnel(ref, oth, params, cube)
     return survivors, empty_scored
 
 
-def walk_funnel(ref, oth, params):
+def walk_funnel(ref, oth, params, cube=None):
     """walk_oracle plus its per-depth funnel: (survivors, empty_scored,
     scored, kept), where scored[d - 1] counts the cells scored at depth d
     that hold a point of either epoch and kept[d - 1] the cells that
-    survived at depth d."""
-    cube = bounding_cube(ref)
+    survived at depth d. The lattice is `cube`, by default the union cube
+    of both epochs."""
+    cube = bounding_cube(ref, oth) if cube is None else cube
     m = params.subvoxels_per_axis
 
     def bounds(code, depth):
@@ -501,7 +577,8 @@ def noisy_shell_scene(rng):
 
 def outside_cube_scene(rng):
     """removal_and_addition_scene whose later epoch also gains points
-    outside the reference cube, on both sides of it."""
+    outside the reference cube, on both sides of it: the union cube is
+    larger than the reference cube."""
     ref, oth = removal_and_addition_scene(rng)
     beyond = np.vstack([
         rng.uniform([1.0, 1.0, 8.5], [7.0, 7.0, 10.0], (300, 3)),

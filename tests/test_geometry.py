@@ -8,6 +8,7 @@ from cloudchange.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
+    bounding_box,
     bounding_cube,
 )
 
@@ -149,3 +150,39 @@ class TestBoundingCube:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             bounding_cube(PointCloud(np.empty((0, 3))))
+
+    def test_several_clouds_match_stacked_cloud(self):
+        rng = np.random.default_rng(4)
+        for trial in range(10):
+            clouds = [
+                PointCloud(rng.normal(rng.uniform(-50.0, 50.0, 3), rng.uniform(0.1, 20.0), (n, 3)))
+                for n in rng.integers(1, 300, rng.integers(1, 5))
+            ]
+            if trial % 2:
+                # The last cloud's first point alone sets the largest extent,
+                # so it lies on the cube's max face (to rounding).
+                xyz = np.vstack([c.xyz for c in clouds])
+                axis = int(np.argmax(xyz.max(axis=0) - xyz.min(axis=0)))
+                top = clouds[-1].xyz.copy()
+                top[0, axis] = xyz[:, axis].max() + 1.0
+                clouds[-1] = PointCloud(top)
+            stacked = PointCloud(np.vstack([c.xyz for c in clouds]))
+            lo, hi = bounding_box(*clouds)
+            np.testing.assert_array_equal(lo, stacked.xyz.min(axis=0))
+            np.testing.assert_array_equal(hi, stacked.xyz.max(axis=0))
+            for pad in (0.0, 0.25):
+                cube = bounding_cube(*clouds, padding=pad)
+                expected = bounding_cube(stacked, padding=pad)
+                np.testing.assert_array_equal(cube.min_corner, expected.min_corner)
+                assert cube.edge == expected.edge
+                assert cube.contains(stacked.xyz).all()
+
+    def test_empty_clouds_skipped(self):
+        pts = PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        empty = PointCloud(np.empty((0, 3)))
+        cube = bounding_cube(empty, pts, empty)
+        assert cube.edge == bounding_cube(pts).edge
+        with pytest.raises(ValueError, match="empty"):
+            bounding_cube(empty, empty)
+        with pytest.raises(ValueError, match="empty"):
+            bounding_cube()
