@@ -29,7 +29,6 @@ from .config import (
 from .detection import ChangeParams, hierarchical_detect
 from .evaluation import change_metrics, confusion_counts, distance_stats
 from .geometry import apply_transform
-from .neighbors import set_worker_count
 from .pipeline import StageError, run_pipeline, write_json, _interval_outputs
 from .registration import IcpParams, icp_align, point_to_plane_distances
 from .synth import (
@@ -160,15 +159,15 @@ def cmd_synth(args) -> int:
 def cmd_register(args) -> int:
     source = load_cloud(args.source)
     target = load_cloud(args.target)
-    if args.threads is not None:
-        set_worker_count(args.threads)
-    result = icp_align(source, target, params=_params_from_args(IcpParams, args))
+    result = icp_align(
+        source, target, params=_params_from_args(IcpParams, args), threads=args.threads
+    )
     aligned = apply_transform(source, result.transform)
     if args.output:
         save_cloud(args.output, aligned)
     payload = result.to_dict()
     if args.distances:
-        report = point_to_plane_distances(aligned, target)
+        report = point_to_plane_distances(aligned, target, threads=args.threads)
         payload["distances"] = report.to_dict()
         payload["distance_stats"] = distance_stats(report).to_dict()
     _emit(payload, args.report)
@@ -203,8 +202,6 @@ def cmd_refine_poses(args) -> int:
 def cmd_detect(args) -> int:
     reference = load_cloud(args.reference)
     other = load_cloud(args.other)
-    if args.threads is not None:
-        set_worker_count(args.threads)
     changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
     os.makedirs(args.output, exist_ok=True)
     entry, volume = _interval_outputs(0, reference, other, changes, args.output, args.grid_size)
@@ -216,8 +213,6 @@ def cmd_detect(args) -> int:
 def cmd_volume(args) -> int:
     reference = load_cloud(args.reference)
     other = load_cloud(args.other)
-    if args.threads is not None:
-        set_worker_count(args.threads)
     from .volumetrics import build_ground_grid, change_volume
 
     changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="fixed cloud")
     p.add_argument("--output", help="write the aligned source here")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="kd-tree worker count, >= 1 (default 1)")
     p.add_argument("--max-iterations", type=int)
     p.add_argument("--convergence-threshold", type=float)
     p.add_argument("--rejection-distance", type=float)
@@ -331,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True, help="later epoch cloud")
     p.add_argument("--output", required=True, help="directory for labeled outputs")
     p.add_argument("--grid-size", type=float, help="ground grid cell size, metres")
-    p.add_argument("--threads", type=int)
     _add_detection_flags(p)
     p.set_defaults(func=cmd_detect)
 
@@ -340,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True)
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.add_argument("--grid-size", type=float)
-    p.add_argument("--threads", type=int)
     _add_detection_flags(p)
     p.set_defaults(func=cmd_volume)
 

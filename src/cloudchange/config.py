@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union, get_type_hints
 
@@ -58,7 +59,8 @@ class PipelineConfig:
         output_dir: where the run writes its artifacts.
         report_version: format version stamped into reports.
         seed: base seed recorded in the manifest.
-        threads: worker count for neighbour queries; None keeps the default.
+        threads: worker count for neighbour queries; None: one worker;
+            scoped to the run.
     """
 
     epochs: Tuple[EpochInput, ...]
@@ -158,6 +160,16 @@ def _parse_section(raw, path: str, factory, fields: dict):
     if raw is None:
         raw = {}
     _check_keys(raw, set(fields), path)
+    kwargs = _convert(raw, fields, path)
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _convert(raw: dict, fields: dict, path: str) -> dict:
+    """Every key of `fields` present in `raw`, through its converter; a bad
+    value is reported under its dotted path."""
     kwargs = {}
     for key, convert in fields.items():
         if key in raw:
@@ -165,53 +177,65 @@ def _parse_section(raw, path: str, factory, fields: dict):
                 kwargs[key] = convert(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{_join(path, key)}: {exc}") from exc
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return kwargs
+
+
+def _integer(value) -> int:
+    """An integer as given: no bool, and no float, not even 8.0."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _boolean(value) -> bool:
+    """A YAML boolean (true/false); no string or number stands for one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _thresholds(value):
     if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return float(value)
+        return tuple(_float(v) for v in value)
+    return _float(value)
 
 
-def _optional_float(value):
-    return None if value is None else float(value)
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
 
 
 # Converter from a parsed YAML value for each field type of the params
-# dataclasses; serializing applies the same converter.
+# dataclasses and the config's own scalars; serializing a params dataclass
+# applies the same converter.
 _CONVERTERS = {
-    int: int,
-    float: float,
-    bool: bool,
-    Optional[float]: _optional_float,
+    int: _integer,
+    float: _float,
+    bool: _boolean,
+    str: str,
+    Optional[int]: _optional(_integer),
+    Optional[float]: _optional(_float),
     Union[float, Sequence[float]]: _thresholds,
 }
 
 
-def _section_fields(cls) -> dict:
-    """Field name -> converter for every field of a params dataclass."""
+def _section_fields(cls, skip=()) -> dict:
+    """Field name -> converter for every field of a dataclass but `skip`."""
     hints = get_type_hints(cls)
-    return {f.name: _CONVERTERS[hints[f.name]] for f in dataclasses.fields(cls)}
+    return {
+        f.name: _CONVERTERS[hints[f.name]] for f in dataclasses.fields(cls) if f.name not in skip
+    }
 
 
 _ICP_FIELDS = _section_fields(IcpParams)
 _DETECTION_FIELDS = _section_fields(ChangeParams)
-
-_TOP_KEYS = {
-    "epochs",
-    "registration",
-    "icp",
-    "detection",
-    "grid_size",
-    "output_dir",
-    "report_version",
-    "seed",
-    "threads",
-}
+_NESTED_KEYS = ("epochs", "icp", "detection")
+_SCALAR_FIELDS = _section_fields(PipelineConfig, skip=_NESTED_KEYS)
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -219,20 +243,15 @@ def parse_config_text(text: str) -> PipelineConfig:
     raw = yaml.safe_load(text)
     if raw is None:
         raw = {}
-    _check_keys(raw, _TOP_KEYS, "")
+    _check_keys(raw, {*_NESTED_KEYS, *_SCALAR_FIELDS}, "")
     epochs = _parse_epochs(_require(raw, "epochs", ""), "epochs")
     return PipelineConfig(
         epochs=epochs,
-        registration=raw.get("registration", "none"),
         icp=_parse_section(raw.get("icp"), "icp", IcpParams, _ICP_FIELDS),
         detection=_parse_section(
             raw.get("detection"), "detection", ChangeParams, _DETECTION_FIELDS
         ),
-        grid_size=_optional_float(raw.get("grid_size")),
-        output_dir=str(raw.get("output_dir", "out")),
-        report_version=int(raw.get("report_version", REPORT_VERSION)),
-        seed=int(raw.get("seed", 0)),
-        threads=None if raw.get("threads") is None else int(raw["threads"]),
+        **_convert(raw, _SCALAR_FIELDS, ""),
     )
 
 

@@ -6,20 +6,12 @@ tie rule (equal distances resolve to the lower point index).
 """
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
-
-# Worker count for kd-tree queries; set from the CLI --threads flag.
-_WORKERS = 1
-
-
-def set_worker_count(workers: int) -> None:
-    global _WORKERS
-    _WORKERS = int(workers)
 
 
 def _cloud_array(cloud: Union[PointCloud, np.ndarray]) -> np.ndarray:
@@ -102,5 +94,11 @@ def kdtree(cloud: Union[PointCloud, np.ndarray]) -> cKDTree:
     return cKDTree(_cloud_array(cloud))
 
 
-def query_workers() -> int:
-    return _WORKERS
+def query_workers(threads: Optional[int] = None) -> int:
+    """kd-tree `workers` for a configured thread count: None gives one
+    worker, a count below 1 is refused, any other count is used as given."""
+    if threads is None:
+        return 1
+    if threads < 1:
+        raise ValueError(f"threads: must be >= 1, got {threads}")
+    return threads

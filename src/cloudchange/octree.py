@@ -3,12 +3,13 @@ cell bounds.
 
 The octree is stored as the points' Morton codes in sorted order, with no
 node objects (Gargantini, "An effective way to represent quadtrees", CACM
-1982): every cell is a contiguous span of the sorted codes. A span is found
-by binary search (`Octree.spans`), or, for the occupied children of cells
-whose spans are already known, read off the codes inside those spans
-(`Octree.children`), so a coarse-to-fine walk that carries its cells' spans
-down from the root never searches the whole index (Sundar, Sampath & Biros,
-SIAM J. Sci. Comput. 2008). One quantisation at the finest depth defines
+1982): every cell is a contiguous span of the sorted codes. The root's span
+is the whole index, and the occupied children of cells whose spans are
+known are read off the codes inside those spans (`Octree.children`), so a
+coarse-to-fine walk that carries its cells' spans down from the root never
+searches the index (Sundar, Sampath & Biros, SIAM J. Sci. Comput. 2008); the
+points of any set of cells are the entries in their spans
+(`Octree.span_members`). One quantisation at the finest depth defines
 cell membership at every coarser depth (prefix of the code), which keeps
 parent/child assignment consistent to the last ulp.
 """
@@ -96,8 +97,9 @@ class Octree:
 
     Every cell at depth d <= code_depth is the contiguous span of
     `sorted_codes` whose codes shifted right by 3 * (code_depth - d) equal
-    the cell's code, so cells are never materialized: one binary search
-    over the sorted codes answers every membership and count query.
+    the cell's code, so cells are never materialized: a walk from the root
+    span [0, len) down through `children` finds every occupied cell's span,
+    its count is the span's length and its points are `span_members`.
 
     Attributes:
         code_depth: depth of the codes the index was built from.
@@ -117,26 +119,6 @@ class Octree:
 
     def __len__(self) -> int:
         return len(self.sorted_codes)
-
-    def spans(self, cells: np.ndarray, depth: int, levels: int = 0) -> np.ndarray:
-        """(len(cells), 8**levels + 1) positions in `sorted_codes`: the
-        descendant `levels` below `depth` with Morton child index j spans
-        [pos[:, j], pos[:, j + 1]); with levels=0 each row is one cell's span."""
-        if not (0 <= depth and 0 <= levels and depth + levels <= self.code_depth):
-            raise ValueError(
-                f"need 0 <= depth, 0 <= levels and depth + levels <= {self.code_depth}, "
-                f"got depth={depth} levels={levels}"
-            )
-        shift = np.uint64(3 * (self.code_depth - depth - levels))
-        base = np.asarray(cells, dtype=np.uint64) << np.uint64(3 * levels)
-        offsets = np.arange(8 ** levels + 1, dtype=np.uint64)
-        edges = (base[:, None] + offsets[None, :]) << shift
-        return np.searchsorted(self.sorted_codes, edges.ravel()).reshape(edges.shape)
-
-    def block_counts(self, cells: np.ndarray, depth: int, levels: int) -> np.ndarray:
-        """(len(cells), 8**levels) point counts of each cell's descendants
-        `levels` below `depth`, in Morton child order."""
-        return np.diff(self.spans(cells, depth, levels), axis=1)
 
     def children(self, spans: np.ndarray, depth: int) -> tuple:
         """(codes, spans) of the occupied children at depth + 1 of the cells
@@ -159,10 +141,6 @@ class Octree:
         lo = pos[heads]
         hi = lo + np.diff(heads, append=len(codes))
         return codes[heads], np.stack([lo, hi], axis=1)
-
-    def members(self, cells: np.ndarray, depth: int) -> np.ndarray:
-        """Sorted `order` entries of the points inside any of the given cells."""
-        return self.span_members(self.spans(cells, depth))
 
     def span_members(self, spans: np.ndarray) -> np.ndarray:
         """Sorted `order` entries of the points inside the given spans."""

@@ -23,7 +23,6 @@ from .cloud_io import load_cloud, save_cloud
 from .config import PipelineConfig, config_to_dict
 from .detection import Lattice, hierarchical_detect
 from .geometry import ChangeLabel, PointCloud, apply_transform
-from .neighbors import set_worker_count
 from .registration import icp_align
 from .volumetrics import build_ground_grid, change_volume, timeline_report
 
@@ -82,7 +81,7 @@ def _register_pair(earlier: PointCloud, later: PointCloud, config: PipelineConfi
     """Align the later epoch onto the earlier; returns (aligned, record)."""
     if config.registration == "none":
         return later, None
-    result = icp_align(later, earlier, params=config.icp)
+    result = icp_align(later, earlier, params=config.icp, threads=config.threads)
     return apply_transform(later, result.transform), result.to_dict()
 
 
@@ -164,8 +163,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    if config.threads is not None:
-        set_worker_count(config.threads)
     timings: dict = {}
     manifest = {
         "package_version": _package_version(),

@@ -209,8 +209,9 @@ class _NeighbourCache:
     distances).
     """
 
-    def __init__(self, tree, target_pts: np.ndarray, n_source: int) -> None:
+    def __init__(self, tree, target_pts: np.ndarray, n_source: int, workers: int) -> None:
         self.tree = tree
+        self.workers = workers
         self.target_pts = target_pts
         self.k = min(_CACHE_K, len(target_pts))
         self.anchor = np.empty((n_source, 3))
@@ -223,13 +224,13 @@ class _NeighbourCache:
         self.state = "empty"
 
     def _plain(self, moved: np.ndarray):
-        return self.tree.query(moved, workers=query_workers())
+        return self.tree.query(moved, workers=self.workers)
 
     def _anchor(self, moved: np.ndarray, rows):
         """K-query the points at `rows`, anchor them there and return their
         (dist, idx) of the nearest target."""
         pts = moved[rows]
-        dist_k, idx_k = self.tree.query(pts, k=self.k, workers=query_workers())
+        dist_k, idx_k = self.tree.query(pts, k=self.k, workers=self.workers)
         self.anchor[rows] = pts
         self.dist[rows] = dist_k
         self.idx[rows] = idx_k
@@ -347,19 +348,24 @@ def icp_align(
     source: PointCloud,
     target: PointCloud,
     params: Optional[IcpParams] = None,
+    *,
+    threads: Optional[int] = None,
 ) -> IcpResult:
     """Rigid transform aligning `source` onto `target`.
 
     Alternates nearest-neighbour correspondence with a closed-form rigid fit,
     starting from the identity. The best transform by correspondence RMS is
     returned, so applying it never increases the RMS relative to identity.
+    `threads` is the kd-tree worker count (see neighbors.query_workers); it
+    changes the speed only, never the result.
     """
     params = params or IcpParams()
+    workers = query_workers(threads)
     if len(source) == 0 or len(target) == 0:
         raise ValueError("both clouds must be nonempty")
     src = source.xyz
     tgt = target.xyz
-    cache = _NeighbourCache(kdtree(tgt), tgt, len(src))
+    cache = _NeighbourCache(kdtree(tgt), tgt, len(src), workers)
 
     rotation = np.eye(3)
     translation = np.zeros(3)
@@ -400,14 +406,18 @@ def point_to_plane_distances(
     probe: PointCloud,
     reference: PointCloud,
     k: int = 8,
+    *,
+    threads: Optional[int] = None,
 ) -> DistanceReport:
     """Distance from each probe point to the least-squares plane of its k
     nearest reference points.
 
     Where those neighbours are (near-)collinear the plane normal is
     undefined; the distance falls back to the nearest-neighbour Euclidean
-    distance and the point is flagged in the report.
+    distance and the point is flagged in the report. `threads` is the
+    kd-tree worker count, as in icp_align.
     """
+    workers = query_workers(threads)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if len(reference) < k:
@@ -415,7 +425,7 @@ def point_to_plane_distances(
     if len(probe) == 0:
         return DistanceReport.from_distances(np.empty(0))
     tree = kdtree(reference)
-    nn_dist, idx = tree.query(probe.xyz, k=k, workers=query_workers())
+    nn_dist, idx = tree.query(probe.xyz, k=k, workers=workers)
     neighbours = reference.xyz[idx]
     centroids = neighbours.mean(axis=1)
     centered = neighbours - centroids[:, None, :]

@@ -298,6 +298,30 @@ class TestRegisterCommand:
         np.testing.assert_allclose(load_cloud(aligned).xyz, pts, atol=1e-5)
 
 
+class TestThreadsFlag:
+    """`--threads` follows the config's >= 1 rule on `register`; detection
+    makes no kd-tree query that takes a worker count, so `detect` and
+    `volume` have no such flag."""
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_register_refuses_count_below_one(self, tmp_path, caplog, threads):
+        pts = hollow_box(np.random.default_rng(22), w=4.0, l=4.0, h=2.0, density=10.0)
+        cloud = tmp_path / "cloud.ply"
+        save_cloud(cloud, PointCloud(pts))
+        args = ["register", "--source", str(cloud), "--target", str(cloud)]
+        assert main(args + ["--report", str(tmp_path / "icp.json"), "--threads", threads]) == 1
+        assert f"threads: must be >= 1, got {threads}" in caplog.text
+        assert not (tmp_path / "icp.json").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "volume"])
+    def test_detection_commands_have_no_threads_flag(self, scene, tmp_path, capsys, command):
+        args = [command, "--reference", str(scene / "epoch_0.ply"), "--other", str(scene / "epoch_1.ply")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--output", str(tmp_path / "out"), "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 class TestRefinePosesCommand:
     def test_scenario_solved_from_file(self, tmp_path):
         scenario_dir = tmp_path / "poses"

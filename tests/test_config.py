@@ -101,6 +101,23 @@ class TestStrictness:
         with pytest.raises(ValueError, match="detection.max_depth"):
             parse_config_text(MINIMAL + "detection: {max_depth: deep}\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ('detection: {normalized: "false"}', "detection.normalized"),
+        ("detection: {max_depth: 8.9}", "detection.max_depth"),
+        ("icp: {max_iterations: 12.5}", "icp.max_iterations"),
+        ("threads: 2.7", "threads"),
+        ("threads: true", "threads"),
+        ("seed: 1.5", "seed"),
+        ("report_version: 2.9", "report_version"),
+        ("grid_size: true", "grid_size"),
+    ])
+    def test_scalars_not_coerced(self, text, key):
+        # A string is no boolean, a fraction no integer and a boolean no
+        # number: each is refused under its dotted key, never rounded or
+        # read as truthy.
+        with pytest.raises(ValueError, match=rf"^{key}: expected"):
+            parse_config_text(MINIMAL + text + "\n")
+
     def test_section_invariants_keep_section_prefix(self):
         with pytest.raises(ValueError, match="icp: max_iterations"):
             parse_config_text(MINIMAL + "icp: {max_iterations: 0}\n")

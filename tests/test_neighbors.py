@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudchange.neighbors import knn, radius_neighbors
+from cloudchange.neighbors import knn, query_workers, radius_neighbors
 
 
 def brute_knn(pts, q, k):
@@ -89,3 +89,14 @@ class TestRadius:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             radius_neighbors(np.zeros((1, 3)), [0.0, 0.0, 0.0], -0.5)
+
+
+class TestQueryWorkers:
+    def test_configured_count_to_workers(self):
+        assert query_workers() == 1
+        assert query_workers(None) == 1
+        assert query_workers(1) == 1
+        assert query_workers(3) == 3
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads: must be >= 1"):
+                query_workers(threads)

@@ -23,29 +23,67 @@ def index_of(pts, code_depth):
     return Octree(morton_codes(pts, cube, code_depth), code_depth), cube
 
 
+def prefixes(index, depth):
+    """Each sorted code's ancestor at `depth`."""
+    return index.sorted_codes >> np.uint64(3 * (index.code_depth - depth))
+
+
 def occupied(index, depth):
     """Codes of the occupied cells at `depth`, in Morton order."""
-    return np.unique(index.sorted_codes >> np.uint64(3 * (index.code_depth - depth)))
+    return np.unique(prefixes(index, depth))
+
+
+def reference_spans(index, cells, depth):
+    """Span of each cell at `depth` by plain counting, no search:
+    [count(prefix < c), count(prefix <= c)] over the sorted codes'
+    prefixes. An unoccupied cell gets an empty span."""
+    prefix = prefixes(index, depth)
+    cells = np.asarray(cells, dtype=np.uint64)
+    out = np.empty((len(cells), 2), dtype=np.int64)
+    for start in range(0, len(cells), 512):
+        block = cells[start:start + 512, None]
+        out[start:start + 512, 0] = (prefix < block).sum(axis=1)
+        out[start:start + 512, 1] = (prefix <= block).sum(axis=1)
+    return out
+
+
+def reference_members(index, cells, depth):
+    """Sorted caller indices of the points inside any of `cells`, by a scan
+    of every point."""
+    return np.sort(index.order[np.isin(prefixes(index, depth), cells)])
+
+
+def root(index):
+    """(codes, spans) of the root cell: the whole index."""
+    return np.zeros(1, dtype=np.uint64), np.array([[0, len(index)]])
+
+
+def descend(index, depth):
+    """(codes, spans) of the occupied cells at `depth`, walked down from the
+    root through `children`."""
+    codes, spans = root(index)
+    for d in range(depth):
+        codes, spans = index.children(spans, d)
+    return codes, spans
 
 
 def walk(index, min_split):
     """Leaves of the adaptive octree that splits a cell only while it holds
     at least `min_split` points, as (depth, code, lo, hi), checking at every
-    split that the eight child spans tile the parent's span in order."""
+    split that the occupied children tile the parent's span in order."""
     stack = [(0, np.uint64(0), 0, len(index))]
     while stack:
         depth, code, lo, hi = stack.pop()
         if depth == index.code_depth or hi - lo < min_split:
             yield depth, code, lo, hi
             continue
-        pos = index.spans(np.array([code]), depth, 1)[0]
-        assert pos[0] == lo and pos[-1] == hi
-        assert np.all(np.diff(pos) >= 0)
-        children = index.spans((code << np.uint64(3)) + np.arange(8, dtype=np.uint64), depth + 1)
-        np.testing.assert_array_equal(children[:, 0], pos[:-1])
-        np.testing.assert_array_equal(children[:, 1], pos[1:])
-        for j in range(8):
-            stack.append((depth + 1, (code << np.uint64(3)) + np.uint64(j), pos[j], pos[j + 1]))
+        codes, spans = index.children(np.array([[lo, hi]]), depth)
+        assert np.all(codes >> np.uint64(3) == code)
+        assert np.all(np.diff(codes.astype(np.int64)) > 0)
+        assert spans[0, 0] == lo and spans[-1, 1] == hi
+        np.testing.assert_array_equal(spans[1:, 0], spans[:-1, 1])
+        for child, (child_lo, child_hi) in zip(codes, spans):
+            stack.append((depth + 1, child, child_lo, child_hi))
 
 
 class TestBuild:
@@ -54,20 +92,24 @@ class TestBuild:
         # Corners pin the bounding cube to the unit cube.
         pts = np.vstack([cube_pts, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
         index, _ = index_of(pts, 1)
-        counts = index.block_counts(np.zeros(1, dtype=np.uint64), 0, 1)[0]
-        assert len(counts) == 8
+        codes, spans = index.children(root(index)[1], 0)
+        counts = spans[:, 1] - spans[:, 0]
+        np.testing.assert_array_equal(codes, np.arange(8))
         assert sorted(counts) == [1, 1, 1, 1, 1, 1, 2, 2]  # corners join octants 0 and 7
         assert counts.sum() == len(pts)
 
     def test_empty_index_answers_every_query(self):
         # The other epoch may have no point inside the reference cube.
         index = Octree(np.empty(0, dtype=np.uint64), 5, np.empty(0, dtype=np.int64))
-        cells = np.arange(8, dtype=np.uint64)
         assert len(index) == 0
-        assert index.block_counts(cells, 1, 2).shape == (8, 64)
-        assert not index.block_counts(cells, 1, 2).any()
-        assert len(index.members(cells, 1)) == 0
-        assert len(index.members(np.empty(0, dtype=np.uint64), 1)) == 0
+        for d in range(5):
+            codes, spans = index.children(np.array([[0, 0]] * 3), d)
+            assert len(codes) == 0 and spans.shape == (0, 2)
+            np.testing.assert_array_equal(
+                reference_spans(index, np.arange(8, dtype=np.uint64), d), np.zeros((8, 2))
+            )
+        assert len(index.span_members(root(index)[1])) == 0
+        assert len(index.span_members(np.empty((0, 2), dtype=np.int64))) == 0
 
     def test_depth_bounds_validated(self):
         codes = np.arange(8, dtype=np.uint64)
@@ -83,7 +125,9 @@ class TestBuild:
         np.testing.assert_array_equal(index.sorted_codes, [0, 1, 3, 5, 5])
         # The sort is stable: equal codes keep their input order.
         np.testing.assert_array_equal(index.order, [13, 11, 14, 10, 12])
-        np.testing.assert_array_equal(index.members(np.array([5, 1], dtype=np.uint64), 1), [10, 11, 12])
+        cells, spans = index.children(root(index)[1], 0)
+        np.testing.assert_array_equal(cells, [0, 1, 3, 5])
+        np.testing.assert_array_equal(index.span_members(spans[[1, 3]]), [10, 11, 12])
 
 
 class TestStructure:
@@ -99,18 +143,22 @@ class TestStructure:
         pts = rng.normal(scale=5.0, size=(n, 3))
         index, _ = index_of(pts, depth)
         np.testing.assert_array_equal(np.sort(index.order), np.arange(n))
+        cells, pos = root(index)
         for d in range(depth + 1):
-            cells = occupied(index, d)
-            pos = index.spans(cells, d)
+            np.testing.assert_array_equal(cells, occupied(index, d))
+            np.testing.assert_array_equal(pos, reference_spans(index, cells, d))
             # The occupied cells' spans tile [0, n) in Morton order.
             assert pos[0, 0] == 0 and pos[-1, 1] == n
             np.testing.assert_array_equal(pos[1:, 0], pos[:-1, 1])
             assert np.all(pos[:, 1] > pos[:, 0])
             if d < depth:
                 # Children's counts sum to each parent's count.
-                np.testing.assert_array_equal(
-                    index.block_counts(cells, d, 1).sum(axis=1), pos[:, 1] - pos[:, 0]
-                )
+                kids, kid_pos = index.children(pos, d)
+                parent = np.searchsorted(cells, kids >> np.uint64(3))
+                np.testing.assert_array_equal(cells[parent], kids >> np.uint64(3))
+                sums = np.bincount(parent, weights=kid_pos[:, 1] - kid_pos[:, 0], minlength=len(cells))
+                np.testing.assert_array_equal(sums, pos[:, 1] - pos[:, 0])
+                cells, pos = kids, kid_pos
         # Leaves of an adaptive walk tile [0, n) too; one above the finest
         # depth holds fewer points than the split threshold.
         leaves = sorted(walk(index, min_split), key=lambda leaf: leaf[2:])
@@ -125,10 +173,10 @@ class TestStructure:
         pts = rng.uniform(-3.0, 7.0, (800, 3))
         index, cube = index_of(pts, 5)
         for d in range(6):
-            cells = occupied(index, d)
+            cells, spans = descend(index, d)
             corners, edge = cell_bounds(cube, cells, d)
-            for cell, corner in zip(cells, corners):
-                inside = pts[index.members(np.array([cell]), d)]
+            for span, corner in zip(spans, corners):
+                inside = pts[index.span_members(span[None])]
                 assert len(inside)
                 # Closed bounds: points on the cube's top face stay inside.
                 assert BoundingCube(corner, edge).contains(inside).all()
@@ -147,9 +195,10 @@ class TestStructure:
         # A point exactly on the midplane belongs to the upper octant.
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.25, 0.25]])
         index, _ = index_of(pts, 1)
-        counts = index.block_counts(np.zeros(1, dtype=np.uint64), 0, 1)[0]
-        assert counts[0b100] == 1  # x in upper half, y and z lower
-        np.testing.assert_array_equal(index.members(np.array([0b100], dtype=np.uint64), 1), [2])
+        codes, spans = index.children(root(index)[1], 0)
+        np.testing.assert_array_equal(codes, [0b000, 0b100, 0b111])
+        assert spans[1, 1] - spans[1, 0] == 1  # x in upper half, y and z lower
+        np.testing.assert_array_equal(index.span_members(spans[1:2]), [2])
 
     def test_max_boundary_closed(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
@@ -163,36 +212,44 @@ class TestStructure:
         index, cube = index_of(pts, code_depth)
         codes = morton_codes(pts, cube, code_depth)
         for d in range(code_depth + 1):
-            cells = occupied(index, d)
-            pick = rng.choice(cells, size=max(1, len(cells) // 3), replace=False)
+            cells, spans = descend(index, d)
+            rows = np.sort(rng.choice(len(cells), size=max(1, len(cells) // 3), replace=False))
+            pick, pick_spans = cells[rows], spans[rows]
             if cells[-1] + 1 < 8 ** d:
-                # An unoccupied cell contributes nothing.
-                pick = np.append(pick, cells[-1] + np.uint64(1))
+                # An unoccupied cell has an empty span and contributes nothing.
+                gap = cells[-1] + np.uint64(1)
+                gap_span = reference_spans(index, [gap], d)
+                assert gap_span[0, 0] == gap_span[0, 1] == len(index)
+                pick = np.append(pick, gap)
+                pick_spans = np.vstack([pick_spans, gap_span])
             expected = np.flatnonzero(np.isin(codes >> np.uint64(3 * (code_depth - d)), pick))
-            np.testing.assert_array_equal(index.members(pick, d), expected)
+            np.testing.assert_array_equal(index.span_members(pick_spans), expected)
+            np.testing.assert_array_equal(expected, reference_members(index, pick, d))
 
 
-def children_by_search(index, cells, depth):
-    """All eight children of each cell at `depth`, searched one by one with
-    `Octree.spans`, keeping those with a non-empty span."""
+def children_by_count(index, cells, depth):
+    """All eight children of each cell at `depth`, their spans counted with
+    `reference_spans`, keeping those with a non-empty span."""
     kids = ((cells << np.uint64(3))[:, None] + np.arange(8, dtype=np.uint64)).ravel()
-    spans = index.spans(kids, depth + 1)
+    spans = reference_spans(index, kids, depth + 1)
     keep = spans[:, 1] > spans[:, 0]
     return kids[keep], spans[keep]
 
 
 def assert_children_law(index, cells, depth):
-    codes, spans = index.children(index.spans(cells, depth), depth)
-    expected_codes, expected_spans = children_by_search(index, cells, depth)
+    codes, spans = index.children(reference_spans(index, cells, depth), depth)
+    expected_codes, expected_spans = children_by_count(index, cells, depth)
     np.testing.assert_array_equal(codes, expected_codes)
     np.testing.assert_array_equal(spans, expected_spans)
     assert codes.dtype == np.uint64
-    np.testing.assert_array_equal(index.span_members(spans), index.members(codes, depth + 1))
+    np.testing.assert_array_equal(
+        index.span_members(spans), reference_members(index, codes, depth + 1)
+    )
 
 
 class TestChildren:
     """Occupied children read off the codes in the parents' spans equal a
-    search over all eight children of every parent."""
+    count over all eight children of every parent."""
 
     @pytest.mark.parametrize("seed,n,code_depth", [(20, 800, 5), (21, 3000, 8), (22, 500, 13)])
     def test_matches_search_at_every_depth(self, seed, n, code_depth):
@@ -212,7 +269,7 @@ class TestChildren:
         index, _ = index_of(rng.uniform(0.0, 1.0, (50, 3)), 6)
         for d in range(6):
             cells = np.setdiff1d(np.arange(min(8 ** d, 64), dtype=np.uint64), occupied(index, d))
-            codes, spans = index.children(index.spans(cells, d), d)
+            codes, spans = index.children(reference_spans(index, cells, d), d)
             assert len(codes) == 0 and spans.shape == (0, 2)
         codes, spans = index.children(np.empty((0, 2), dtype=np.int64), 2)
         assert len(codes) == 0 and spans.shape == (0, 2)
@@ -260,8 +317,8 @@ class TestChildren:
             cells = np.union1d(occupied(a, d), occupied(b, d))
             for index in (a, b):
                 assert_children_law(index, cells, d)
-            kids_a, _ = a.children(a.spans(cells, d), d)
-            kids_b, _ = b.children(b.spans(cells, d), d)
+            kids_a, _ = a.children(reference_spans(a, cells, d), d)
+            kids_b, _ = b.children(reference_spans(b, cells, d), d)
             one_sided += len(np.setxor1d(kids_a, kids_b))
         assert one_sided > 0
 
@@ -283,25 +340,15 @@ class TestNodesAtDepth:
         pts = rng.normal(size=(1500, 3))
         index, _ = index_of(pts, 6)
         previous = None
+        cells, spans = root(index)
         for d in range(7):
-            cells = occupied(index, d)
-            assert index.block_counts(cells, d, 0).sum() == 1500
+            np.testing.assert_array_equal(cells, occupied(index, d))
+            assert (spans[:, 1] - spans[:, 0]).sum() == 1500
             if previous is not None:
                 assert previous <= len(cells) <= 8 * previous
             previous = len(cells)
-
-    def test_depth_validation(self):
-        index, _ = index_of(octant_corners(), 2)
-        cells = np.zeros(1, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            index.spans(cells, 3)
-        with pytest.raises(ValueError):
-            index.spans(cells, -1)
-        with pytest.raises(ValueError):
-            index.block_counts(cells, 1, 2)
-        with pytest.raises(ValueError):
-            index.members(cells, 3)
-        index.block_counts(cells, 0, 2)
+            if d < 6:
+                cells, spans = index.children(spans, d)
 
 
 class TestMorton:

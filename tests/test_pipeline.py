@@ -1,10 +1,12 @@
-"""Tests of the run's one voxel lattice and its binary voxel-code artifacts."""
+"""Tests of the run's one voxel lattice, its binary voxel-code artifacts and
+its kd-tree worker count."""
 import hashlib
 import json
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from cloudchange import detection, pipeline
+from cloudchange import detection, pipeline, registration
 from cloudchange.cloud_io import save_cloud
 from cloudchange.config import EpochInput, PipelineConfig
 from cloudchange.geometry import PointCloud, bounding_cube
@@ -85,3 +87,37 @@ class TestOneLatticePerRun:
             np.testing.assert_array_equal(codes, changes.voxel_codes)
             assert meta["min_corner"] == changes.cube.min_corner.tolist()
             assert meta["root_edge_m"] == changes.cube.edge
+
+
+class TestWorkerCount:
+    """The configured thread count reaches every kd-tree query of its own
+    run and no call after it."""
+
+    def test_threads_scoped_to_the_run(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                workers.append(kwargs.get("workers", 1))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(
+            registration, "kdtree", lambda cloud: RecordingTree(getattr(cloud, "xyz", cloud))
+        )
+        series = demolition_series(np.random.default_rng(62))
+        epochs = []
+        for k, pts in enumerate(series[:2]):
+            path = tmp_path / f"epoch_{k}.ply"
+            save_cloud(str(path), PointCloud(pts))
+            epochs.append(EpochInput(str(path), float(k)))
+        config = PipelineConfig(
+            epochs=tuple(epochs), registration="icp", output_dir=str(tmp_path / "out"), threads=2
+        )
+        assert pipeline.run_pipeline(config)["status"] == "ok"
+        assert workers and set(workers) == {2}
+
+        workers.clear()
+        earlier, later = PointCloud(series[0]), PointCloud(series[1])
+        registration.icp_align(later, earlier)
+        registration.point_to_plane_distances(later, earlier)
+        assert workers and set(workers) == {1}

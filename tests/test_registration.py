@@ -272,6 +272,33 @@ class TestCorrespondenceCache:
         )
 
 
+class TestWorkerCount:
+    def test_results_bit_equal_across_thread_counts(self):
+        source, target, params = cache_case("resurvey")
+        source, target = PointCloud(source), PointCloud(target)
+        one = icp_align(source, target, params, threads=1)
+        two = icp_align(source, target, params, threads=2)
+        np.testing.assert_array_equal(one.transform.rotation, two.transform.rotation)
+        np.testing.assert_array_equal(one.transform.translation, two.transform.translation)
+        np.testing.assert_array_equal(one.rms_history, two.rms_history)
+        assert (one.rms, one.iterations, one.converged, one.n_pairs) == (
+            two.rms, two.iterations, two.converged, two.n_pairs
+        )
+        near = point_to_plane_distances(source, target, threads=1)
+        far = point_to_plane_distances(source, target, threads=2)
+        np.testing.assert_array_equal(near.distances, far.distances)
+        np.testing.assert_array_equal(near.degenerate, far.degenerate)
+        assert (near.mean, near.std) == (far.mean, far.std)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_count_below_one_refused(self, threads):
+        cloud = PointCloud(np.random.default_rng(82).uniform(0.0, 1.0, (50, 3)))
+        with pytest.raises(ValueError, match="threads: must be >= 1"):
+            icp_align(cloud, cloud, threads=threads)
+        with pytest.raises(ValueError, match="threads: must be >= 1"):
+            point_to_plane_distances(cloud, cloud, threads=threads)
+
+
 class _FixedQuery:
     """Stands in for the cache: every source row matches target row i."""
 
