@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union, get_type_hints
@@ -95,8 +96,8 @@ class PipelineConfig:
         stamps = [e.timestamp for e in self.epochs]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("epochs: timestamps must be strictly increasing")
-        if self.grid_size is not None and self.grid_size <= 0:
-            raise ValueError(f"grid_size: must be > 0, got {self.grid_size}")
+        if self.grid_size is not None and not (math.isfinite(self.grid_size) and self.grid_size > 0):
+            raise ValueError(f"grid_size: must be finite and > 0, got {self.grid_size}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads: must be >= 1, got {self.threads}")
 
@@ -143,9 +144,10 @@ def _parse_epochs(raw, path: str) -> Tuple[EpochInput, ...]:
     for i, entry in enumerate(raw):
         entry_path = f"{path}[{i}]"
         _check_keys(entry, {"path", "timestamp"}, entry_path)
+        _require(entry, "path", entry_path)
         epochs.append(
             EpochInput(
-                path=str(_require(entry, "path", entry_path)),
+                path=_convert(entry, {"path": _string}, entry_path)["path"],
                 timestamp=_parse_timestamp(
                     _require(entry, "timestamp", entry_path), _join(entry_path, "timestamp")
                 ),
@@ -194,6 +196,13 @@ def _boolean(value) -> bool:
     return value
 
 
+def _string(value) -> str:
+    """A YAML string as given; null or a number is no name or path."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _float(value) -> float:
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
@@ -217,7 +226,7 @@ _CONVERTERS = {
     int: _integer,
     float: _float,
     bool: _boolean,
-    str: str,
+    str: _string,
     Optional[int]: _optional(_integer),
     Optional[float]: _optional(_float),
     Union[float, Sequence[float]]: _thresholds,

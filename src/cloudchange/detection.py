@@ -11,6 +11,7 @@ points.
 """
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -21,7 +22,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .geometry import BoundingCube, PointCloud, bounding_cube
 from .neighbors import kdtree
-from .octree import MAX_SUPPORTED_DEPTH, Octree, cell_bounds, morton_codes, span_positions
+from .octree import (
+    MAX_SUPPORTED_DEPTH,
+    Octree,
+    cell_bounds,
+    morton_codes,
+    parent_cells,
+    span_positions,
+)
 
 # Default score threshold in (points/m^3)^2, calibrated on the synthetic
 # demolition suite (see tests/test_detection.py::TestThresholdDefault for the
@@ -81,16 +89,18 @@ class ChangeParams:
         if self.subvoxels_per_axis < 1:
             raise ValueError(f"subvoxels_per_axis must be >= 1, got {self.subvoxels_per_axis}")
         taus = np.atleast_1d(np.asarray(self.thresholds, dtype=np.float64))
-        if (taus <= 0).any():
-            raise ValueError("thresholds must be > 0")
+        if not (np.isfinite(taus) & (taus > 0)).all():
+            raise ValueError(f"thresholds must be finite and > 0, got {self.thresholds}")
         n_depths = self.max_depth - self.start_depth + 1
         if taus.size not in (1, n_depths):
             raise ValueError(
                 f"thresholds must be scalar or give one value per depth "
                 f"({n_depths} for depths {self.start_depth}..{self.max_depth}), got {taus.size}"
             )
-        if self.component_radius is not None and self.component_radius <= 0:
-            raise ValueError("component_radius must be > 0")
+        if self.component_radius is not None and not (
+            math.isfinite(self.component_radius) and self.component_radius > 0
+        ):
+            raise ValueError(f"component_radius must be finite and > 0, got {self.component_radius}")
         if self.component_min_size < 1:
             raise ValueError("component_min_size must be >= 1")
 
@@ -258,25 +268,39 @@ class Lattice:
 def _child_frontier(ref: Octree, oth: Octree, spans_ref: np.ndarray, spans_oth: np.ndarray, depth: int):
     """(cells, spans_ref, spans_oth): the children at depth + 1 of the sorted,
     disjoint cells at `depth` with the given spans, that either epoch
-    occupies, merged in Morton order with their spans in each index. A child
-    one epoch does not occupy gets the empty span [0, 0) there."""
+    occupies, merged in Morton order with their spans in each index."""
     cells_ref, child_ref = ref.children(spans_ref, depth)
     cells_oth, child_oth = oth.children(spans_oth, depth)
-    # Both lists are sorted, so the stable sort is a linear merge; a child
-    # both epochs occupy appears twice in a row and keeps one frontier row.
-    both = np.concatenate([cells_ref, cells_oth])
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    new = np.empty(len(merged), dtype=bool)
-    new[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=new[1:])
-    row = np.empty(len(both), dtype=np.intp)
-    row[order] = np.cumsum(new) - 1
-    cells = merged[new]
-    spans = np.zeros((2, len(cells), 2), dtype=np.intp)
-    spans[0, row[:len(cells_ref)]] = child_ref
-    spans[1, row[len(cells_ref):]] = child_oth
-    return cells, spans[0], spans[1]
+    return _merge_cells(cells_ref, child_ref, cells_oth, child_oth)
+
+
+def _merge_cells(cells_ref, spans_ref, cells_oth, spans_oth):
+    """(cells, spans_ref, spans_oth): the union of two sorted, unique cell
+    arrays with each cell's spans in both indexes. A cell one epoch does not
+    occupy gets the empty span [0, 0) there."""
+    # pos[j] counts the reference cells below other cell j and before[j] the
+    # other-only cells before it, so their sum is j's row; reference cell i
+    # lands after the other-only cells with pos <= i.
+    pos = np.searchsorted(cells_ref, cells_oth)
+    only = ~_isin_sorted(cells_oth, cells_ref, pos)
+    before = np.cumsum(only) - only
+    rows_oth = pos + before
+    inserted = np.bincount(pos[only], minlength=len(cells_ref))[:len(cells_ref)]
+    rows_ref = np.arange(len(cells_ref)) + np.cumsum(inserted)
+    n = len(cells_ref) + int(np.count_nonzero(only))
+    cells = np.empty(n, dtype=np.uint64)
+    cells[rows_ref] = cells_ref
+    cells[rows_oth] = cells_oth
+    return cells, _scatter_rows(spans_ref, rows_ref, n), _scatter_rows(spans_oth, rows_oth, n)
+
+
+def _scatter_rows(spans: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) spans, `spans` at `rows` and [0, 0) elsewhere; one column at a
+    time, which numpy scatters much faster than (k, 2) rows."""
+    out = np.zeros((n, 2), dtype=np.intp)
+    out[:, 0][rows] = spans[:, 0]
+    out[:, 1][rows] = spans[:, 1]
+    return out
 
 
 def _subvoxel_counts(
@@ -300,6 +324,24 @@ def _subvoxel_counts(
     return counts.reshape(len(cells), m ** 3)
 
 
+def _entered(cells: np.ndarray, occupied_ref: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose parent is in the sorted arrays of the cells the
+    reference occupies or of the reference-empty cells that passed, one
+    depth up: the children of those cells enter the walk."""
+    parents = cells >> np.uint64(3)
+    return _isin_sorted(parents, occupied_ref) | _isin_sorted(parents, passed)
+
+
+def _isin_sorted(values: np.ndarray, sorted_set: np.ndarray, pos: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the entries of `values` found in the sorted array `sorted_set`;
+    `pos`, if given, is `np.searchsorted(sorted_set, values)`."""
+    if not len(sorted_set):
+        return np.zeros(len(values), dtype=bool)
+    if pos is None:
+        pos = np.searchsorted(sorted_set, values)
+    return sorted_set[np.minimum(pos, len(sorted_set) - 1)] == values
+
+
 def hierarchical_detect(
     reference: PointCloud,
     other: PointCloud,
@@ -318,14 +360,21 @@ def hierarchical_detect(
     (reference-empty leaves are scored once at their own bounds) and
     descends only into cells whose score reaches the depth's threshold.
 
-    Each depth's frontier is one sorted, disjoint array of cell codes that
-    carries every cell's [lo, hi) span in both epochs' indexes, starting
-    from the root span [0, len). The next frontier is read off the codes
-    inside the spans of the cells that descend (`Octree.children`), so no
-    depth searches the index. Cells empty in both epochs score exactly 0,
-    below every threshold, so they never enter the frontier. The sub-voxel
-    counts of the scored cells are binned from the points in their spans,
-    and the changed points are the points in the final survivors' spans.
+    The start_depth cells of each index are read in one pass, as the runs of
+    equal code prefixes with their [lo, hi) spans (`Octree.cells`), and the
+    cells of every coarser depth are the runs of their prefixes, so the
+    depths above start_depth are not walked: there only the cells the other
+    epoch occupies and the reference does not are scored, each if its
+    parent is reference-occupied or passed, and a start_depth cell enters
+    the frontier only under such a parent. Each depth's frontier is one
+    sorted, disjoint array of cell codes that carries every cell's span in
+    both epochs' indexes, the two epochs' cells merged by binary search. The
+    next frontier is read off the codes inside the spans of the cells that
+    descend (`Octree.children`), so no depth searches the index. Cells
+    empty in both epochs score exactly 0, below every threshold, so they
+    never enter the frontier. The sub-voxel counts of the scored cells are
+    binned from the points in their spans, and the changed points are the
+    points in the final survivors' spans.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -339,33 +388,53 @@ def hierarchical_detect(
     ref = lattice.index(reference, code_depth)
     oth = lattice.index(other, code_depth)
 
-    # The root holds every point of both indexes. Above start_depth, cells
-    # the reference occupies descend unscored; reference-empty cells are
-    # leaves of the reference octree, scored once at their own bounds (their
-    # score is zero unless the other epoch has points there), and only their
-    # survivors descend. From start_depth on every frontier cell is scored.
-    spans_ref = np.array([[0, len(ref)]])
-    spans_oth = np.array([[0, len(oth)]])
-    scored, kept = [], []
-    for depth in range(1, params.max_depth + 1):
-        cells, spans_ref, spans_oth = _child_frontier(ref, oth, spans_ref, spans_oth, depth - 1)
-        if depth < params.start_depth:
-            descend = spans_ref[:, 1] > spans_ref[:, 0]
-        else:
-            descend = np.zeros(len(cells), dtype=bool)
-        rows = np.flatnonzero(~descend)
-        counts_ref = _subvoxel_counts(ref, reference.xyz, cells[rows], spans_ref[rows], depth, cube, m)
-        counts_oth = _subvoxel_counts(oth, other.xyz, cells[rows], spans_oth[rows], depth, cube, m)
-        sub_volume = (cube.edge / float(1 << depth) / m) ** 3
-        diff = (counts_oth - counts_ref).astype(np.float64) / sub_volume
-        score = (diff ** 2).sum(axis=1)
+    def passed(cells, spans_ref, spans_oth, depth):
+        """Rows of the cells at `depth` whose score reaches the threshold."""
+        # In place where the arithmetic allows: at start_depth the counts
+        # hold every occupied cell, and their temporaries set peak memory.
+        diff = _subvoxel_counts(oth, other.xyz, cells, spans_oth, depth, cube, m)
+        diff -= _subvoxel_counts(ref, reference.xyz, cells, spans_ref, depth, cube, m)
+        diff = diff.astype(np.float64)
+        diff /= (cube.edge / float(1 << depth) / m) ** 3
+        score = np.square(diff, out=diff).sum(axis=1)
         if params.normalized:
             score /= m ** 3
-        passed = rows[score >= params.threshold_at(depth)]
-        scored.append(len(rows))
-        kept.append(len(passed))
-        descend[passed] = True
-        cells, spans_ref, spans_oth = cells[descend], spans_ref[descend], spans_oth[descend]
+        return np.flatnonzero(score >= params.threshold_at(depth))
+
+    # Each epoch's occupied cells at depth start - k, for k = 0..start: the
+    # start_depth cells read in one pass, then the runs of their prefixes.
+    start = params.start_depth
+    coarse_ref, coarse_oth = [ref.cells(start)], [oth.cells(start)]
+    for _ in range(start):
+        coarse_ref.append(parent_cells(*coarse_ref[-1], 1))
+        coarse_oth.append(parent_cells(*coarse_oth[-1], 1))
+    # Above start_depth only reference-empty cells are scored: those the
+    # other epoch occupies, whose parent the reference occupies or passed.
+    scored, kept = [], []
+    survivors = np.empty(0, dtype=np.uint64)
+    for depth in range(1, start):
+        cells, spans = coarse_oth[start - depth]
+        rows = np.flatnonzero(
+            _entered(cells, coarse_ref[start - depth + 1][0], survivors)
+            & ~_isin_sorted(cells, coarse_ref[start - depth][0])
+        )
+        cells, spans = cells[rows], spans[rows]
+        survivors = cells[passed(cells, np.zeros_like(spans), spans, depth)]
+        scored.append(len(cells))
+        kept.append(len(survivors))
+    # From start_depth on, every frontier cell is scored and only survivors'
+    # children enter the next depth.
+    (cells_ref, spans_ref), (cells_oth, spans_oth) = coarse_ref[0], coarse_oth[0]
+    rows = np.flatnonzero(_entered(cells_oth, coarse_ref[1][0], survivors))
+    cells, spans_ref, spans_oth = _merge_cells(cells_ref, spans_ref, cells_oth[rows], spans_oth[rows])
+    del coarse_ref, coarse_oth, cells_ref, cells_oth
+    for depth in range(start, params.max_depth + 1):
+        if depth > start:
+            cells, spans_ref, spans_oth = _child_frontier(ref, oth, spans_ref, spans_oth, depth - 1)
+        rows = passed(cells, spans_ref, spans_oth, depth)
+        scored.append(len(cells))
+        kept.append(len(rows))
+        cells, spans_ref, spans_oth = cells[rows], spans_ref[rows], spans_oth[rows]
 
     voxels = cells
     raw_ref = ref.span_members(spans_ref)

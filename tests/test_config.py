@@ -110,12 +110,33 @@ class TestStrictness:
         ("seed: 1.5", "seed"),
         ("report_version: 2.9", "report_version"),
         ("grid_size: true", "grid_size"),
+        ("output_dir: null", "output_dir"),
+        ("output_dir: 7", "output_dir"),
+        ("epochs:\n  - {path: null, timestamp: 0}\n  - {path: b.ply, timestamp: 1}", r"epochs\[0\]\.path"),
+        ("epochs:\n  - {path: a.ply, timestamp: 0}\n  - {path: 2, timestamp: 1}", r"epochs\[1\]\.path"),
     ])
     def test_scalars_not_coerced(self, text, key):
-        # A string is no boolean, a fraction no integer and a boolean no
-        # number: each is refused under its dotted key, never rounded or
-        # read as truthy.
+        # A string is no boolean, a fraction no integer, a boolean no number
+        # and null or a number no path: each is refused under its dotted
+        # key, never rounded, read as truthy or turned into "None".
+        document = text if text.startswith("epochs:") else MINIMAL + text
         with pytest.raises(ValueError, match=rf"^{key}: expected"):
+            parse_config_text(document + "\n")
+
+    @pytest.mark.parametrize("text,key", [
+        ("grid_size: .nan", "grid_size"),
+        ("grid_size: .inf", "grid_size"),
+        ("grid_size: -.inf", "grid_size"),
+        ("detection: {component_radius: .nan}", "detection: component_radius"),
+        ("detection: {component_radius: .inf}", "detection: component_radius"),
+        ("detection: {thresholds: .nan}", "detection: thresholds"),
+        ("detection: {thresholds: .inf}", "detection: thresholds"),
+        ("detection: {start_depth: 6, max_depth: 7, thresholds: [1.0, .nan]}", "detection: thresholds"),
+    ])
+    def test_non_finite_numbers_refused(self, text, key):
+        # NaN compares False against every bound, so "> 0" alone lets it
+        # through; infinity is no cell size, radius or threshold either.
+        with pytest.raises(ValueError, match=rf"^{key}: must be finite|^{key} must be finite"):
             parse_config_text(MINIMAL + text + "\n")
 
     def test_section_invariants_keep_section_prefix(self):
@@ -167,6 +188,9 @@ class TestInvariants:
             PipelineConfig(epochs=self._epochs(0.0, 1.0), grid_size=0.0)
         with pytest.raises(ValueError, match="threads"):
             PipelineConfig(epochs=self._epochs(0.0, 1.0), threads=0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="grid_size: must be finite"):
+                PipelineConfig(epochs=self._epochs(0.0, 1.0), grid_size=bad)
 
 
 class TestSerialization:

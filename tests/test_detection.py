@@ -114,9 +114,17 @@ class TestChangeParams:
         with pytest.raises(ValueError, match="thresholds"):
             ChangeParams(thresholds=0.0)
 
+    @pytest.mark.parametrize("taus", [float("nan"), float("inf"), [1.0, float("nan"), 2.0, 3.0, 4.0]])
+    def test_non_finite_threshold_rejected(self, taus):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            ChangeParams(thresholds=taus)
+
     def test_component_params_rejected(self):
         with pytest.raises(ValueError, match="component_radius"):
             ChangeParams(component_radius=-1.0)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="component_radius must be finite"):
+                ChangeParams(component_radius=radius)
         with pytest.raises(ValueError, match="component_min_size"):
             ChangeParams(component_min_size=0)
 
@@ -595,6 +603,47 @@ def finest_depth_scene(rng):
     return PointCloud(pts), PointCloud(np.vstack([pts[:-4], added]))
 
 
+def sparse_cluster_scene(rng):
+    """Two occupied corners of a 20 m cube; the later epoch adds a dense
+    cluster in a reference-empty depth-2 cell and 20 points within 1 m in a
+    reference-empty octant. Spread over the octant the 20 points fail any
+    threshold that their own depth-3 cell passes."""
+    corners = np.vstack([rng.uniform(0.0, 2.0, (400, 3)), rng.uniform(18.0, 20.0, (400, 3))])
+    added = np.vstack([
+        rng.uniform(6.0, 8.0, (300, 3)),
+        rng.uniform([10.5, 5.5, 5.5], [11.5, 6.5, 6.5], (20, 3)),
+    ])
+    return PointCloud(corners), PointCloud(np.vstack([corners, added]))
+
+
+def blocked_start_cells(ref, oth, params):
+    """Codes of the start_depth cells the later epoch occupies and the
+    reference does not, whose score passes at start_depth but whose first
+    reference-empty ancestor fails at its own depth, so the walk never
+    reaches them."""
+    cube = bounding_cube(ref, oth)
+    start, m = params.start_depth, params.subvoxels_per_axis
+
+    def passes(code, depth):
+        corners, edge = cell_bounds(cube, np.array([code], dtype=np.uint64), depth)
+        cell = BoundingCube(corners[0], edge)
+        a, b = density_feature(cell, ref, m), density_feature(cell, oth, m)
+        return feature_distance(a, b, params.normalized) >= params.threshold_at(depth)
+
+    def occupied(cloud, depth):
+        return set(np.unique(morton_codes(cloud.xyz, cube, depth)).tolist())
+
+    ref_cells = {depth: occupied(ref, depth) for depth in range(1, start + 1)}
+    blocked = []
+    for code in sorted(occupied(oth, start) - ref_cells[start]):
+        first_empty = next(
+            depth for depth in range(1, start + 1) if code >> 3 * (start - depth) not in ref_cells[depth]
+        )
+        if first_empty < start and passes(code, start) and not passes(code >> 3 * (start - first_empty), first_empty):
+            blocked.append(code)
+    return np.array(blocked, dtype=np.uint64)
+
+
 ORACLE_CASES = {
     # scene, start_depth, max_depth, thresholds
     "removal-scalar": (removal_and_addition_scene, 2, 4, 5.0),
@@ -608,6 +657,9 @@ ORACLE_CASES = {
     # code_depth == max_depth: power-of-two m bins by coordinates at the
     # finest depths, where no code bits are left below the cell.
     "max-depth-21": (finest_depth_scene, 17, 21, 1.0),
+    # A sparse cluster fails at its first reference-empty depth above
+    # start_depth, though its start_depth cell would pass if scored.
+    "sparse-cluster-above-start": (sparse_cluster_scene, 3, 5, 1.0),
 }
 
 
@@ -647,6 +699,22 @@ class TestWalkOracle:
         assert len(result.raw_changed_reference) + len(result.raw_changed_other) > 0
         assert result.stats.scored == tuple(scored)
         assert result.stats.kept == tuple(kept)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_failed_empty_ancestor_blocks_start_cell(self, m):
+        # Scoring every start_depth cell the later epoch occupies would flag
+        # the sparse cluster; the walk scores it only where it enters.
+        scene, start, stop, taus = ORACLE_CASES["sparse-cluster-above-start"]
+        ref, oth = scene(np.random.default_rng(51))
+        params = ChangeParams(
+            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
+            thresholds=taus, component_min_size=1,
+        )
+        blocked = blocked_start_cells(ref, oth, params)
+        assert len(blocked) > 0
+        result = hierarchical_detect(ref, oth, params)
+        assert result.n_voxels > 0
+        assert not np.isin(result.voxel_codes >> np.uint64(3 * (stop - start)), blocked).any()
 
 
 class TestThresholdDefault:

@@ -3,10 +3,13 @@ import pytest
 
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.octree import (
+    MAX_SUPPORTED_DEPTH,
     Octree,
+    _position_bits,
     cell_bounds,
     cell_indices,
     morton_codes,
+    parent_cells,
 )
 
 
@@ -128,6 +131,70 @@ class TestBuild:
         cells, spans = index.children(root(index)[1], 0)
         np.testing.assert_array_equal(cells, [0, 1, 3, 5])
         np.testing.assert_array_equal(index.span_members(spans[[1, 3]]), [10, 11, 12])
+
+    def test_codes_beyond_code_depth_rejected(self):
+        with pytest.raises(ValueError, match="exceed"):
+            Octree(np.array([3, 8], dtype=np.uint64), 1)
+        with pytest.raises(ValueError, match="exceed"):
+            Octree(np.array([1], dtype=np.uint64), 0)
+        Octree(np.array([0, 7], dtype=np.uint64), 1)
+
+    @pytest.mark.parametrize("code_depth,n,packed", [
+        # 3 * code_depth bits of code above the bits of a position < n.
+        (MAX_SUPPORTED_DEPTH, 2, True),
+        (MAX_SUPPORTED_DEPTH, 3, False),
+        (16, 1 << 16, True),
+        (16, (1 << 16) + 1, False),
+        (5, 1, True),
+    ])
+    @pytest.mark.parametrize("with_indices", [False, True])
+    def test_sort_on_both_sides_of_key_budget(self, code_depth, n, packed, with_indices):
+        assert (_position_bits(n, code_depth) is not None) == packed
+        rng = np.random.default_rng(code_depth + n)
+        top = 8 ** code_depth - 1
+        # Few distinct codes, the extremes among them: many ties.
+        choices = np.array([0, 1, top // 2, top - 1, top], dtype=np.uint64)
+        codes = rng.choice(choices, size=n)
+        codes[:2] = [top, 0][:n]
+        indices = rng.permutation(n) + 100 if with_indices else None
+        index = Octree(codes, code_depth, indices)
+        stable = np.argsort(codes, kind="stable")
+        assert index.sorted_codes.dtype == np.uint64
+        np.testing.assert_array_equal(index.sorted_codes, codes[stable])
+        # Ties keep their input order, so `order` is the stable argsort.
+        np.testing.assert_array_equal(index.order, stable if indices is None else indices[stable])
+
+
+class TestCells:
+    """The occupied cells at one depth, read in one pass, equal the cells
+    walked down from the root; their parents are runs of their codes."""
+
+    @pytest.mark.parametrize("seed,n,code_depth", [(30, 2000, 6), (31, 700, 12)])
+    def test_cells_match_walk_and_counts(self, seed, n, code_depth):
+        rng = np.random.default_rng(seed)
+        index, _ = index_of(rng.normal(scale=4.0, size=(n, 3)), code_depth)
+        for d in range(code_depth + 1):
+            cells, spans = index.cells(d)
+            walked, walked_spans = descend(index, d)
+            np.testing.assert_array_equal(cells, walked)
+            np.testing.assert_array_equal(spans, walked_spans)
+            np.testing.assert_array_equal(spans, reference_spans(index, cells, d))
+            for up in range(d + 1):
+                parents, parent_spans = parent_cells(cells, spans, up)
+                expected, expected_spans = index.cells(d - up)
+                np.testing.assert_array_equal(parents, expected)
+                np.testing.assert_array_equal(parent_spans, expected_spans)
+
+    def test_empty_index_and_depth_bounds(self):
+        empty = Octree(np.empty(0, dtype=np.uint64), 4)
+        cells, spans = empty.cells(2)
+        assert len(cells) == 0 and spans.shape == (0, 2)
+        parents, parent_spans = parent_cells(cells, spans, 1)
+        assert len(parents) == 0 and parent_spans.shape == (0, 2)
+        with pytest.raises(ValueError):
+            empty.cells(5)
+        with pytest.raises(ValueError):
+            empty.cells(-1)
 
 
 class TestStructure:
@@ -375,3 +442,28 @@ class TestMorton:
         codes = morton_codes(pts, cube, 7)
         cells = cell_indices(pts, cube, 7)
         np.testing.assert_array_equal(decode_cell(codes, 7), cells)
+
+    @pytest.mark.parametrize("depth", [1, 12, MAX_SUPPORTED_DEPTH])
+    def test_codes_interleave_cell_indices(self, depth):
+        # Bit b of the x, y and z cell index lands at bit 3b + 2, 3b + 1
+        # and 3b of the code; points on the min and max faces included.
+        rng = np.random.default_rng(depth)
+        cube = BoundingCube(np.array([-3.0, 1.0, 0.5]), 7.5)
+        pts = rng.uniform(cube.min_corner, cube.max_corner, (300, 3))
+        faces = rng.integers(0, 3, 100)
+        pts[np.arange(50), faces[:50]] = cube.min_corner[faces[:50]]
+        pts[np.arange(50, 100), faces[50:]] = cube.max_corner[faces[50:]]
+        pts[100] = cube.min_corner
+        pts[101] = cube.max_corner
+        cells = cell_indices(pts, cube, depth)
+        expected = [
+            sum(
+                ((int(ix) >> b & 1) << (3 * b + 2)) | ((int(iy) >> b & 1) << (3 * b + 1)) | ((int(iz) >> b & 1) << (3 * b))
+                for b in range(depth)
+            )
+            for ix, iy, iz in cells
+        ]
+        codes = morton_codes(pts, cube, depth)
+        assert codes.dtype == np.uint64
+        assert [int(c) for c in codes] == expected
+        assert codes[100] == 0 and codes[101] == 8 ** depth - 1
