@@ -12,13 +12,17 @@ huge prior exists to verify that equivalence.
 The minimization is Levenberg-Marquardt on the weighted reprojection error,
 with the object points eliminated through the standard reduced (Schur
 complement) system so that the dense solve only spans camera and calibration
-parameters. Each iteration projects all retained observations in one batched
-call, which returns every observation's 2x3 point block and 2x11 camera and
-calibration block. The normal-equation blocks (camera-camera, camera-point,
-the 3x3 block of each point, and both gradients) are summed straight from
-those per-observation blocks into their final dense layout; the index layout
-that says where each block lands is built once per set of retained
-observations. The reduced camera system is formed densely from the per-point
+parameters. The retained observations are grouped by camera and padded to
+the longest group, once per set of retained observations, and every
+projection runs on that layout: one call of the camera-major,
+structure-of-arrays projection kernel, with one rotation matrix, center and
+calibration per camera, returns each camera's pixels and its (9, 2w)
+Jacobian block, and the point block is minus the center columns. The
+normal-equation blocks (camera-camera, camera-point, the 3x3 block of each
+point, and both gradients) are read straight from those arrays: each
+camera's 11x11 block and gradient as one matrix product, the per-observation
+point and camera-point products with one bincount each into their final
+dense layout. The reduced camera system is formed densely from the per-point
 3x3 blocks: every camera network this package generates has full visibility,
 so the camera-point coupling block is dense anyway. After convergence,
 observations whose reprojection error exceeds a robust threshold (scaled
@@ -35,7 +39,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial.transform import Rotation
 
 from .cameras import (
@@ -44,6 +47,7 @@ from .cameras import (
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
+    _Projection,
     _projection,
     _require_in_front,
 )
@@ -51,7 +55,6 @@ from .cameras import (
 __all__ = [
     "AdjustmentOptions",
     "AdjustmentResult",
-    "LinearizedSystem",
     "Scenario",
     "load_scenario",
     "refine_progressive",
@@ -64,6 +67,12 @@ _CAM_PARAMS = 6  # local rotation increment (3) + center (3)
 _CAL_PARAMS = 5  # focal length, cx, cy, k1, k2
 _POINT_PARAMS = 3
 _CAM_CAL_PARAMS = _CAM_PARAMS + _CAL_PARAMS
+# The projection kernel's calibration derivatives come as f, k1, k2, and the
+# unit slopes in cx and cy last: their offsets in [f, cx, cy, k1, k2].
+_KERNEL_CAL_ORDER = np.array([0, 3, 4, 1, 2])
+# Per observation, every pair (k, l) of two (g, K, 2, w) Jacobian arrays,
+# summed over the x and y rows: (g, K, L, w).
+_PAIRS = "gkaw,glaw->gklw"
 
 
 @dataclass
@@ -124,39 +133,6 @@ class AdjustmentOptions:
             raise ValueError(f"min_track_length must be >= 2, got {self.min_track_length}")
 
 
-@dataclass
-class LinearizedSystem:
-    """Jacobian blocks of one linearization, split by parameter group.
-
-    Rows come in pairs, two per retained observation (x, then y). The fixed
-    block is None when reference parameters are excluded from the system.
-
-    Attributes:
-        jac_points: sparse (2m, 3p) block for object points.
-        jac_new: sparse (2m, 6 n_new + 5) block for new-epoch cameras and
-            self-calibration.
-        jac_fixed: sparse block for reference-epoch parameters, or None.
-        residuals: (2m,) measured minus projected, pixels.
-        weights: (2m,) per-row weights (each observation's weight twice).
-    """
-
-    jac_points: sparse.spmatrix
-    jac_new: sparse.spmatrix
-    jac_fixed: Optional[sparse.spmatrix]
-    residuals: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = self.jac_points.shape[0]
-        if rows % 2:
-            raise ValueError("system must have two rows per observation")
-        for block in (self.jac_new, self.jac_fixed):
-            if block is not None and block.shape[0] != rows:
-                raise ValueError("Jacobian blocks disagree on row count")
-        if self.residuals.shape != (rows,) or self.weights.shape != (rows,):
-            raise ValueError("residual/weight length must equal the row count")
-
-
 class _NormalEquations(NamedTuple):
     """Blocks of the undamped normal equations J^T W J dx = J^T W r, with
     cameras and calibrations (c) first and active points (p) last.
@@ -178,73 +154,77 @@ class _NormalEquations(NamedTuple):
 
 
 class _BlockLayout:
-    """Where each retained observation's Jacobian blocks land in the normal
-    equations, for one (mask, track_active).
+    """The retained observations of one mask grouped by camera, which is the
+    layout the projection kernel runs on, and where each group's Jacobian
+    products land in the normal equations.
 
-    Every index array addresses a flattened final block, so one bincount per
-    block sums the per-observation products in place and observations that
-    share a target (a point seen by several cameras, a calibration shared by
-    several cameras, a track observed twice by one camera) accumulate.
+    Group i holds camera `cams[i]`'s retained observations in input order,
+    padded to the longest group by repeating the group's first observation
+    with weight 0: padding projects like a real row and adds exact zeros.
+    Cameras in the system come first (new cameras have the lowest indices,
+    and fixed cameras are all in the system or all out), so their groups are
+    the first `n_system`.
+
+    Every target index addresses a flattened final block, so one bincount per
+    block sums the products in place and contributions that share a target
+    (a point seen by several cameras, a calibration shared by several
+    cameras, a track observed twice by one camera) accumulate. The point
+    targets depend on which tracks are active and are set by `bind_tracks`.
     """
 
-    def __init__(self, problem: _Problem, mask: np.ndarray, track_active: np.ndarray) -> None:
+    def __init__(self, problem: _Problem, mask: np.ndarray) -> None:
         self.mask = mask.copy()
-        self.track_active = track_active.copy()
-        self.rows = np.flatnonzero(mask)
-        self.weight = problem.obs_weight[self.rows]
-        self.n_points = int(track_active.sum())
+        rows = np.flatnonzero(mask)
+        cams = problem.obs_cam[rows]
+        order = np.argsort(cams, kind="stable")
+        grouped = rows[order]
+        self.cams, starts, counts = np.unique(cams[order], return_index=True, return_counts=True)
+        rank = np.arange(int(counts.max(initial=0)))
+        self.real = rank < counts[:, None]
+        self.obs = grouped[np.where(self.real, starts[:, None] + rank, starts[:, None])]
+        self.weight = np.where(self.real, problem.obs_weight[self.obs], 0.0)
+        self.track = problem.obs_track[self.obs]
+        # (g, 2, w): the x and y rows of each group, as in the kernel's Jacobian.
+        self.measured = np.ascontiguousarray(problem.measured[self.obs].transpose(0, 2, 1))
+        self.n_system = n = int((problem.cam_col[self.cams] >= 0).sum())
+
+        # Each system camera's 11 columns in the kernel's order: rotation
+        # increment and center, then f, k1, k2, then cx and cy.
         self.n_cols = nc = problem.n_cam_cal_cols
-
-        # Active tracks get contiguous 3-column slots in input order.
-        slot = np.full(len(track_active), -1, dtype=np.intp)
-        slot[track_active] = np.arange(self.n_points)
-        point = slot[problem.obs_track[self.rows]]
-        self.v_index = (_POINT_PARAMS**2 * point[:, None] + np.arange(_POINT_PARAMS**2)).ravel()
-        self.gp_index = (_POINT_PARAMS * point[:, None] + np.arange(_POINT_PARAMS)).ravel()
-
-        # The 11 camera and calibration columns of each camera. A camera's
-        # calibration is in the system exactly when the camera is, so the
-        # rows of cameras in the system carry all 11 columns; they are kept
-        # grouped by camera (positions into `rows`).
-        cam_cols = np.concatenate(
+        self.cols = np.concatenate(
             [
-                problem.cam_col[:, None] + np.arange(_CAM_PARAMS),
-                problem.cal_col[problem.cam_cal][:, None] + np.arange(_CAL_PARAMS),
+                problem.cam_col[self.cams[:n], None] + np.arange(_CAM_PARAMS),
+                problem.cal_col[problem.cam_cal[self.cams[:n]], None] + _KERNEL_CAL_ORDER,
             ],
             axis=1,
         )
-        cams = problem.obs_cam[self.rows]
-        in_system = np.flatnonzero(problem.cam_col[cams] >= 0)
-        self.cam_rows = in_system[np.argsort(cams[in_system], kind="stable")]
-        group_cams, starts, counts = np.unique(
-            cams[self.cam_rows], return_index=True, return_counts=True
-        )
+        self.hcc_index = (self.cols[:, :, None] * nc + self.cols[:, None, :]).ravel()
+        self.gc_index = self.cols.ravel()
+        self.track_active: Optional[np.ndarray] = None
 
-        # Each camera's rows padded to the longest group; padding points at
-        # row 0 with weight 0, so it adds exact zeros. The weights repeat
-        # once per Jacobian row (x, then y).
-        width = int(counts.max(initial=0))
-        rank = np.arange(width)
-        real = rank < counts[:, None]
-        self.padded = np.where(real, starts[:, None] + rank, 0)
-        self.padded_weight = np.repeat(
-            np.where(real, self.weight[self.cam_rows][self.padded], 0.0), 2, axis=1
-        )
-
-        cols = cam_cols[group_cams]
-        self.hcc_index = (cols[:, :, None] * nc + cols[:, None, :]).ravel()
-        row_cols = cam_cols[cams[self.cam_rows]]
-        self.gc_index = row_cols.ravel()
+    def bind_tracks(self, track_active: np.ndarray) -> None:
+        """Point targets for `track_active`: active tracks get contiguous
+        3-column slots in input order. Kept while `track_active` is unchanged."""
+        if self.track_active is not None and np.array_equal(track_active, self.track_active):
+            return
+        self.track_active = track_active.copy()
+        self.n_points = int(track_active.sum())
+        slot = np.full(len(track_active), -1, dtype=np.intp)
+        slot[track_active] = np.arange(self.n_points)
+        # Each product array is laid out like the target index built for it:
+        # v (g, 3, 3, w), grad_p (g, 3, w) and h_cp (n_system, 11, 3, w).
+        point = _POINT_PARAMS * slot[self.track][:, None, None, :]
+        k = np.arange(_POINT_PARAMS)
+        self.v_index = (_POINT_PARAMS * point + (_POINT_PARAMS * k[:, None] + k)[:, :, None]).ravel()
+        self.gp_index = (point[:, 0] + k[:, None]).ravel()
         self.hcp_index = (
-            row_cols[:, :, None] * (_POINT_PARAMS * self.n_points)
-            + _POINT_PARAMS * point[self.cam_rows, None, None]
-            + np.arange(_POINT_PARAMS)
+            self.cols[:, :, None, None] * (_POINT_PARAMS * self.n_points)
+            + point[: self.n_system]
+            + k[:, None]
         ).ravel()
 
-    def matches(self, mask: np.ndarray, track_active: np.ndarray) -> bool:
-        return np.array_equal(mask, self.mask) and np.array_equal(
-            track_active, self.track_active
-        )
+    def matches(self, mask: np.ndarray) -> bool:
+        return np.array_equal(mask, self.mask)
 
 
 def _accumulate(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -377,14 +357,20 @@ class _Problem:
         ]
         return float(np.linalg.norm(np.concatenate(parts)))
 
-    def _project(self, rows: np.ndarray, jacobians: bool = False) -> tuple:
-        """The projection kernel over observations `rows`: every camera's
-        rotation matrix is built once and gathered per observation."""
-        cams = self.obs_cam[rows]
-        rot = Rotation.from_rotvec(self.cam_rot).as_matrix()
+    def _layout_for(self, mask: np.ndarray) -> _BlockLayout:
+        """The camera-grouped layout of `mask`, rebuilt only when the mask
+        differs from the one it was built for."""
+        if self._layout is None or not self._layout.matches(mask):
+            self._layout = _BlockLayout(self, mask)
+        return self._layout
+
+    def _project(self, layout: _BlockLayout, jacobians: bool = False) -> _Projection:
+        """The projection kernel over the layout's camera groups, with one
+        rotation matrix, center and calibration per camera."""
+        cams = layout.cams
         return _projection(
-            self.positions[self.obs_track[rows]],
-            rot[cams],
+            self.positions[layout.track].transpose(0, 2, 1),
+            Rotation.from_rotvec(self.cam_rot[cams]).as_matrix(),
             self.cam_cen[cams],
             self.cal_values[self.cam_cal[cams]],
             jacobians,
@@ -396,71 +382,25 @@ class _Problem:
         m = len(self.obs_cam)
         res = np.full((m, 2), np.nan)
         behind = np.zeros(m, dtype=bool)
-        rows = np.flatnonzero(mask)
-        pixels, depth = self._project(rows)
-        bad = depth <= 0
+        layout = self._layout_for(mask)
+        proj = self._project(layout)
+        real = layout.real
+        rows = layout.obs[real]
+        bad = proj.depth[real] <= 0
         behind[rows[bad]] = True
         ok = ~bad
-        res[rows[ok]] = self.measured[rows[ok]] - pixels[ok]
+        res[rows[ok]] = (layout.measured - proj.pixels).transpose(0, 2, 1)[real][ok]
         return res, behind
 
     def cost(self, mask: np.ndarray) -> float:
         """Weighted squared reprojection error; inf when a masked point is
         at or behind its camera."""
-        res, behind = self.residuals(mask)
-        if behind[mask].any():
+        layout = self._layout_for(mask)
+        proj = self._project(layout)
+        # Padding repeats real rows, so it is behind only where they are.
+        if (proj.depth <= 0).any():
             return float("inf")
-        rows = mask & ~behind
-        return float((self.obs_weight[rows, None] * res[rows] ** 2).sum())
-
-    def linearize(self, mask: np.ndarray, track_active: np.ndarray) -> LinearizedSystem:
-        rows = np.flatnonzero(mask)
-        m = len(rows)
-        pixels, depth, d_point, d_pose, d_cal = self._project(rows, jacobians=True)
-        _require_in_front(depth)
-        residuals = (self.measured[rows] - pixels).ravel()
-        weights = np.repeat(self.obs_weight[rows], 2)
-
-        # Active tracks get contiguous 3-column slots in input order. Every
-        # row holds its observation's point block, columns ascending.
-        n_active = int(track_active.sum())
-        active_slot = np.full(len(self.track_ids), -1, dtype=np.intp)
-        active_slot[track_active] = np.arange(n_active)
-        point_cols = _POINT_PARAMS * np.repeat(active_slot[self.obs_track[rows]], 2)
-        jac_points = sparse.csr_matrix(
-            (
-                d_point.ravel(),
-                (point_cols[:, None] + np.arange(_POINT_PARAMS)).ravel(),
-                _POINT_PARAMS * np.arange(2 * m + 1),
-            ),
-            shape=(2 * m, _POINT_PARAMS * n_active),
-        )
-
-        # Camera and calibration entries over all camera/calibration
-        # columns, kept where that parameter group is in the system.
-        cams = self.obs_cam[rows]
-        base = np.repeat(
-            np.column_stack([self.cam_col[cams], self.cal_col[self.cam_cal[cams]]]),
-            [_CAM_PARAMS, _CAL_PARAMS],
-            axis=1,
-        )
-        offsets = np.concatenate([np.arange(_CAM_PARAMS), np.arange(_CAL_PARAMS)])
-        present = np.repeat(base >= 0, 2, axis=0)
-        jac_cams = sparse.csr_matrix(
-            (
-                np.concatenate([d_pose, d_cal], axis=2).reshape(2 * m, -1)[present],
-                np.repeat(base + offsets, 2, axis=0)[present],
-                np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
-            ),
-            shape=(2 * m, self.n_cam_cal_cols),
-        )
-        return LinearizedSystem(
-            jac_points=jac_points,
-            jac_new=jac_cams[:, : self.new_width],
-            jac_fixed=jac_cams[:, self.new_width :] if self.include_fixed else None,
-            residuals=residuals,
-            weights=weights,
-        )
+        return float((layout.weight[:, None] * (layout.measured - proj.pixels) ** 2).sum())
 
     def prior_residuals(self) -> np.ndarray:
         """Residuals of the prior equations keeping fixed parameters at their
@@ -478,17 +418,6 @@ class _Problem:
         calibrations = self.input_cal[1:] - self.cal_values[1:]
         return np.concatenate([cameras.ravel(), calibrations.ravel()])
 
-    def prior_rows(self, weight: float) -> Tuple[sparse.spmatrix, np.ndarray, np.ndarray]:
-        """The prior equations as rows (Jacobian, residuals, weights): one
-        identity row per fixed column, residuals from prior_residuals."""
-        res = self.prior_residuals()
-        q = len(res)
-        jac = sparse.csr_matrix(
-            (np.ones(q), self.new_width + np.arange(q), np.arange(q + 1)),
-            shape=(q, self.n_cam_cal_cols),
-        )
-        return jac, res, np.full(q, weight)
-
     def normal_equations(
         self, mask: np.ndarray, track_active: np.ndarray, prior_weight: Optional[float]
     ) -> _NormalEquations:
@@ -496,40 +425,55 @@ class _Problem:
         observations, plus the identity prior rows of weight `prior_weight`
         on the fixed columns unless it is None.
 
-        The index layout is rebuilt only when `mask` or `track_active`
-        differ from the ones it was built for."""
-        layout = self._layout
-        if layout is None or not layout.matches(mask, track_active):
-            layout = self._layout = _BlockLayout(self, mask, track_active)
-        rows = layout.rows
-        pixels, depth, d_point, d_pose, d_cal = self._project(rows, jacobians=True)
-        _require_in_front(depth)
-        w_res = layout.weight[:, None] * (self.measured[rows] - pixels)
-        w_point = layout.weight[:, None, None] * d_point
+        The camera-grouped layout is rebuilt only when `mask` changes, and
+        its point targets only when `track_active` does."""
+        layout = self._layout_for(mask)
+        layout.bind_tracks(track_active)
+        proj = self._project(layout, jacobians=True)
+        _require_in_front(proj.depth[layout.real])
+        width = layout.weight.shape[1]
+        weight = layout.weight[:, None, :]
+        w_res = weight * (layout.measured - proj.pixels)
+
+        # Point blocks. The point derivative is minus the center's, so
+        # dp^T W dp = dc^T W dc and dp^T W r = -(dc^T W r).
+        d_center = proj.jac[:, 3:_CAM_PARAMS]
+        w_center = weight[:, None] * d_center
         n_p = layout.n_points
         v = _accumulate(
-            layout.v_index, d_point.transpose(0, 2, 1) @ w_point, _POINT_PARAMS**2 * n_p
+            layout.v_index, np.einsum(_PAIRS, d_center, w_center), _POINT_PARAMS**2 * n_p
         ).reshape(n_p, _POINT_PARAMS, _POINT_PARAMS)
-        grad_p = _accumulate(
-            layout.gp_index, np.einsum("rki,rk->ri", d_point, w_res), _POINT_PARAMS * n_p
+        grad_p = -_accumulate(
+            layout.gp_index, np.einsum("gkaw,gaw->gkw", d_center, w_res), _POINT_PARAMS * n_p
         )
 
+        # Camera blocks, one (9, 2w) Jacobian per system camera; cx and cy
+        # have unit slope on the x and y rows, so their entries are sums.
+        n = layout.n_system
+        dense = proj.jac.shape[1]
+        jac = proj.jac[:n].reshape(n, dense, 2 * width)
+        w_jac = jac * weight[:n].repeat(2, axis=1).reshape(n, 1, 2 * width)
+        unit = w_jac.reshape(n, dense, 2, width).sum(axis=3)
+        block = np.empty((n, _CAM_CAL_PARAMS, _CAM_CAL_PARAMS))
+        np.matmul(w_jac, jac.transpose(0, 2, 1), out=block[:, :dense, :dense])
+        block[:, :dense, dense:] = unit
+        block[:, dense:, :dense] = unit.transpose(0, 2, 1)
+        block[:, dense:, dense:] = np.eye(2) * layout.weight[:n].sum(axis=1)[:, None, None]
         nc = layout.n_cols
-        jac_c = np.concatenate([d_pose, d_cal], axis=2)[layout.cam_rows]
-        per_cam = jac_c[layout.padded].reshape(len(layout.padded), -1, _CAM_CAL_PARAMS)
-        h_cc = _accumulate(
-            layout.hcc_index,
-            per_cam.transpose(0, 2, 1) @ (layout.padded_weight[:, :, None] * per_cam),
-            nc * nc,
-        ).reshape(nc, nc)
-        grad_c = _accumulate(
-            layout.gc_index, np.einsum("rki,rk->ri", jac_c, w_res[layout.cam_rows]), nc
+        h_cc = _accumulate(layout.hcc_index, block, nc * nc).reshape(nc, nc)
+        grad = np.empty((n, _CAM_CAL_PARAMS))
+        np.matmul(jac, w_res[:n].reshape(n, 2 * width, 1), out=grad[:, :dense, None])
+        grad[:, dense:] = w_res[:n].sum(axis=2)
+        grad_c = _accumulate(layout.gc_index, grad, nc)
+        # (W jc)^T dp = -(W jc)^T dc per observation.
+        w_jac = w_jac.reshape(n, dense, 2, width)
+        products = np.empty((n, _CAM_CAL_PARAMS, _POINT_PARAMS, width))
+        np.einsum(_PAIRS, w_jac, d_center[:n], out=products[:, :dense])
+        products[:, dense:] = w_center[:n].transpose(0, 2, 1, 3)
+        h_cp = _accumulate(layout.hcp_index, products, nc * _POINT_PARAMS * n_p).reshape(
+            nc, _POINT_PARAMS * n_p
         )
-        h_cp = _accumulate(
-            layout.hcp_index,
-            jac_c.transpose(0, 2, 1) @ w_point[layout.cam_rows],
-            nc * _POINT_PARAMS * n_p,
-        ).reshape(nc, _POINT_PARAMS * n_p)
+        np.negative(h_cp, out=h_cp)
         if prior_weight is not None:
             # J^T W J and J^T W r of one identity row per fixed column.
             fixed = np.arange(self.new_width, nc)

@@ -4,12 +4,20 @@ The projection is a pinhole with polynomial radial distortion applied to
 normalized image coordinates: p = R (X - C); (u, v) = (p_x/p_z, p_y/p_z);
 r^2 = u^2 + v^2; (u_d, v_d) = (u, v) (1 + k1 r^2 + k2 r^4); pixel = f u_d + cx,
 f v_d + cy. R maps object frame to camera frame, +z looking out of the camera.
+
+One kernel evaluates the model and its analytic Jacobians. It runs over
+observations grouped by camera and padded to a common width, takes one
+rotation matrix, center and calibration per camera, and returns every pixel
+coordinate and Jacobian component as its own camera-major array (structure
+of arrays). The bundle adjustment reads those arrays straight into its normal
+equations; project_points and projection_jacobians call the same kernel with
+a single group.
 """
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from scipy.spatial.transform import Rotation
 
@@ -146,24 +154,43 @@ def _positions(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
 
-def _projection(pts, rot, center, cal, jacobians: bool = False) -> tuple:
-    """The projection model, row by row.
+class _Projection(NamedTuple):
+    """The projection kernel's output over g camera groups of w rows each.
 
-    Row i projects pts[i] through rotation matrix rot[i], center center[i]
-    and calibration row cal[i] = [f, cx, cy, k1, k2]; a single (3, 3)
-    rotation, (3,) center or (5,) calibration broadcasts over all rows.
-    Rows at or behind the camera plane are not rejected here: they come back
-    with depth <= 0 and meaningless values, for the caller to raise on or
-    mask.
+    Every coordinate and derivative is its own run of w values per camera,
+    so each camera's values are contiguous.
 
-    Returns (pixels (n,2), depth (n,)) and, with `jacobians`, also d_point
-    (n,2,3), d_pose (n,2,6) and d_cal (n,2,5), laid out as in
-    projection_jacobians.
+    Attributes:
+        pixels: (g, 2, w) pixel coordinates, the x row first.
+        depth: (g, w) depth along the optical axis; <= 0 at or behind the
+            camera plane.
+        jac: None, or (g, 9, 2, w) derivatives of (x, y) with respect to
+            each camera's [rotation increment (3), center (3), f, k1, k2],
+            x row first, so jac[i] is camera i's (9, 2w) Jacobian block. The
+            point derivative is minus the center's; x has unit slope in cx
+            and y in cy, and neither depends on the other.
+    """
+
+    pixels: np.ndarray
+    depth: np.ndarray
+    jac: Optional[np.ndarray]
+
+
+def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projection:
+    """The projection model over camera groups.
+
+    Group i is w object points seen by one camera: points[i, k, j] is
+    coordinate k of the group's row j, and the camera has rotation matrix
+    rot[i] (g, 3, 3), center center[i] (g, 3) and calibration
+    cal[i] = [f, cx, cy, k1, k2] (g, 5). Each camera's parameters enter as
+    one scalar per group, broadcast along its rows, and the rotation acts on
+    a group's rows as one (3, 3) @ (3, w) product. Rows at or behind the
+    camera plane are not rejected here: they come back with depth <= 0 and
+    meaningless values, for the caller to raise on or mask.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f, cx, cy, k1, k2 = (cal[..., k] for k in range(5))
-        offset = pts - center
-        cam = np.einsum("...ij,...j->...i", rot, offset)
+        f, cx, cy, k1, k2 = (cal[:, k, None] for k in range(5))
+        cam = rot @ (points - center[:, :, None])
         depth = cam[:, 2]
         u = cam[:, 0] / depth
         v = cam[:, 1] / depth
@@ -171,43 +198,54 @@ def _projection(pts, rot, center, cal, jacobians: bool = False) -> tuple:
         factor = 1.0 + k1 * r2 + k2 * r2 * r2
         ud = u * factor
         vd = v * factor
-        pixels = np.column_stack([f * ud + cx, f * vd + cy])
+        pixels = np.stack([f * ud + cx, f * vd + cy], axis=1)
         if not jacobians:
-            return pixels, depth
+            return _Projection(pixels, depth, None)
 
         # d(pixel)/d(u, v): distortion couples the axes through r^2.
         dfactor = k1 + 2.0 * k2 * r2  # d(factor)/d(r2)
         dx_du = f * (factor + 2.0 * u * u * dfactor)
         dx_dv = f * (2.0 * u * v * dfactor)  # also dy/du
         dy_dv = f * (factor + 2.0 * v * v * dfactor)
-
-        # d(pixel)/d(cam point), with d(u, v)/d(cam) = [[1, 0, -u], [0, 1, -v]] / z.
         inv_z = 1.0 / depth
-        d_pix_dcam = np.empty((len(pts), 2, 3))
-        d_pix_dcam[:, 0, 0] = dx_du * inv_z
-        d_pix_dcam[:, 0, 1] = dx_dv * inv_z
-        d_pix_dcam[:, 0, 2] = -(dx_du * u + dx_dv * v) * inv_z
-        d_pix_dcam[:, 1, 0] = dx_dv * inv_z
-        d_pix_dcam[:, 1, 1] = dy_dv * inv_z
-        d_pix_dcam[:, 1, 2] = -(dx_dv * u + dy_dv * v) * inv_z
 
-        # cam = R (X - C): d(cam)/dX = R; d(cam)/dC = -R;
-        # d(cam)/d(delta) = -R [X - C]x for R <- R exp([delta]x), and a row
-        # vector a times -[o]x is o x a.
-        d_point = d_pix_dcam @ rot
-        d_rot = np.cross(offset[:, None, :], d_point)
-        d_pose = np.concatenate([d_rot, -d_point], axis=2)
+        # Per pixel axis, e = d(pixel)/d(cam point) = (a, b, -s) / z with
+        # s = a u + b v, since d(u, v)/d(cam) = [[1, 0, -u], [0, 1, -v]] / z.
+        # cam = R (X - C), so d(pixel)/dX = e R = -d(pixel)/dC; and for
+        # R <- R exp([delta]x), d(cam)/d(delta) = -R [X - C]x = -[cam]x R, so
+        # d(pixel)/d(delta) = (cam x e) R = ((u, v, 1) x (a, b, -s)) R.
+        g, width = depth.shape
+        e = np.empty((g, 3, 2, width))
+        cross = np.empty_like(e)
+        jac = np.empty((g, 9, 2, width))
+        for axis, (a, b, t, t_d) in enumerate(((dx_du, dx_dv, u, ud), (dx_dv, dy_dv, v, vd))):
+            s = a * u + b * v
+            e[:, 0, axis] = a * inv_z
+            e[:, 1, axis] = b * inv_z
+            e[:, 2, axis] = -s * inv_z
+            cross[:, 0, axis] = -(v * s + b)
+            cross[:, 1, axis] = u * s + a
+            cross[:, 2, axis] = u * b - v * a
+            jac[:, 6, axis] = t_d
+            jac[:, 7, axis] = f * t * r2
+            jac[:, 8, axis] = jac[:, 7, axis] * r2
+        # Row vectors times R: one (3, 3) @ (3, 2w) product per camera.
+        rot_t = rot.transpose(0, 2, 1)
+        flat = (g, 3, 2 * width)
+        np.matmul(rot_t, cross.reshape(flat), out=jac[:, 0:3].reshape(flat))
+        np.matmul(-rot_t, e.reshape(flat), out=jac[:, 3:6].reshape(flat))
+        return _Projection(pixels, depth, jac)
 
-        d_cal = np.zeros((len(pts), 2, 5))
-        d_cal[:, 0, 0] = ud
-        d_cal[:, 1, 0] = vd
-        d_cal[:, 0, 1] = 1.0
-        d_cal[:, 1, 2] = 1.0
-        d_cal[:, 0, 3] = f * u * r2
-        d_cal[:, 1, 3] = f * v * r2
-        d_cal[:, 0, 4] = f * u * r2 * r2
-        d_cal[:, 1, 4] = f * v * r2 * r2
-        return pixels, depth, d_point, d_pose, d_cal
+
+def _one_camera(points, eo: ExteriorOrientation, sc: SelfCalibration, jacobians: bool) -> _Projection:
+    """The kernel over one group: all `points` in camera (eo, sc)."""
+    return _projection(
+        _positions(points).T[None],
+        eo.matrix[None],
+        eo.center[None],
+        sc.as_array()[None],
+        jacobians,
+    )
 
 
 def _require_in_front(depth: np.ndarray) -> None:
@@ -222,9 +260,9 @@ def project_points(points, eo: ExteriorOrientation, sc: SelfCalibration) -> np.n
     Raises if any point has non-positive depth (at or behind the camera
     plane).
     """
-    pixels, depth = _projection(_positions(points), eo.matrix, eo.center, sc.as_array())
-    _require_in_front(depth)
-    return pixels
+    proj = _one_camera(points, eo, sc, jacobians=False)
+    _require_in_front(proj.depth[0])
+    return np.ascontiguousarray(proj.pixels[0].T)
 
 
 def project_point(point, eo: ExteriorOrientation, sc: SelfCalibration) -> np.ndarray:
@@ -242,11 +280,15 @@ def projection_jacobians(
     where the increment acts as R <- R exp([delta]x). Calibration derivatives
     follow [f, cx, cy, k1, k2]. Raises if any point has non-positive depth.
     """
-    pixels, depth, d_point, d_pose, d_cal = _projection(
-        _positions(points), eo.matrix, eo.center, sc.as_array(), jacobians=True
-    )
-    _require_in_front(depth)
-    return pixels, d_point, d_pose, d_cal
+    proj = _one_camera(points, eo, sc, jacobians=True)
+    _require_in_front(proj.depth[0])
+    jac = proj.jac[0].transpose(2, 1, 0)  # (n, 2, 9)
+    d_pose = np.ascontiguousarray(jac[:, :, :6])
+    d_cal = np.zeros(d_pose.shape[:2] + (5,))
+    d_cal[:, :, [0, 3, 4]] = jac[:, :, 6:]
+    d_cal[:, 0, 1] = 1.0
+    d_cal[:, 1, 2] = 1.0
+    return np.ascontiguousarray(proj.pixels[0].T), -d_pose[:, :, 3:], d_pose, d_cal
 
 
 def compute_residuals(

@@ -278,20 +278,20 @@ def _merge_cells(cells_ref, spans_ref, cells_oth, spans_oth):
     """(cells, spans_ref, spans_oth): the union of two sorted, unique cell
     arrays with each cell's spans in both indexes. A cell one epoch does not
     occupy gets the empty span [0, 0) there."""
-    # pos[j] counts the reference cells below other cell j and before[j] the
-    # other-only cells before it, so their sum is j's row; reference cell i
-    # lands after the other-only cells with pos <= i.
-    pos = np.searchsorted(cells_ref, cells_oth)
-    only = ~_isin_sorted(cells_oth, cells_ref, pos)
-    before = np.cumsum(only) - only
-    rows_oth = pos + before
-    inserted = np.bincount(pos[only], minlength=len(cells_ref))[:len(cells_ref)]
-    rows_ref = np.arange(len(cells_ref)) + np.cumsum(inserted)
-    n = len(cells_ref) + int(np.count_nonzero(only))
-    cells = np.empty(n, dtype=np.uint64)
-    cells[rows_ref] = cells_ref
-    cells[rows_oth] = cells_oth
-    return cells, _scatter_rows(spans_ref, rows_ref, n), _scatter_rows(spans_oth, rows_oth, n)
+    # One sort of both arrays ranks every cell: a cell both epochs occupy
+    # comes out twice in a row, and both copies take the same row. A stable
+    # sort merges the two sorted runs in linear time.
+    both = np.concatenate([cells_ref, cells_oth])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    first = np.empty(len(merged), dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    rows = np.empty(len(merged), dtype=np.intp)
+    rows[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(merged)))
+    k, n = len(cells_ref), len(starts)
+    return merged[starts], _scatter_rows(spans_ref, rows[:k], n), _scatter_rows(spans_oth, rows[k:], n)
 
 
 def _scatter_rows(spans: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -309,15 +309,23 @@ def _subvoxel_counts(
 ) -> np.ndarray:
     """(len(cells), m**3) sub-voxel point counts of each cell at `depth`,
     binned from the points inside the cell's span of the index."""
-    rows, pos = span_positions(spans)
+    lengths = spans[:, 1] - spans[:, 0]
+    if lengths.sum() == len(index):
+        # The spans of sorted, disjoint cells hold every point of the index
+        # (at start_depth, every cell of an epoch): they tile it in order.
+        rows = np.repeat(np.arange(len(spans)), lengths)
+        codes, order = index.sorted_codes, index.order
+    else:
+        rows, pos = span_positions(spans)
+        codes, order = index.sorted_codes[pos], index.order[pos]
     levels = int(m).bit_length() - 1
     if m == (1 << levels) and depth + levels <= index.code_depth:
         # Sub-voxels are the descendants `levels` below: read the code bits.
         shift = np.uint64(3 * (index.code_depth - depth - levels))
-        sub = ((index.sorted_codes[pos] >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
+        sub = ((codes >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
     else:
         corners, edge = cell_bounds(cube, cells, depth)
-        idx = np.floor((xyz[index.order[pos]] - corners[rows]) / (edge / m)).astype(np.int64)
+        idx = np.floor((xyz[order] - corners[rows]) / (edge / m)).astype(np.int64)
         np.clip(idx, 0, m - 1, out=idx)
         sub = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
     counts = np.bincount(rows * m ** 3 + sub, minlength=len(cells) * m ** 3)
@@ -332,13 +340,11 @@ def _entered(cells: np.ndarray, occupied_ref: np.ndarray, passed: np.ndarray) ->
     return _isin_sorted(parents, occupied_ref) | _isin_sorted(parents, passed)
 
 
-def _isin_sorted(values: np.ndarray, sorted_set: np.ndarray, pos: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mask of the entries of `values` found in the sorted array `sorted_set`;
-    `pos`, if given, is `np.searchsorted(sorted_set, values)`."""
+def _isin_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `values` found in the sorted array `sorted_set`."""
     if not len(sorted_set):
         return np.zeros(len(values), dtype=bool)
-    if pos is None:
-        pos = np.searchsorted(sorted_set, values)
+    pos = np.searchsorted(sorted_set, values)
     return sorted_set[np.minimum(pos, len(sorted_set) - 1)] == values
 
 
@@ -368,7 +374,7 @@ def hierarchical_detect(
     parent is reference-occupied or passed, and a start_depth cell enters
     the frontier only under such a parent. Each depth's frontier is one
     sorted, disjoint array of cell codes that carries every cell's span in
-    both epochs' indexes, the two epochs' cells merged by binary search. The
+    both epochs' indexes, the two epochs' cells merged by one stable sort. The
     next frontier is read off the codes inside the spans of the cells that
     descend (`Octree.children`), so no depth searches the index. Cells
     empty in both epochs score exactly 0, below every threshold, so they

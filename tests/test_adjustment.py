@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation
 
 from cloudchange.adjustment import (
     AdjustmentOptions,
-    LinearizedSystem,
     _Problem,
     _solve_reduced,
     load_scenario,
@@ -26,6 +25,7 @@ from cloudchange.cameras import (
     project_points,
 )
 from cloudchange.synth import PoseScenarioConfig, generate_pose_scenario
+from projection_reference import LinearizedSystem, linearize, prior_rows
 
 
 def rotation_gap(a: ExteriorOrientation, b: ExteriorOrientation) -> float:
@@ -213,6 +213,42 @@ class TestTrackSupport:
         assert result.rms < 1e-9
 
 
+class TestObservationOrder:
+    def test_shuffled_observations_give_the_same_solution(self):
+        scenario = generate_pose_scenario(
+            PoseScenarioConfig(
+                n_fixed_cameras=6,
+                n_new_cameras=5,
+                n_points=60,
+                noise_sigma=0.5,
+                outlier_fraction=0.03,
+                seed=13,
+            )
+        )
+        # Partial visibility: the k-th camera misses tracks 4k..5k-1, so the
+        # cameras' groups have different lengths.
+        camera_ids = sorted({o.camera_id for o in scenario.observations})
+        rank = {c: k for k, c in enumerate(camera_ids)}
+        observations = [
+            o
+            for o in scenario.observations
+            if not 4 * rank[o.camera_id] <= o.track_id < 5 * rank[o.camera_id]
+        ]
+        perm = np.random.default_rng(3).permutation(len(observations))
+        shuffled = [observations[i] for i in perm]
+        args = (scenario.fixed, scenario.new_initial, scenario.points_initial)
+        plain = refine_progressive(*args, observations)
+        mixed = refine_progressive(*args, shuffled)
+        assert plain.converged and mixed.converged
+        assert plain.rejected_observations
+        assert sorted(perm[mixed.rejected_observations].tolist()) == plain.rejected_observations
+        for cam_id, eo in plain.new_cameras.cameras.items():
+            assert np.linalg.norm(mixed.new_cameras.cameras[cam_id].center - eo.center) <= 1e-9
+        np.testing.assert_allclose(
+            mixed.residuals.reshape(-1, 2), plain.residuals.reshape(-1, 2)[perm], atol=1e-9
+        )
+
+
 class TestValidation:
     def test_dangling_references(self):
         scenario = small_scenario()
@@ -362,10 +398,10 @@ class TestSolverOracles:
             problem.cal_values[1:] += 0.5
         mask = np.ones(len(scenario.observations), dtype=bool)
         track_active = np.ones(len(problem.track_ids), dtype=bool)
-        system = problem.linearize(mask, track_active)
+        system = linearize(problem, mask, track_active)
         # A moderate prior weight: at the default 1e12 the full system's
         # condition number leaves no 1e-9 agreement for any solver to meet.
-        prior = problem.prior_rows(1e4) if include_fixed else None
+        prior = prior_rows(problem, 1e4) if include_fixed else None
 
         blocks = [system.jac_new] + ([system.jac_fixed] if include_fixed else [])
         jac = sparse.hstack(blocks + [system.jac_points]).toarray()
@@ -389,7 +425,7 @@ class TestSolverOracles:
     def _dense_normal_equations(problem, mask, track_active, prior_weight):
         """J^T W J and J^T W r from the sparse Jacobian of linearize (and the
         prior rows), split as _NormalEquations."""
-        system = problem.linearize(mask, track_active)
+        system = linearize(problem, mask, track_active)
         blocks = [system.jac_new] + ([system.jac_fixed] if problem.include_fixed else [])
         jac_c = sparse.hstack(blocks).toarray()
         jac_p = system.jac_points.toarray()
@@ -397,7 +433,7 @@ class TestSolverOracles:
         h_cc = jac_c.T @ (weights[:, None] * jac_c)
         grad_c = jac_c.T @ (weights * residuals)
         if prior_weight is not None:
-            prior_jac, prior_res, prior_w = problem.prior_rows(prior_weight)
+            prior_jac, prior_res, prior_w = prior_rows(problem, prior_weight)
             prior_jac = prior_jac.toarray()
             h_cc += prior_jac.T @ (prior_w[:, None] * prior_jac)
             grad_c += prior_jac.T @ (prior_w * prior_res)

@@ -13,8 +13,10 @@ from cloudchange.cameras import (
     compute_residuals,
     project_point,
     project_points,
+    _projection,
     projection_jacobians,
 )
+from projection_reference import project_rows
 
 
 def rodrigues_matrix(rotvec):
@@ -251,6 +253,93 @@ class TestJacobians:
         sc = SelfCalibration(focal_length=1000.0, cx=0.0, cy=0.0, k1=0.0, k2=0.0)
         with pytest.raises(ValueError, match="behind"):
             projection_jacobians(np.array([[0.0, 0.0, -2.0]]), eo, sc)
+
+
+class TestGroupedKernel:
+    """The camera-grouped kernel against the row-wise reference formula."""
+
+    @staticmethod
+    def _groups():
+        """Four cameras, three calibrations, groups of 6, 1, 4 and 3 rows.
+
+        Camera 0 sees one point twice, camera 1 has a single observation,
+        camera 2 has a row behind it, and camera 3 (identity pose) a row
+        exactly on its camera plane."""
+        rng = np.random.default_rng(71)
+        cameras, rows = [], []
+        for n in (5, 1, 4):
+            eo, sc, points = random_setup(rng, n_points=n)
+            cameras.append((eo, sc))
+            rows.append(points)
+        rows[0] = np.vstack([rows[0], rows[0][2]])
+        eo, _ = cameras[2]
+        rows[2][1] = eo.matrix.T @ np.array([0.1, -0.2, -3.0]) + eo.center
+        identity = ExteriorOrientation(center=np.zeros(3), rotation=np.zeros(3))
+        cameras.append((identity, cameras[0][1]))
+        rows.append(np.array([[0.2, 0.1, 5.0], [1.0, 1.0, 0.0], [-0.3, 0.4, 2.0]]))
+        return cameras, rows
+
+    def test_matches_row_wise_reference(self):
+        cameras, rows = self._groups()
+        assert len({sc for _, sc in cameras}) == 3
+        width = max(len(r) for r in rows)
+        # Padding repeats a group's first row, as the adjustment pads.
+        points = np.stack(
+            [np.vstack([r, np.repeat(r[:1], width - len(r), axis=0)]).T for r in rows]
+        )
+        proj = _projection(
+            points,
+            np.stack([eo.matrix for eo, _ in cameras]),
+            np.stack([eo.center for eo, _ in cameras]),
+            np.stack([sc.as_array() for _, sc in cameras]),
+            jacobians=True,
+        )
+        assert proj.pixels.shape == (4, 2, width) and proj.depth.shape == (4, width)
+        assert proj.jac.shape == (4, 9, 2, width)
+
+        group = np.repeat(np.arange(4), [len(r) for r in rows])
+        slot = np.concatenate([np.arange(len(r)) for r in rows])
+        pixels, depth, d_point, d_pose, d_cal = project_rows(
+            np.vstack(rows),
+            np.stack([cameras[i][0].matrix for i in group]),
+            np.stack([cameras[i][0].center for i in group]),
+            np.stack([cameras[i][1].as_array() for i in group]),
+            jacobians=True,
+        )
+        got_depth = proj.depth[group, slot]
+        np.testing.assert_allclose(got_depth, depth, rtol=1e-12, atol=1e-12)
+        assert (got_depth < 0).sum() == 1 and (got_depth == 0).sum() == 1
+        # The row on the camera plane has no finite projection to compare.
+        keep = depth != 0
+        jac = proj.jac[group, :, :, slot].transpose(0, 2, 1)[keep]  # (n, 2, 9)
+        blocks = {
+            "pixels": (proj.pixels[group, :, slot][keep], pixels[keep]),
+            "d_point": (-jac[:, :, 3:6], d_point[keep]),
+            "d_pose": (jac[:, :, :6], d_pose[keep]),
+            "d_cal f, k1, k2": (jac[:, :, 6:], d_cal[keep][:, :, [0, 3, 4]]),
+        }
+        for name, (got, want) in blocks.items():
+            assert np.isfinite(got).all(), name
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        # cx and cy have unit slope on their own axis, as the kernel leaves implicit.
+        np.testing.assert_array_equal(d_cal[:, :, 1:3], np.broadcast_to(np.eye(2), (len(depth), 2, 2)))
+
+    def test_no_points(self):
+        eo, sc, _ = random_setup(np.random.default_rng(90), n_points=1)
+        assert project_points(np.empty((0, 3)), eo, sc).shape == (0, 2)
+        shapes = [block.shape for block in projection_jacobians(np.empty((0, 3)), eo, sc)]
+        assert shapes == [(0, 2), (0, 2, 3), (0, 2, 6), (0, 2, 5)]
+
+    def test_one_group_calls_match_reference(self):
+        for seed in range(3):
+            eo, sc, points = random_setup(np.random.default_rng(800 + seed))
+            pixels, _, *jacobians = project_rows(
+                points, eo.matrix, eo.center, sc.as_array(), jacobians=True
+            )
+            got = (project_points(points, eo, sc),) + projection_jacobians(points, eo, sc)
+            for block, want in zip(got, [pixels, pixels] + jacobians):
+                assert block.shape == want.shape
+                assert np.linalg.norm(block - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestComputeResiduals:
