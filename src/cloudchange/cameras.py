@@ -154,6 +154,17 @@ def _positions(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
 
+# The rows of the kernel's Jacobian (_Projection.jac), read by the bundle
+# adjustment: the rotation increment, the center, then the calibration
+# entries _JAC_CAL of [f, cx, cy, k1, k2]. The point derivative is minus the
+# center's. The other two calibration entries, _UNIT_CAL, are left implicit:
+# pixel row a has unit slope in _UNIT_CAL[a] and none in the other.
+_JAC_ROTATION = slice(0, 3)
+_JAC_CENTER = slice(3, 6)
+_JAC_CAL = (0, 3, 4)
+_UNIT_CAL = (1, 2)
+
+
 class _Projection(NamedTuple):
     """The projection kernel's output over g camera groups of w rows each.
 
@@ -167,8 +178,7 @@ class _Projection(NamedTuple):
         jac: None, or (g, 9, 2, w) derivatives of (x, y) with respect to
             each camera's [rotation increment (3), center (3), f, k1, k2],
             x row first, so jac[i] is camera i's (9, 2w) Jacobian block. The
-            point derivative is minus the center's; x has unit slope in cx
-            and y in cy, and neither depends on the other.
+            rows are laid out as _JAC_ROTATION, _JAC_CENTER and _JAC_CAL say.
     """
 
     pixels: np.ndarray
@@ -232,8 +242,8 @@ def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projectio
         # Row vectors times R: one (3, 3) @ (3, 2w) product per camera.
         rot_t = rot.transpose(0, 2, 1)
         flat = (g, 3, 2 * width)
-        np.matmul(rot_t, cross.reshape(flat), out=jac[:, 0:3].reshape(flat))
-        np.matmul(-rot_t, e.reshape(flat), out=jac[:, 3:6].reshape(flat))
+        np.matmul(rot_t, cross.reshape(flat), out=jac[:, _JAC_ROTATION].reshape(flat))
+        np.matmul(-rot_t, e.reshape(flat), out=jac[:, _JAC_CENTER].reshape(flat))
         return _Projection(pixels, depth, jac)
 
 
@@ -285,10 +295,9 @@ def projection_jacobians(
     jac = proj.jac[0].transpose(2, 1, 0)  # (n, 2, 9)
     d_pose = np.ascontiguousarray(jac[:, :, :6])
     d_cal = np.zeros(d_pose.shape[:2] + (5,))
-    d_cal[:, :, [0, 3, 4]] = jac[:, :, 6:]
-    d_cal[:, 0, 1] = 1.0
-    d_cal[:, 1, 2] = 1.0
-    return np.ascontiguousarray(proj.pixels[0].T), -d_pose[:, :, 3:], d_pose, d_cal
+    d_cal[:, :, _JAC_CAL] = jac[:, :, 6:]
+    d_cal[:, [0, 1], _UNIT_CAL] = 1.0
+    return np.ascontiguousarray(proj.pixels[0].T), -d_pose[:, :, _JAC_CENTER], d_pose, d_cal
 
 
 def compute_residuals(

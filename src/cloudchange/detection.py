@@ -309,23 +309,15 @@ def _subvoxel_counts(
 ) -> np.ndarray:
     """(len(cells), m**3) sub-voxel point counts of each cell at `depth`,
     binned from the points inside the cell's span of the index."""
-    lengths = spans[:, 1] - spans[:, 0]
-    if lengths.sum() == len(index):
-        # The spans of sorted, disjoint cells hold every point of the index
-        # (at start_depth, every cell of an epoch): they tile it in order.
-        rows = np.repeat(np.arange(len(spans)), lengths)
-        codes, order = index.sorted_codes, index.order
-    else:
-        rows, pos = span_positions(spans)
-        codes, order = index.sorted_codes[pos], index.order[pos]
+    rows, pos = span_positions(spans)
     levels = int(m).bit_length() - 1
     if m == (1 << levels) and depth + levels <= index.code_depth:
         # Sub-voxels are the descendants `levels` below: read the code bits.
         shift = np.uint64(3 * (index.code_depth - depth - levels))
-        sub = ((codes >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
+        sub = ((index.sorted_codes[pos] >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
     else:
         corners, edge = cell_bounds(cube, cells, depth)
-        idx = np.floor((xyz[order] - corners[rows]) / (edge / m)).astype(np.int64)
+        idx = np.floor((xyz[index.order[pos]] - corners[rows]) / (edge / m)).astype(np.int64)
         np.clip(idx, 0, m - 1, out=idx)
         sub = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
     counts = np.bincount(rows * m ** 3 + sub, minlength=len(cells) * m ** 3)

@@ -9,7 +9,9 @@ from scipy.spatial.transform import Rotation
 
 from cloudchange.adjustment import (
     AdjustmentOptions,
+    _BlockLayout,
     _Problem,
+    _group_width,
     _solve_reduced,
     load_scenario,
     refine_progressive,
@@ -56,6 +58,20 @@ def split_fixed_epoch(scenario):
             calibration=other_calibration,
             cameras={c: scenario.fixed.cameras[c] for c in fixed_ids[3:]},
         ),
+    ]
+
+
+def skewed_observations(scenario, n_points):
+    """Two cameras (one new, one reference) see every track; each other
+    camera sees a window of a fifth of them, so the cameras' row counts
+    differ fivefold. Weights vary per observation."""
+    wide = {min(scenario.new_initial.cameras), min(scenario.fixed.cameras)}
+    narrow = sorted({o.camera_id for o in scenario.observations} - wide)
+    rank = {c: k for k, c in enumerate(narrow)}
+    return [
+        dataclasses.replace(o, weight=0.5 + 0.25 * (i % 5))
+        for i, o in enumerate(scenario.observations)
+        if o.camera_id in wide or (o.track_id + 5 * rank[o.camera_id]) % n_points < n_points // 5
     ]
 
 
@@ -247,6 +263,50 @@ class TestObservationOrder:
         np.testing.assert_allclose(
             mixed.residuals.reshape(-1, 2), plain.residuals.reshape(-1, 2)[perm], atol=1e-9
         )
+
+
+class TestGroupLayout:
+    def test_uniform_visibility_gives_one_unpadded_group_per_camera(self):
+        assert _group_width(np.full(7, 250)) == 250
+
+    def test_ragged_visibility_cuts_long_cameras_instead_of_padding(self):
+        # Padding every camera to the longest would take 60 * 1000 rows for
+        # 7800 real ones.
+        counts = np.array([1000, 1000] + [100] * 58)
+        width = _group_width(counts)
+        groups = -(-counts // width)
+        assert width * groups.sum() <= 1.1 * counts.sum()
+
+    @pytest.mark.parametrize("include_fixed", [False, True])
+    def test_groups_hold_each_retained_row_once_in_input_order(self, include_fixed):
+        scenario = small_scenario(n_fixed_cameras=6, n_new_cameras=5, n_points=40, seed=8)
+        observations = skewed_observations(scenario, 40)
+        perm = np.random.default_rng(2).permutation(len(observations))
+        observations = [observations[i] for i in perm]
+        problem = _Problem(
+            [scenario.fixed],
+            scenario.new_initial,
+            scenario.points_initial,
+            observations,
+            include_fixed=include_fixed,
+        )
+        mask = np.ones(len(observations), dtype=bool)
+        mask[::6] = False
+        layout = _BlockLayout(problem, mask)
+        counts = np.bincount(problem.obs_cam[mask])
+        assert len(layout.cams) > np.count_nonzero(counts)
+        assert layout.real.size < 1.5 * mask.sum()
+        assert sorted(layout.obs[layout.real].tolist()) == np.flatnonzero(mask).tolist()
+        # Every row of a group, padding included, is an observation of the
+        # group's camera; a camera's rows run through its groups in input order.
+        assert (problem.obs_cam[layout.obs] == layout.cams[:, None]).all()
+        assert (layout.weight[~layout.real] == 0).all()
+        for cam in np.unique(layout.cams):
+            rows = layout.obs[layout.cams == cam][layout.real[layout.cams == cam]]
+            assert (np.diff(rows) > 0).all()
+        assert (np.diff(layout.cams) >= 0).all()
+        in_system = problem.cam_col[layout.cams] >= 0
+        assert in_system[: layout.n_system].all() and not in_system[layout.n_system :].any()
 
 
 class TestValidation:
@@ -501,6 +561,33 @@ class TestSolverOracles:
                 assert block.shape == expected.shape, name
                 gap = np.linalg.norm(block - expected)
                 assert gap <= 1e-12 * np.linalg.norm(expected), name
+
+    @pytest.mark.parametrize("fixed_handling", ["exclude", "prior_weight"])
+    def test_normal_equations_on_cameras_cut_into_several_groups(self, fixed_handling):
+        scenario = small_scenario(
+            n_fixed_cameras=6, n_new_cameras=5, n_points=40, noise_sigma=0.5, seed=8
+        )
+        observations = skewed_observations(scenario, 40)
+        include_fixed = fixed_handling == "prior_weight"
+        problem = _Problem(
+            [scenario.fixed],
+            scenario.new_initial,
+            scenario.points_initial,
+            observations,
+            include_fixed=include_fixed,
+        )
+        prior_weight = 1e4 if include_fixed else None
+        mask = np.ones(len(observations), dtype=bool)
+        mask[::7] = False
+        track_active = np.ones(len(problem.track_ids), dtype=bool)
+        got = problem.normal_equations(mask, track_active, prior_weight)
+        # The wide cameras' rows span several groups each.
+        assert len(problem._layout.cams) > len(np.unique(problem._layout.cams))
+        want = self._dense_normal_equations(problem, mask, track_active, prior_weight)
+        for name, block, expected in zip(got._fields, got, want):
+            assert block.shape == expected.shape, name
+            gap = np.linalg.norm(block - expected)
+            assert gap <= 1e-12 * np.linalg.norm(expected), name
 
     def test_residuals_use_each_observation_calibration(self):
         scenario = small_scenario(
