@@ -211,19 +211,22 @@ class _BlockLayout:
         width = _group_width(counts)
         pieces = -(-counts // width)
         self.cams = cam_ids.repeat(pieces)
-        first = np.arange(len(self.cams)) - (np.cumsum(pieces) - pieces).repeat(pieces)
-        start = starts.repeat(pieces) + width * first
+        # Group i is piece k of its camera: up to w rows of `grouped` from
+        # `start`, none past its camera's `end`.
+        k = np.arange(len(self.cams)) - (np.cumsum(pieces) - pieces).repeat(pieces)
+        start = (starts.repeat(pieces) + width * k)[:, None]
+        end = (starts + counts).repeat(pieces)[:, None]
         rank = np.arange(width)
-        self.real = rank < (starts + counts).repeat(pieces)[:, None] - start[:, None]
-        self.obs = grouped[np.where(self.real, start[:, None] + rank, start[:, None])]
+        self.real = rank < end - start
+        self.obs = grouped[np.where(self.real, start + rank, start)]
         self.weight = np.where(self.real, problem.obs_weight[self.obs], 0.0)
         self.track = problem.obs_track[self.obs]
         # (g, 2, w): the x and y rows of each group, as in the kernel's Jacobian.
         self.measured = np.ascontiguousarray(problem.measured[self.obs].transpose(0, 2, 1))
         self.n_system = n = int((problem.cam_col[self.cams] >= 0).sum())
 
-        # Each system camera's 11 columns in the kernel's order: rotation
-        # increment and center, then f, k1, k2, then cx and cy.
+        # Each system group's 11 columns, its camera's, in the kernel's
+        # order: rotation increment and center, then f, k1, k2, then cx, cy.
         self.n_cols = nc = problem.n_cam_cal_cols
         self.cols = np.concatenate(
             [
@@ -400,7 +403,7 @@ class _Problem:
 
     def _project(self, layout: _BlockLayout, jacobians: bool = False) -> _Projection:
         """The projection kernel over the layout's camera groups, with one
-        rotation matrix, center and calibration per camera."""
+        rotation matrix, center and calibration per group."""
         cams = layout.cams
         return _projection(
             self.positions[layout.track].transpose(0, 2, 1),
@@ -481,7 +484,7 @@ class _Problem:
             layout.gp_index, np.einsum("gkaw,gaw->gkw", d_center, w_res), _POINT_PARAMS * n_p
         )
 
-        # Camera blocks, one (9, 2w) Jacobian per system camera; cx and cy
+        # Camera blocks, one (9, 2w) Jacobian per system group; cx and cy
         # have unit slope on the x and y rows, so their entries are sums.
         n = layout.n_system
         dense = proj.jac.shape[1]

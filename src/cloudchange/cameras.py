@@ -6,12 +6,12 @@ r^2 = u^2 + v^2; (u_d, v_d) = (u, v) (1 + k1 r^2 + k2 r^4); pixel = f u_d + cx,
 f v_d + cy. R maps object frame to camera frame, +z looking out of the camera.
 
 One kernel evaluates the model and its analytic Jacobians. It runs over
-observations grouped by camera and padded to a common width, takes one
-rotation matrix, center and calibration per camera, and returns every pixel
-coordinate and Jacobian component as its own camera-major array (structure
-of arrays). The bundle adjustment reads those arrays straight into its normal
-equations; project_points and projection_jacobians call the same kernel with
-a single group.
+groups of observations, each seen by one camera and padded to a common
+width, takes one rotation matrix, center and calibration per group, and
+returns every pixel coordinate and Jacobian component as its own
+camera-major array (structure of arrays). The bundle adjustment reads those
+arrays straight into its normal equations; project_points and
+projection_jacobians call the same kernel with a single group.
 """
 from __future__ import annotations
 
