@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .geometry import (
     BoundingCube,
     ChangeLabel,
-    Point3,
     PointCloud,
     RigidTransform,
     apply_transform,
@@ -24,8 +23,6 @@ from .detection import (
     DetectionStats,
     Lattice,
     component_filter,
-    density_feature,
-    feature_distance,
     hierarchical_detect,
 )
 from .registration import (
@@ -34,7 +31,6 @@ from .registration import (
     IcpResult,
     icp_align,
     point_to_plane_distances,
-    summarize_unchanged_region,
 )
 from .cameras import (
     EpochCameras,
@@ -42,8 +38,6 @@ from .cameras import (
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
-    compute_residuals,
-    project_point,
     project_points,
     projection_jacobians,
 )
@@ -114,7 +108,6 @@ __all__ = [
     "ObjectPoint",
     "Octree",
     "PipelineConfig",
-    "Point3",
     "PointCloud",
     "PoseScenario",
     "PoseScenarioConfig",
@@ -133,11 +126,8 @@ __all__ = [
     "change_metrics",
     "change_volume",
     "component_filter",
-    "compute_residuals",
     "confusion_counts",
-    "density_feature",
     "distance_stats",
-    "feature_distance",
     "generate_building",
     "generate_demolition_series",
     "generate_pose_scenario",
@@ -147,7 +137,6 @@ __all__ = [
     "load_scenario",
     "parse_config",
     "point_to_plane_distances",
-    "project_point",
     "project_points",
     "projection_jacobians",
     "refine_progressive",
@@ -155,7 +144,6 @@ __all__ = [
     "save_cloud",
     "save_scenario",
     "serialize_config",
-    "summarize_unchanged_region",
     "timeline_report",
     "__version__",
 ]

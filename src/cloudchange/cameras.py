@@ -1,4 +1,4 @@
-"""Photogrammetric camera model: pose/calibration types, projection, residuals.
+"""Photogrammetric camera model: pose/calibration types and projection.
 
 The projection is a pinhole with polynomial radial distortion applied to
 normalized image coordinates: p = R (X - C); (u, v) = (p_x/p_z, p_y/p_z);
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from scipy.spatial.transform import Rotation
 
@@ -143,9 +143,6 @@ class EpochCameras:
     epoch: int
     calibration: SelfCalibration
     cameras: Dict[int, ExteriorOrientation] = field(default_factory=dict)
-
-    def camera_ids(self) -> list:
-        return sorted(self.cameras)
 
 
 def _positions(points) -> np.ndarray:
@@ -275,11 +272,6 @@ def project_points(points, eo: ExteriorOrientation, sc: SelfCalibration) -> np.n
     return np.ascontiguousarray(proj.pixels[0].T)
 
 
-def project_point(point, eo: ExteriorOrientation, sc: SelfCalibration) -> np.ndarray:
-    """Pixel coordinates (2,) of a single object point."""
-    return project_points(point, eo, sc)[0]
-
-
 def projection_jacobians(
     points: np.ndarray, eo: ExteriorOrientation, sc: SelfCalibration
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -298,39 +290,3 @@ def projection_jacobians(
     d_cal[:, :, _JAC_CAL] = jac[:, :, 6:]
     d_cal[:, [0, 1], _UNIT_CAL] = 1.0
     return np.ascontiguousarray(proj.pixels[0].T), -d_pose[:, :, _JAC_CENTER], d_pose, d_cal
-
-
-def compute_residuals(
-    observations: Sequence[ImageObservation],
-    cameras: Mapping[int, ExteriorOrientation],
-    calibrations: Mapping[int, SelfCalibration],
-    points: Mapping[int, Union[ObjectPoint, np.ndarray]],
-) -> Tuple[np.ndarray, float]:
-    """Reprojection residuals (measured - projected) and their RMS.
-
-    Residuals come back flat, two entries (x, y) per observation in input
-    order; RMS is over all 2m entries, pixels.
-    """
-    m = len(observations)
-    for obs in observations:
-        if obs.camera_id not in cameras:
-            raise ValueError(f"observation references unknown camera {obs.camera_id}")
-        if obs.track_id not in points:
-            raise ValueError(f"observation references unknown track {obs.track_id}")
-
-    def position_of(track_id):
-        point = points[track_id]
-        return point.position if isinstance(point, ObjectPoint) else point
-
-    residuals = np.empty((m, 2))
-    if m:
-        cam_ids = np.array([obs.camera_id for obs in observations])
-        measured = np.array([(obs.x, obs.y) for obs in observations])
-        positions = np.array([position_of(obs.track_id) for obs in observations])
-        for cam_id in np.unique(cam_ids):
-            rows = cam_ids == cam_id
-            projected = project_points(positions[rows], cameras[cam_id], calibrations[cam_id])
-            residuals[rows] = measured[rows] - projected
-    flat = residuals.ravel()
-    rms = float(np.sqrt((flat**2).mean())) if m else 0.0
-    return flat, rms

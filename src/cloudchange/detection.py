@@ -6,15 +6,18 @@ index per cloud, built once however many intervals share the cloud. Each
 candidate cell is scored by the squared difference of sub-voxel point
 densities between the epochs; only cells above threshold are subdivided, so
 unchanged space is discarded at coarse scale and changed space is located at
-the finest scale. A connected-component pass then drops isolated flagged
-points.
+the finest scale. Every depth is scored in one batch: each cell's sub-voxel
+counts are binned from the points in its span of each index, and the
+changed points are the points in the final survivors' spans, so nothing is
+re-encoded or searched per cell. A connected-component pass then drops
+isolated flagged points.
 """
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -36,20 +39,6 @@ from .octree import (
 # margin check); tau must sit above resampling noise at the coarse depth and
 # below the score of genuinely emptied cells.
 DEFAULT_THRESHOLD = 3.0e5
-
-
-@dataclass(frozen=True)
-class DensityFeature:
-    """Sub-voxel point densities of one cell volume.
-
-    Attributes:
-        densities: (m^3,) points per cubic metre, x-major sub-voxel order
-            (index = (ix * m + iy) * m + iz).
-        subvoxels_per_axis: m.
-    """
-
-    densities: np.ndarray
-    subvoxels_per_axis: int
 
 
 @dataclass
@@ -163,70 +152,6 @@ class ChangeSet:
     @property
     def n_voxels(self) -> int:
         return len(self.voxel_codes)
-
-    @property
-    def voxel_centers(self) -> np.ndarray:
-        corners, edge = cell_bounds(self.cube, self.voxel_codes, self.depth)
-        return corners + 0.5 * edge
-
-    def voxel_bounds(self) -> List[BoundingCube]:
-        corners, edge = cell_bounds(self.cube, self.voxel_codes, self.depth)
-        return [BoundingCube(c, edge) for c in corners]
-
-    def contains(self, points) -> np.ndarray:
-        """Mask of points lying inside some changed voxel."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        inside_cube = np.logical_and(
-            (pts >= self.cube.min_corner).all(axis=1),
-            (pts <= self.cube.max_corner).all(axis=1),
-        )
-        mask = np.zeros(len(pts), dtype=bool)
-        if not len(self.voxel_codes) or not inside_cube.any():
-            return mask
-        codes = morton_codes(pts[inside_cube], self.cube, self.depth)
-        pos = np.searchsorted(self.voxel_codes, codes)
-        pos = np.minimum(pos, len(self.voxel_codes) - 1)
-        mask[inside_cube] = self.voxel_codes[pos] == codes
-        return mask
-
-
-def density_feature(bounds: BoundingCube, cloud, m: int = 2) -> DensityFeature:
-    """Point densities over the m^3 sub-voxels of `bounds`.
-
-    Membership in `bounds` is inclusive of all faces; within the cell,
-    points on an interior sub-voxel boundary go to the higher sub-voxel and
-    the cell's own max face belongs to the last sub-voxel, matching octree
-    cell assignment. Points outside `bounds` are ignored.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    pts = cloud.xyz if isinstance(cloud, PointCloud) else np.atleast_2d(np.asarray(cloud, dtype=np.float64))
-    inside = bounds.contains(pts)
-    pts = pts[inside]
-    sub_edge = bounds.edge / m
-    counts = np.zeros(m ** 3, dtype=np.int64)
-    if len(pts):
-        idx = np.floor((pts - bounds.min_corner) / sub_edge).astype(np.int64)
-        np.clip(idx, 0, m - 1, out=idx)
-        flat = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
-        counts = np.bincount(flat, minlength=m ** 3)
-    return DensityFeature(counts / sub_edge ** 3, m)
-
-
-def feature_distance(a: DensityFeature, b: DensityFeature, normalized: bool = True) -> float:
-    """Squared-difference score between two density features.
-
-    Sum over sub-voxels of (density_b - density_a)^2, divided by the
-    sub-voxel count when `normalized`.
-    """
-    if a.subvoxels_per_axis != b.subvoxels_per_axis:
-        raise ValueError(
-            f"feature sizes differ: m={a.subvoxels_per_axis} vs m={b.subvoxels_per_axis}"
-        )
-    d = float(((b.densities - a.densities) ** 2).sum())
-    if normalized:
-        d /= len(a.densities)
-    return d
 
 
 class Lattice:

@@ -5,7 +5,7 @@ georeferenced offsets where float32 loses millimetres.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
@@ -21,26 +21,6 @@ class ChangeLabel(IntEnum):
     UNCHANGED = 0
     CHANGED = 1
     UNKNOWN = 2
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A single 3D point in metres.
-
-    Attributes:
-        x, y, z: Cartesian coordinates, must be finite.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise ValueError(f"non-finite point coordinates: ({self.x}, {self.y}, {self.z})")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
 def _as_points_array(points, name: str = "points") -> np.ndarray:
@@ -170,17 +150,6 @@ class RigidTransform:
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying `other` first, then self."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        rot_inv = self.rotation.T
-        return RigidTransform(rot_inv, -rot_inv @ self.translation)
 
 
 @dataclass(frozen=True)

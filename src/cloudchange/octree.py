@@ -62,26 +62,13 @@ def _compact_bits(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def cell_indices(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarray:
-    """Integer grid cell of each point at `depth` (2^depth cells per axis).
-
-    Cells are half-open; a point exactly on an interior face lands in the
-    higher-index cell, and the cube's own max boundary is closed (clamped).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n_cells = 1 << depth
-    scaled = (pts - cube.min_corner) * (n_cells / cube.edge)
-    idx = np.floor(scaled).astype(np.int64)
-    np.clip(idx, 0, n_cells - 1, out=idx)
-    return idx
-
-
 def morton_codes(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarray:
     """Morton (z-order) code of each point's cell at `depth`.
 
-    The code of a coarser ancestor cell is `code >> 3 * (depth - d)`. The
-    cells are those of `cell_indices`, computed one coordinate at a time
-    with the same arithmetic, each spread into the code in place.
+    The code of a coarser ancestor cell is `code >> 3 * (depth - d)`. Each
+    coordinate is quantised on its own to one of 2^depth half-open cells (a
+    point on an interior face lands in the higher cell; the cube's max face
+    is clamped into the last), then spread into the code in place.
     """
     if not 0 <= depth <= MAX_SUPPORTED_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_SUPPORTED_DEPTH}], got {depth}")
@@ -137,11 +124,10 @@ class Octree:
     Attributes:
         code_depth: depth of the codes the index was built from.
         sorted_codes: the codes in ascending order (stable sort).
-        order: caller index of each entry of `sorted_codes`; positions in
-            the input unless `indices` was given.
+        order: input position of each entry of `sorted_codes`.
     """
 
-    def __init__(self, codes: np.ndarray, code_depth: int, indices: Optional[np.ndarray] = None) -> None:
+    def __init__(self, codes: np.ndarray, code_depth: int) -> None:
         if not 0 <= code_depth <= MAX_SUPPORTED_DEPTH:
             raise ValueError(f"code_depth must be in [0, {MAX_SUPPORTED_DEPTH}], got {code_depth}")
         codes = np.asarray(codes, dtype=np.uint64)
@@ -162,7 +148,7 @@ class Octree:
             sorted_codes = key
         self.code_depth = code_depth
         self.sorted_codes = sorted_codes
-        self.order = order if indices is None else np.asarray(indices)[order]
+        self.order = order
 
     def __len__(self) -> int:
         return len(self.sorted_codes)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import BoundingCube, PointCloud, RigidTransform
+from .geometry import PointCloud, RigidTransform
 from .neighbors import kdtree, query_workers
 
 logger = logging.getLogger(__name__)
@@ -438,19 +438,3 @@ def point_to_plane_distances(
     if degenerate.any():
         logger.info("%d of %d probe points hit degenerate local planes", degenerate.sum(), len(probe))
     return DistanceReport.from_distances(distances, degenerate)
-
-
-def summarize_unchanged_region(
-    cloud_a: PointCloud,
-    cloud_b: PointCloud,
-    region: BoundingCube,
-    k: int = 8,
-) -> DistanceReport:
-    """Point-to-plane distances restricted to `region`, cloud_a as probe."""
-    in_a = region.contains(cloud_a.xyz)
-    in_b = region.contains(cloud_b.xyz)
-    if not in_a.any() or not in_b.any():
-        raise ValueError("region does not intersect both clouds")
-    if in_b.sum() < k:
-        raise ValueError(f"only {in_b.sum()} cloud_b points in region, need >= k = {k}")
-    return point_to_plane_distances(cloud_a.select(in_a), cloud_b.select(in_b), k)

@@ -91,10 +91,6 @@ class BuildingSpec:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
 
-    @property
-    def envelope_volume(self) -> float:
-        return self.width * self.length * self.height
-
     @classmethod
     def from_dict(cls, data: dict) -> "BuildingSpec":
         data = dict(data)

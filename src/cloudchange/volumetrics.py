@@ -10,11 +10,12 @@ rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detection import ChangeSet
+from .geometry import PointCloud
 
 __all__ = [
     "GroundGrid",
@@ -58,17 +59,6 @@ class GroundGrid:
     def n_cells(self) -> int:
         return len(self.heights)
 
-    def to_dict(self) -> dict:
-        return {
-            "cell_size_m": self.cell_size,
-            "origin": [float(v) for v in self.origin],
-            "n_cells": self.n_cells,
-            "n_fallback_cells": int(np.sum(self.fallback)),
-            "cells": [[int(i), int(j)] for i, j in self.cells],
-            "heights_m": [float(h) for h in self.heights],
-            "fallback": [bool(f) for f in self.fallback],
-        }
-
 
 def _top_bottom_per_cell(xy: np.ndarray, z: np.ndarray, origin: np.ndarray, s: float):
     """Map points to cells; (sorted cell keys, per-cell max z, per-cell min z)."""
@@ -84,8 +74,8 @@ def _top_bottom_per_cell(xy: np.ndarray, z: np.ndarray, origin: np.ndarray, s: f
 
 def build_ground_grid(
     changes: ChangeSet,
-    earlier,
-    later,
+    earlier: PointCloud,
+    later: PointCloud,
     cell_size: Optional[float] = None,
 ) -> GroundGrid:
     """Project the changed region onto the ground plane.
@@ -101,8 +91,7 @@ def build_ground_grid(
     s = changes.voxel_edge if cell_size is None else float(cell_size)
     if s <= 0:
         raise ValueError(f"cell size must be > 0, got {s}")
-    pts_e = earlier.xyz if hasattr(earlier, "xyz") else np.asarray(earlier, dtype=np.float64)
-    pts_l = later.xyz if hasattr(later, "xyz") else np.asarray(later, dtype=np.float64)
+    pts_e, pts_l = earlier.xyz, later.xyz
     if len(pts_e) != changes.reference_size or len(pts_l) != changes.other_size:
         raise ValueError(
             f"clouds of {len(pts_e)} and {len(pts_l)} points do not match the "
@@ -174,24 +163,23 @@ class VolumeReport:
         }
 
 
-def timeline_report(timestamps: Sequence, grids: Sequence) -> VolumeReport:
-    """Aggregate per-interval grids into a volume timeline.
+def timeline_report(timestamps: Sequence, volumes: Sequence[float]) -> VolumeReport:
+    """Aggregate per-interval volumes into a volume timeline.
 
     `timestamps` must be strictly increasing with one entry per epoch;
-    `grids` holds one GroundGrid (or a precomputed volume) per consecutive
-    epoch pair.
+    `volumes` holds one volume in cubic metres per consecutive epoch pair.
     """
     timestamps = tuple(timestamps)
     if len(timestamps) < 2:
         raise ValueError("timeline needs at least two epochs")
-    if len(grids) != len(timestamps) - 1:
+    if len(volumes) != len(timestamps) - 1:
         raise ValueError(
-            f"expected {len(timestamps) - 1} grids for {len(timestamps)} epochs, got {len(grids)}"
+            f"expected {len(timestamps) - 1} volumes for {len(timestamps)} epochs, got {len(volumes)}"
         )
     spans = [_day_span(a, b) for a, b in zip(timestamps, timestamps[1:])]
     if min(spans) <= 0:
         raise ValueError("timestamps must be strictly increasing")
-    volumes = [change_volume(g) if isinstance(g, GroundGrid) else float(g) for g in grids]
+    volumes = [float(v) for v in volumes]
     cumulative = np.cumsum(volumes)
     rates = [v / d for v, d in zip(volumes, spans)]
     return VolumeReport(

@@ -1,19 +1,23 @@
-"""Row-wise reference projection and the sparse Jacobian view of an
-adjustment problem: the oracles that the camera-grouped projection kernel
-and the normal-equation blocks are tested against.
+"""Row-wise reference projection, reprojection residuals and the sparse
+Jacobian view of an adjustment problem: the oracles that the camera-grouped
+projection kernel, the adjustment's residuals and the normal-equation blocks
+are tested against.
 
 `project_rows` evaluates the projection model one observation per row, with
-that row's own rotation matrix, centre and calibration. `linearize` and
-`prior_rows` build the sparse Jacobian of a `_Problem` from it, so dense
-J^T W J and J^T W r computed from them share no code with the library's
+that row's own rotation matrix, centre and calibration. `compute_residuals`
+reprojects observations through it, and `linearize` and `prior_rows` build
+the sparse Jacobian of a `_Problem` from it, so residuals and dense J^T W J
+and J^T W r computed from them share no code with the library's kernel or
 assembly.
 """
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial.transform import Rotation
+
+from cloudchange.cameras import ExteriorOrientation, ImageObservation, ObjectPoint, SelfCalibration
 
 _CAM_PARAMS = 6
 _CAL_PARAMS = 5
@@ -79,6 +83,45 @@ def project_rows(pts, rot, center, cal, jacobians: bool = False) -> tuple:
         d_cal[:, 0, 4] = f * u * r2 * r2
         d_cal[:, 1, 4] = f * v * r2 * r2
         return pixels, depth, d_point, d_pose, d_cal
+
+
+def compute_residuals(
+    observations: Sequence[ImageObservation],
+    cameras: Mapping[int, ExteriorOrientation],
+    calibrations: Mapping[int, SelfCalibration],
+    points: Mapping[int, Union[ObjectPoint, np.ndarray]],
+) -> Tuple[np.ndarray, float]:
+    """Reprojection residuals (measured - projected) and their RMS, one
+    `project_rows` row per observation.
+
+    Residuals come back flat, two entries (x, y) per observation in input
+    order; RMS is over all 2m entries, pixels. Raises on an unknown camera
+    or track, or a point at or behind its camera plane.
+    """
+    for obs in observations:
+        if obs.camera_id not in cameras:
+            raise ValueError(f"observation references unknown camera {obs.camera_id}")
+        if obs.track_id not in points:
+            raise ValueError(f"observation references unknown track {obs.track_id}")
+    if not observations:
+        return np.empty(0), 0.0
+
+    def position_of(track_id):
+        point = points[track_id]
+        return point.position if isinstance(point, ObjectPoint) else point
+
+    matrices = {cam_id: cameras[cam_id].matrix for cam_id in {obs.camera_id for obs in observations}}
+    pixels, depth = project_rows(
+        np.array([position_of(obs.track_id) for obs in observations], dtype=np.float64),
+        np.array([matrices[obs.camera_id] for obs in observations]),
+        np.array([cameras[obs.camera_id].center for obs in observations]),
+        np.array([calibrations[obs.camera_id].as_array() for obs in observations]),
+    )
+    if (depth <= 0).any():
+        raise ValueError("points at or behind the camera plane")
+    measured = np.array([(obs.x, obs.y) for obs in observations])
+    flat = (measured - pixels).ravel()
+    return flat, float(np.sqrt((flat**2).mean()))
 
 
 @dataclass

@@ -23,11 +23,10 @@ from cloudchange.cameras import (
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
-    compute_residuals,
     project_points,
 )
 from cloudchange.synth import PoseScenarioConfig, generate_pose_scenario
-from projection_reference import LinearizedSystem, linearize, prior_rows
+from projection_reference import LinearizedSystem, compute_residuals, linearize, prior_rows
 
 
 def rotation_gap(a: ExteriorOrientation, b: ExteriorOrientation) -> float:

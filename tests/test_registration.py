@@ -4,14 +4,13 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from cloudchange import registration
-from cloudchange.geometry import BoundingCube, PointCloud
+from cloudchange.geometry import PointCloud
 from cloudchange.neighbors import kdtree
 from cloudchange.registration import (
     DistanceReport,
     IcpParams,
     icp_align,
     point_to_plane_distances,
-    summarize_unchanged_region,
 )
 from scenes import hollow_box, jittered_patch, EX, EY
 
@@ -374,6 +373,14 @@ class TestPointToPlane:
         assert report.mean == pytest.approx(report.distances.mean(), rel=1e-12)
         assert report.std == pytest.approx(report.distances.std(), rel=1e-12)
 
+    def test_noisy_probe_mean_near_sigma(self):
+        rng = np.random.default_rng(72)
+        sigma = 0.02
+        flat = jittered_patch(rng, (0, 0, 0), EX, EY, 12.0, 12.0, 150.0)
+        noisy = flat + rng.normal(0.0, sigma, flat.shape)
+        report = point_to_plane_distances(PointCloud(noisy), PointCloud(flat), k=8)
+        assert 0.5 * sigma <= report.mean <= 2 * sigma
+
     def test_collinear_neighbours_fall_back_flagged(self):
         line = np.zeros((30, 3))
         line[:, 0] = np.linspace(0.0, 3.0, 30)
@@ -400,36 +407,3 @@ class TestPointToPlane:
         assert payload["count"] == 100
         assert sum(payload["histogram_counts"]) == 100
         assert len(payload["histogram_edges_m"]) == 11
-
-
-class TestSummarizeUnchangedRegion:
-    def test_identical_clouds_zero_mean(self):
-        rng = np.random.default_rng(70)
-        cloud = PointCloud(hollow_box(rng, w=8.0, l=6.0, h=4.0, density=60.0))
-        region = BoundingCube(np.array([1.0, 1.0, -1.0]), 4.0)
-        report = summarize_unchanged_region(cloud, cloud, region)
-        assert report.mean < 1e-9
-
-    def test_vertical_shift_measured(self):
-        rng = np.random.default_rng(71)
-        flat = jittered_patch(rng, (0, 0, 0), EX, EY, 12.0, 12.0, 150.0)
-        lifted = flat + [0.0, 0.0, 0.03]
-        region = BoundingCube(np.array([2.0, 2.0, -2.0]), 5.0)
-        report = summarize_unchanged_region(PointCloud(lifted), PointCloud(flat), region)
-        assert report.mean == pytest.approx(0.03, abs=1e-6)
-
-    def test_noisy_pair_mean_near_sigma(self):
-        rng = np.random.default_rng(72)
-        sigma = 0.02
-        flat = jittered_patch(rng, (0, 0, 0), EX, EY, 12.0, 12.0, 150.0)
-        noisy = flat + rng.normal(0.0, sigma, flat.shape)
-        region = BoundingCube(np.array([2.0, 2.0, -2.0]), 5.0)
-        report = summarize_unchanged_region(PointCloud(noisy), PointCloud(flat), region)
-        assert 0.5 * sigma <= report.mean <= 2 * sigma
-
-    def test_disjoint_region_rejected(self):
-        rng = np.random.default_rng(73)
-        cloud = PointCloud(rng.uniform(0.0, 1.0, (100, 3)))
-        region = BoundingCube(np.array([50.0, 50.0, 50.0]), 1.0)
-        with pytest.raises(ValueError, match="region"):
-            summarize_unchanged_region(cloud, cloud, region)

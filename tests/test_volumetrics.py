@@ -20,6 +20,7 @@ from cloudchange.volumetrics import (
     change_volume,
     timeline_report,
 )
+from detection_reference import contains
 
 CELL = 0.5
 
@@ -62,13 +63,6 @@ class TestGroundGridArithmetic:
             self._grid(heights=(-1.0,))
         with pytest.raises(ValueError, match="align"):
             GroundGrid(1.0, np.zeros(2), np.zeros((2, 2)), np.zeros(1), np.zeros(1, bool))
-
-    def test_to_dict_layout(self):
-        payload = self._grid(cell_size=2.0, heights=(3.0, 1.0), fallback=[True, False]).to_dict()
-        assert payload["cell_size_m"] == 2.0
-        assert payload["n_cells"] == 2
-        assert payload["n_fallback_cells"] == 1
-        assert payload["heights_m"] == [3.0, 1.0]
 
 
 class TestBuildGroundGrid:
@@ -166,8 +160,8 @@ class TestBuildGroundGrid:
 
 
 def contains_ground_grid(changes, earlier, later, cell_size):
-    """Reference grid: members re-found with ChangeSet.contains, reduced per
-    cell with a dict and a loop over cells."""
+    """Reference grid: members re-found with `contains`, reduced per cell
+    with a dict and a loop over cells."""
     stride = 1 << 32
 
     def top_bottom(pts, origin):
@@ -178,8 +172,8 @@ def contains_ground_grid(changes, earlier, later, cell_size):
             cells[key] = (max(top, z), min(bottom, z))
         return cells
 
-    in_e = earlier.xyz[changes.contains(earlier.xyz)]
-    in_l = later.xyz[changes.contains(later.xyz)]
+    in_e = earlier.xyz[contains(changes, earlier.xyz)]
+    in_l = later.xyz[contains(changes, later.xyz)]
     if len(in_e) == 0 and len(in_l) == 0:
         return np.zeros(2), np.zeros((0, 2), dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool)
     corner = changes.cube.min_corner[:2]
@@ -223,7 +217,7 @@ GRID_SCENES = {
 
 class TestGroundGridMembers:
     """build_ground_grid reads the ChangeSet's members; the grid must equal
-    the one built from points re-found with ChangeSet.contains, bit for bit."""
+    the one built from points re-found with `contains`, bit for bit."""
 
     @pytest.mark.parametrize("scene", sorted(GRID_SCENES))
     def test_matches_contains_reference(self, scene):
@@ -279,13 +273,13 @@ class TestTimeline:
             heights=np.array([7.0]),
             fallback=np.array([False]),
         )
-        report = timeline_report([0.0, 1.0, 2.0], [grid, 3.0])
+        report = timeline_report([0.0, 1.0, 2.0], [change_volume(grid), 3.0])
         assert report.interval_volumes == (7.0, 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two epochs"):
             timeline_report([0.0], [])
-        with pytest.raises(ValueError, match="expected 2 grids"):
+        with pytest.raises(ValueError, match="expected 2 volumes"):
             timeline_report([0.0, 1.0, 2.0], [5.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             timeline_report([0.0, 0.0], [5.0])
