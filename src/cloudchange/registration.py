@@ -4,20 +4,24 @@ icp_align removes small systematic offsets between epochs with point-to-point
 ICP (closed-form SVD step, distance rejection plus trimming). Its
 correspondences come from a per-call cache (_NeighbourCache) in the spirit of
 Nuechter, Lingemann & Hertzberg's cached k-d tree search, but exact: each
-source point keeps the position of its last query (its anchor) and its K
-nearest targets there, and the cached nearest target is reused only while
-the triangle inequality proves it is still the nearest, so the results equal
-a fresh kd-tree query bit for bit. Only the points that fail the proof are
-re-queried. When most points fail it (large motion in the first iterations
-of a wide-pose recovery), one plain query of every point is cheaper; a small
-anchored sample of the points then tells when the motion has slowed enough
-to rebuild the cache.
+source point keeps an anchor, K candidate targets with their distances from
+it, and a lower bound on the distance from it to every other target. The
+cached nearest target is reused only while the triangle inequality proves it
+is still the nearest, so the results equal a fresh kd-tree query bit for
+bit. A point proved from its recomputed candidates is re-anchored where it
+now is, so the cheap proof keeps passing as the motion accumulates; only
+the points that fail the proof are re-queried. When most points fail it
+(large motion in the first iterations of a wide-pose recovery), one plain
+query of every point is cheaper; a small anchored sample of the points then
+tells when the motion has slowed enough to rebuild the cache.
 point_to_plane_distances measures residual accuracy of a probe cloud against
 locally fitted planes of a reference cloud.
 """
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -49,12 +53,20 @@ class IcpParams:
     trim_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.convergence_threshold > 0:
-            raise ValueError("convergence_threshold must be > 0")
-        if not self.rejection_distance > 0:
-            raise ValueError("rejection_distance must be > 0")
+        # An infinite threshold "converges" after one step and an infinite
+        # distance rejects nothing; a fractional cap is no iteration count.
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise ValueError(
+                f"max_iterations must be a finite integer >= 1, got {self.max_iterations!r}"
+            )
+        if not (math.isfinite(self.convergence_threshold) and self.convergence_threshold > 0):
+            raise ValueError(
+                f"convergence_threshold must be finite and > 0, got {self.convergence_threshold}"
+            )
+        if not (math.isfinite(self.rejection_distance) and self.rejection_distance > 0):
+            raise ValueError(
+                f"rejection_distance must be finite and > 0, got {self.rejection_distance}"
+            )
         if not 0 <= self.trim_fraction < 1:
             raise ValueError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
 
@@ -178,23 +190,27 @@ class _NeighbourCache:
     """Exact nearest target of every moved source point, re-querying only
     the points whose nearest neighbour may have changed since their anchor.
 
-    Each source point holds its anchor a (where it was last queried) and
-    the K nearest targets there, at distances d1 <= ... <= dK. At a new
-    position p with delta = |p - a|, every target outside the cached K is at
-    least dK - delta from p, so the cached nearest target stays the unique
+    Each source point holds its anchor a, K candidate targets at distances
+    d1 <= ... <= dK from a (the K nearest after a K-query), and a lower
+    bound `outer` on the distance from a to every target outside those K
+    (dK after a K-query). At a new position p with delta = |p - a|, every
+    other cached target is at least d2 - delta from p and every uncached one
+    at least outer - delta, so the cached nearest target stays the unique
     nearest when either test holds:
       - tier 1: the cached nearest, recomputed at p, is nearer than
-        d2 - delta, the least distance any other target can have; this
-        holds whenever d1 + 2 delta < d2, and costs the one distance the
-        answer needs anyway;
+        min(d2, outer) - delta; this costs the one distance the answer
+        needs anyway;
       - tier 2: the best cached candidate, recomputed at p, is unique among
-        the candidates and nearer than dK - delta.
-    Every other point is re-queried with k = K and re-anchored. A point
-    whose two nearest targets tie is answered by a plain query, since
-    cKDTree's k=1 and k=K searches may break the tie differently. A
-    certified point's distance is recomputed at p by _distances, which
-    equals the kd-tree's own, so rejection, trimming and the RMS see the
-    same values.
+        the candidates and nearer than outer - delta.
+    A point certified by tier 2 is re-anchored at p, keeping the K candidate
+    distances just computed there (sorted) and outer - delta as its new
+    bound, so its delta restarts from zero instead of growing with the
+    accumulated motion. Every other uncertified point is re-queried with
+    k = K and re-anchored. A point whose two nearest targets tie is
+    answered by a plain query, since cKDTree's k=1 and k=K searches may
+    break the tie differently. A certified point's distance is recomputed
+    at p by _distances, which equals the kd-tree's own, so rejection,
+    trimming and the RMS see the same values.
 
     Every iteration first certifies a sample (every _SAMPLE_STRIDE-th
     point). When more than _FALLBACK_SHARE of it fails, so would most
@@ -205,8 +221,8 @@ class _NeighbourCache:
     passes. A one-point target has no second neighbour to certify against
     and is always queried plainly.
 
-    State: 72 bytes per source point (anchor, K int32 indices and K
-    distances).
+    State: 80 bytes per source point (anchor, K int32 indices, K distances
+    and outer).
     """
 
     def __init__(self, tree, target_pts: np.ndarray, n_source: int, workers: int) -> None:
@@ -218,9 +234,11 @@ class _NeighbourCache:
         small = len(target_pts) <= np.iinfo(np.int32).max
         self.idx = np.empty((n_source, self.k), dtype=np.int32 if small else np.intp)
         self.dist = np.empty((n_source, self.k))
+        self.outer = np.empty(n_source)
         self.sample = np.arange(0, n_source, _SAMPLE_STRIDE)
-        # "empty" before the first query; "valid" while every anchor holds a
-        # K-query; "dropped" after a fallback, while only the sample's do.
+        # "empty" before the first query; "valid" while every point is
+        # certified against its anchor; "dropped" after a fallback, while
+        # only the sample is.
         self.state = "empty"
 
     def _plain(self, moved: np.ndarray):
@@ -234,6 +252,7 @@ class _NeighbourCache:
         self.anchor[rows] = pts
         self.dist[rows] = dist_k
         self.idx[rows] = idx_k
+        self.outer[rows] = dist_k[:, -1]
         dist, idx = dist_k[:, 0].copy(), idx_k[:, 0].copy()
         tied = np.flatnonzero(dist >= dist_k[:, 1] * (1.0 - _CERT_SLOP))
         if len(tied):
@@ -242,34 +261,43 @@ class _NeighbourCache:
 
     def _certify(self, moved: np.ndarray, rows):
         """(dist, idx, ok) of the points at `rows`: the nearest target and its
-        distance where the cache proves it (`ok`), unset elsewhere."""
+        distance where the cache proves it (`ok`), unset elsewhere. Points
+        certified by tier 2 are re-anchored."""
         pts = moved[rows]
         delta = _distances(pts, self.anchor[rows])
         cached_dist, cached_idx = self.dist[rows], self.idx[rows]
+        outer = self.outer[rows]
         idx = cached_idx[:, 0].astype(np.intp)
         dist = _distances(pts, self.target_pts[idx])
-        # Tier 1: every other target was at least d2 from the anchor.
-        ok = dist < (cached_dist[:, 1] - delta) * (1.0 - _CERT_SLOP)
+        # Tier 1: every other target was at least min(d2, outer) from the
+        # anchor.
+        ok = dist < (np.minimum(cached_dist[:, 1], outer) - delta) * (1.0 - _CERT_SLOP)
 
-        # Tier 2: the best candidate at p beats the others and dK - delta,
+        # Tier 2: the best candidate at p beats the others and outer - delta,
         # the least distance any target outside the cached K can have.
         sel = np.flatnonzero(~ok)
         cand = cached_idx[sel]
         near = pts[sel]
-        best = np.zeros(len(sel), dtype=np.intp)
-        best_dist = dist[sel]
-        runner_up = cached_dist[sel, -1] - delta[sel]
+        cand_dist = np.empty((len(sel), self.k))
+        cand_dist[:, 0] = dist[sel]
         for j in range(1, self.k):
-            d_j = _distances(near, self.target_pts[cand[:, j]])
-            nearer = d_j < best_dist
-            runner_up = np.minimum(runner_up, np.where(nearer, best_dist, d_j))
-            best_dist = np.where(nearer, d_j, best_dist)
-            best[nearer] = j
-        tier2 = best_dist < runner_up * (1.0 - _CERT_SLOP)
+            cand_dist[:, j] = _distances(near, self.target_pts[cand[:, j]])
+        order = np.argsort(cand_dist, axis=1, kind="stable")
+        cand_dist = np.take_along_axis(cand_dist, order, axis=1)
+        bound = outer[sel] - delta[sel]
+        tier2 = cand_dist[:, 0] < np.minimum(cand_dist[:, 1], bound) * (1.0 - _CERT_SLOP)
+        cand_dist, bound = cand_dist[tier2], bound[tier2]
+        cand = np.take_along_axis(cand[tier2], order[tier2], axis=1)
         sel = sel[tier2]
-        idx[sel] = cand[tier2, best[tier2]]
-        dist[sel] = best_dist[tier2]
+        idx[sel] = cand[:, 0]
+        dist[sel] = cand_dist[:, 0]
         ok[sel] = True
+        # Re-anchor at p; `sel` indexes `rows`, not the source.
+        at = sel if isinstance(rows, slice) else rows[sel]
+        self.anchor[at] = near[tier2]
+        self.dist[at] = cand_dist
+        self.idx[at] = cand
+        self.outer[at] = bound
         return dist, idx, ok
 
     def _drop(self, moved: np.ndarray):
@@ -314,7 +342,8 @@ def _trim(dist: np.ndarray, keep: np.ndarray, n_keep: int) -> np.ndarray:
 def _correspondences(moved, target_pts, cache, params):
     """Matched pairs under the current transform, after rejection and trim.
 
-    Returns (source row indices, target indices, RMS over the kept pairs).
+    Returns (source row indices, their matched target points, RMS over the
+    kept pairs).
     """
     dist, idx = cache.query(moved)
     keep = np.flatnonzero(dist <= params.rejection_distance)
@@ -327,14 +356,20 @@ def _correspondences(moved, target_pts, cache, params):
             f"degenerate correspondence set: only {len(keep)} pairs within "
             f"rejection distance {params.rejection_distance} m"
         )
-    rms = _per_coordinate_rms(moved[keep] - target_pts[idx[keep]])
-    return keep, idx[keep], rms
+    matched = target_pts[idx[keep]]
+    return keep, matched, _per_coordinate_rms(moved[keep] - matched)
 
 
 def _svd_step(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Least-squares rigid fit mapping src onto dst (Kabsch)."""
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
+    """Least-squares rigid fit mapping src onto dst (Kabsch).
+
+    The centroids are einsum sums divided by n: bit for bit what
+    mean(axis=0) gives (TestSvdStep checks it), at about a quarter of its
+    cost.
+    """
+    n = len(src)
+    c_src = np.einsum("ij->j", src) / n
+    c_dst = np.einsum("ij->j", dst) / n
     h = (src - c_src).T @ (dst - c_dst)
     u, s, vt = np.linalg.svd(h)
     if s[1] <= 1e-9 * max(s[0], 1e-300):
@@ -375,7 +410,7 @@ def icp_align(
     converged = False
     for iteration in range(params.max_iterations + 1):
         moved = src @ rotation.T + translation
-        rows, idx, rms = _correspondences(moved, tgt, cache, params)
+        rows, matched, rms = _correspondences(moved, tgt, cache, params)
         history.append(rms)
         if best is None or rms < best[0]:
             best = (rms, rotation, translation, len(rows), iteration)
@@ -384,7 +419,7 @@ def icp_align(
             break
         if iteration == params.max_iterations:
             break
-        rotation, translation = _svd_step(src[rows], tgt[idx])
+        rotation, translation = _svd_step(src[rows], matched)
         iterations += 1
 
     rms, rotation, translation, n_pairs, _ = best

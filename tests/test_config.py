@@ -132,10 +132,15 @@ class TestStrictness:
         ("detection: {thresholds: .nan}", "detection: thresholds"),
         ("detection: {thresholds: .inf}", "detection: thresholds"),
         ("detection: {start_depth: 6, max_depth: 7, thresholds: [1.0, .nan]}", "detection: thresholds"),
+        ("icp: {convergence_threshold: .inf}", "icp: convergence_threshold"),
+        ("icp: {convergence_threshold: .nan}", "icp: convergence_threshold"),
+        ("icp: {rejection_distance: .inf}", "icp: rejection_distance"),
+        ("icp: {rejection_distance: .nan}", "icp: rejection_distance"),
     ])
     def test_non_finite_numbers_refused(self, text, key):
         # NaN compares False against every bound, so "> 0" alone lets it
-        # through; infinity is no cell size, radius or threshold either.
+        # through; infinity is no cell size, radius, threshold or ICP
+        # tolerance either.
         with pytest.raises(ValueError, match=rf"^{key}: must be finite|^{key} must be finite"):
             parse_config_text(MINIMAL + text + "\n")
 

@@ -43,6 +43,15 @@ class TestIcpParams:
             IcpParams(rejection_distance=-1.0)
         with pytest.raises(ValueError, match="trim_fraction"):
             IcpParams(trim_fraction=1.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="convergence_threshold must be finite"):
+                IcpParams(convergence_threshold=value)
+            with pytest.raises(ValueError, match="rejection_distance must be finite"):
+                IcpParams(rejection_distance=value)
+        for value in (2.5, 3.0, np.inf):
+            with pytest.raises(ValueError, match="max_iterations must be a finite integer"):
+                IcpParams(max_iterations=value)
+        assert IcpParams(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestIcpAlign:
@@ -222,6 +231,31 @@ CACHE_CASES = [
 ]
 
 
+def check_cache_state(cache):
+    """Assert what the cache keeps for every source point: its cached
+    distances are those from its anchor to its cached indices, ascending;
+    every other target is at least `outer` from the anchor; and its first
+    index is a nearest target to the anchor.
+
+    Every target is searched: of any K cached targets, the K + 1 nearest to
+    the anchor hold a nearest one outside them, so a fresh kd-tree query
+    with k = K + 1 finds the least distance to each set exactly (cKDTree's
+    distances equal the computed ones bit for bit, see below). A pass over
+    all ~17k x 17k pairs would cost seconds per query.
+    """
+    anchor = cache.anchor
+    idx = cache.idx.astype(np.intp)
+    cached = np.sqrt(((anchor[:, None, :] - cache.target_pts[idx]) ** 2).sum(axis=-1))
+    np.testing.assert_array_equal(cache.dist, cached)
+    assert (np.diff(cached, axis=1) >= 0).all()
+    fresh_dist, fresh_idx = cache.tree.query(anchor, k=cache.k + 1)
+    outside = (fresh_idx[:, :, None] != idx[:, None, :]).all(axis=2)
+    first_outside = np.argmax(outside, axis=1)
+    nearest_outside = fresh_dist[np.arange(len(anchor)), first_outside]
+    assert (nearest_outside >= cache.outer).all()
+    np.testing.assert_array_equal(cached[:, 0], fresh_dist[:, 0])
+
+
 class TestCorrespondenceCache:
     @pytest.mark.parametrize("name", CACHE_CASES)
     def test_matches_fresh_query_every_iteration(self, monkeypatch, name):
@@ -257,6 +291,26 @@ class TestCorrespondenceCache:
         if name.startswith("wide"):
             # Large motion first falls back to plain queries, then rebuilds.
             assert "dropped" in states and states[-1] == "valid"
+
+    @pytest.mark.parametrize("name", CACHE_CASES)
+    def test_cached_state_holds_after_every_query(self, monkeypatch, name):
+        # Checked against every target: the proofs of the next query rest
+        # on these facts about each anchor, re-anchored points included.
+        source, target, params = cache_case(name)
+        cached_query = registration._NeighbourCache.query
+        checks = []
+
+        def checked_query(cache, moved):
+            answer = cached_query(cache, moved)
+            # Every point is anchored at the first query; a point the cache
+            # drops keeps its last anchor, whose facts still hold.
+            check_cache_state(cache)
+            checks.append(cache.state)
+            return answer
+
+        monkeypatch.setattr(registration._NeighbourCache, "query", checked_query)
+        result = icp_align(PointCloud(source), PointCloud(target), params)
+        assert len(checks) == len(result.rms_history)
 
     def test_distances_match_kdtree_bit_for_bit(self):
         rng = np.random.default_rng(81)
@@ -333,9 +387,40 @@ class TestTrim:
         params = IcpParams(rejection_distance=1.0, trim_fraction=0.9)
         keep = np.flatnonzero(dist <= 1.0)
         n_keep = max(int(np.ceil(len(keep) * 0.1)), min(3, len(keep)))
-        rows, idx, _ = registration._correspondences(moved, moved, _FixedQuery(dist), params)
+        # Target point i is (i, i, i), so each matched point names its index.
+        target = np.repeat(np.arange(len(dist), dtype=np.float64)[:, None], 3, axis=1)
+        rows, matched, _ = registration._correspondences(moved, target, _FixedQuery(dist), params)
         np.testing.assert_array_equal(rows, argsort_trim(dist, keep, n_keep))
+        idx = matched[:, 0].astype(np.intp)
         np.testing.assert_array_equal(idx, rows)
+
+
+def mean_svd_step(src, dst):
+    """The Kabsch step with centroids from mean(axis=0): the reference that
+    _svd_step's einsum centroids must equal bit for bit."""
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    h = (src - c_src).T @ (dst - c_dst)
+    u, s, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return rotation, c_dst - rotation @ c_src
+
+
+class TestSvdStep:
+    @pytest.mark.parametrize("offset", [0.0, 5e5])
+    @pytest.mark.parametrize("n", [3, 4, 17, 1000, 27_001])
+    def test_matches_mean_reference_bit_for_bit(self, n, offset):
+        # 5e5 m is a map-grid easting: large centroids, small spread.
+        rng = np.random.default_rng(100 + n)
+        rot = Rotation.from_rotvec(rng.normal(size=3) * 0.1).as_matrix()
+        for _ in range(5):
+            src = rng.uniform(-20.0, 20.0, (n, 3)) + offset
+            dst = src @ rot.T + rng.normal(0.0, 0.5, 3) + rng.normal(0.0, 0.01, (n, 3))
+            got = registration._svd_step(src, dst)
+            want = mean_svd_step(src, dst)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestPointToPlane:
