@@ -265,23 +265,20 @@ class _NeighbourCache:
         certified by tier 2 are re-anchored."""
         pts = moved[rows]
         delta = _distances(pts, self.anchor[rows])
-        cached_dist, cached_idx = self.dist[rows], self.idx[rows]
+        cached_idx = self.idx[rows]
         outer = self.outer[rows]
         idx = cached_idx[:, 0].astype(np.intp)
         dist = _distances(pts, self.target_pts[idx])
         # Tier 1: every other target was at least min(d2, outer) from the
         # anchor.
-        ok = dist < (np.minimum(cached_dist[:, 1], outer) - delta) * (1.0 - _CERT_SLOP)
+        ok = dist < (np.minimum(self.dist[rows, 1], outer) - delta) * (1.0 - _CERT_SLOP)
 
         # Tier 2: the best candidate at p beats the others and outer - delta,
         # the least distance any target outside the cached K can have.
         sel = np.flatnonzero(~ok)
         cand = cached_idx[sel]
         near = pts[sel]
-        cand_dist = np.empty((len(sel), self.k))
-        cand_dist[:, 0] = dist[sel]
-        for j in range(1, self.k):
-            cand_dist[:, j] = _distances(near, self.target_pts[cand[:, j]])
+        cand_dist = _distances(near[:, None, :], self.target_pts[cand])
         order = np.argsort(cand_dist, axis=1, kind="stable")
         cand_dist = np.take_along_axis(cand_dist, order, axis=1)
         bound = outer[sel] - delta[sel]
