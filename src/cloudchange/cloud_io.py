@@ -142,11 +142,15 @@ def _parse_ply_header(path, handle):
     return is_binary, elements, handle.tell(), line_no
 
 
-def _cloud_from_columns(path, vertex: _PlyElement, columns: dict) -> PointCloud:
+def _require_xyz(path, names) -> None:
     for axis in ("x", "y", "z"):
-        if axis not in columns:
+        if axis not in names:
             _fail(path, "header", f"vertex element lacks required property '{axis}'")
-    xyz = np.column_stack([columns.pop("x"), columns.pop("y"), columns.pop("z")])
+
+
+def _cloud_from_columns(path, xyz: np.ndarray, columns: dict) -> PointCloud:
+    """Cloud from its (n, 3) float64 coordinates and the other vertex
+    properties, one column each by name."""
     if not np.isfinite(xyz).all():
         bad = int(np.flatnonzero(~np.isfinite(xyz).all(axis=1))[0])
         _fail(path, f"vertex {bad}", "non-finite coordinate")
@@ -202,7 +206,17 @@ def _load_ply(path, handle, declared_binary: Optional[bool]) -> PointCloud:
                 f"at offset {offset}, found {len(buf)}",
             )
         rows = np.frombuffer(buf, dtype=dtype)
-        columns = {p.name: np.ascontiguousarray(rows[p.name]) for p in vertex.properties}
+        _require_xyz(path, dtype.names)
+        # One strided copy per axis straight into the coordinate array; only
+        # the other properties become columns.
+        xyz = np.empty((vertex.count, 3))
+        for j, axis in enumerate("xyz"):
+            xyz[:, j] = rows[axis]
+        columns = {
+            p.name: np.ascontiguousarray(rows[p.name])
+            for p in vertex.properties
+            if p.name not in ("x", "y", "z")
+        }
     else:
         text = handle.read().decode("ascii", errors="replace").splitlines()
         row_at = 0
@@ -232,7 +246,9 @@ def _load_ply(path, handle, declared_binary: Optional[bool]) -> PointCloud:
         columns = {}
         for j, prop in enumerate(vertex.properties):
             columns[prop.name] = values[:, j].astype(_PLY_TO_NUMPY[prop.dtype])
-    return _cloud_from_columns(path, vertex, columns)
+        _require_xyz(path, columns)
+        xyz = np.column_stack([columns.pop("x"), columns.pop("y"), columns.pop("z")])
+    return _cloud_from_columns(path, xyz, columns)
 
 
 def _load_xyz(path, handle) -> PointCloud:

@@ -417,15 +417,20 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
     """Single-linkage clusters of `points`; drop clusters below `min_size`.
 
     Points within `radius` (inclusive) are connected. Returns (indices of
-    surviving points, cluster label per surviving point). Labels are
-    assigned by each cluster's lexicographically smallest coordinate, so the
-    result is invariant under input ordering. `tree`, a kd-tree already built
-    on exactly `points`, is queried instead of building a new one.
+    surviving points, cluster label per surviving point). Labels number the
+    surviving clusters in the lexicographic (x, y, z) order of each
+    cluster's smallest point, so the result is invariant under input
+    ordering. That point is found without sorting the whole set: each
+    cluster's least x comes from np.minimum.at, and only the points lying at
+    it are sorted. No two clusters share a smallest point, since equal
+    points are 0 <= radius apart and so in one cluster. `tree`, a kd-tree
+    already built on exactly `points`, is queried instead of building a new
+    one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(pts)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not np.isfinite(radius) or radius < 0:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     if n == 0:
@@ -442,14 +447,19 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
     kept = np.flatnonzero(keep)
     if not len(kept):
         return kept, np.empty(0, dtype=np.int64)
-    # Canonical labels: clusters ordered by their smallest point under
-    # lexicographic (x, y, z) comparison.
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))] = np.arange(n)
     cluster_ids = labels[kept]
-    first = np.full(len(sizes), n, dtype=np.int64)
-    np.minimum.at(first, cluster_ids, rank[kept])
-    # Dropped clusters keep first == n and sort last; ranks are distinct.
+    x = pts[kept, 0]
+    low = np.full(len(sizes), np.inf)
+    np.minimum.at(low, cluster_ids, x)
+    # Every point at its cluster's least x is a candidate (a NaN x, which
+    # never connects, is one too). Sorted, each cluster's first candidate is
+    # its smallest point.
+    cand = kept[~(x > low[cluster_ids])]
+    cand = cand[np.lexsort((pts[cand, 2], pts[cand, 1], pts[cand, 0]))]
+    first = np.full(len(sizes), len(cand), dtype=np.int64)
+    np.minimum.at(first, labels[cand], np.arange(len(cand)))
+    # Dropped clusters keep first == len(cand) and sort last; the others
+    # differ.
     order = np.empty(len(sizes), dtype=np.int64)
     order[np.argsort(first)] = np.arange(len(sizes))
     return kept, order[cluster_ids]

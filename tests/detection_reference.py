@@ -7,10 +7,15 @@ from them scores each cell on its own bounds, with no index. `contains`
 re-finds a change set's members by encoding points, where the library reads
 them off the survivors' spans. `cell_indices` quantises points to grid
 cells, the integer cells that `morton_codes` interleaves.
+`dense_component_filter` finds single-linkage clusters on a dense distance
+matrix and ranks them by one lexsort of every point, where the library uses
+a kd-tree and sorts only each cluster's least-x points.
 """
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from cloudchange.detection import ChangeSet
 from cloudchange.geometry import BoundingCube, PointCloud
@@ -99,3 +104,26 @@ def cell_indices(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarr
     idx = np.floor(scaled).astype(np.int64)
     np.clip(idx, 0, n_cells - 1, out=idx)
     return idx
+
+
+def dense_component_filter(points, radius: float, min_size: int):
+    """(kept indices, labels) as `component_filter` defines them, from an
+    (n, n) distance matrix: for small inputs only."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = len(pts)
+    near = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)) <= radius
+    _, components = connected_components(sparse.csr_matrix(near), directed=False)
+    sizes = np.bincount(components)
+    kept = np.flatnonzero(sizes[components] >= min_size)
+    if not len(kept):
+        return kept, np.empty(0, dtype=np.int64)
+    # Clusters ordered by the rank of their smallest kept point in one
+    # lexicographic (x, y, z) sort of every point.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))] = np.arange(n)
+    cluster_ids = components[kept]
+    first = np.full(len(sizes), n, dtype=np.int64)
+    np.minimum.at(first, cluster_ids, rank[kept])
+    order = np.empty(len(sizes), dtype=np.int64)
+    order[np.argsort(first)] = np.arange(len(sizes))
+    return kept, order[cluster_ids]

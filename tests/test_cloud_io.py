@@ -87,6 +87,51 @@ class TestRoundTrip:
         cloud = load_cloud(path)
         np.testing.assert_allclose(cloud.xyz, [[1.5, 2.5, 3.5]])
 
+    def test_binary_float32_coordinates_among_other_properties(self, tmp_path):
+        # Binary x, y and z are copied straight out of the rows; declared
+        # as float after other properties and apart, they load as the ASCII
+        # text of the same rows does.
+        rng = np.random.default_rng(4)
+        n = 41
+        props = [
+            ("intensity", "ushort", "<u2"), ("red", "uchar", "u1"), ("green", "uchar", "u1"),
+            ("blue", "uchar", "u1"), ("z", "float", "<f4"), ("x", "float", "<f4"),
+            ("range", "double", "<f8"), ("y", "float", "<f4"), ("epoch", "int", "<i4"),
+        ]
+        rows = np.empty(n, dtype=[(name, code) for name, _, code in props])
+        for name, ply_type, code in props:
+            if ply_type in ("float", "double"):
+                rows[name] = rng.uniform(-1e3, 1e3, n)
+            else:
+                rows[name] = rng.integers(0, 200, n)
+        header = "ply\nformat {} 1.0\nelement vertex %d\n" % n + "".join(
+            f"property {ply_type} {name}\n" for name, ply_type, _ in props
+        ) + "end_header\n"
+        binary = tmp_path / "b.ply"
+        binary.write_bytes(header.format("binary_little_endian").encode("ascii") + rows.tobytes())
+        ascii_path = tmp_path / "a.ply"
+        lines = [
+            " ".join(
+                f"{float(row[name]):.17g}" if ply_type in ("float", "double") else str(int(row[name]))
+                for name, ply_type, _ in props
+            )
+            for row in rows
+        ]
+        ascii_path.write_text(header.format("ascii") + "\n".join(lines) + "\n")
+        a = load_cloud(binary, "ply-binary-le")
+        b = load_cloud(ascii_path, "ply-ascii")
+        assert a.xyz.dtype == np.float64 and a.xyz.flags.c_contiguous
+        np.testing.assert_array_equal(a.xyz, b.xyz)
+        np.testing.assert_array_equal(
+            a.xyz, np.column_stack([rows["x"], rows["y"], rows["z"]]).astype(np.float64)
+        )
+        np.testing.assert_array_equal(a.colors, b.colors)
+        np.testing.assert_array_equal(a.epochs, b.epochs)
+        assert list(a.extras) == list(b.extras) == ["intensity", "range"]
+        for name in a.extras:
+            assert a.extras[name].dtype == b.extras[name].dtype
+            np.testing.assert_array_equal(a.extras[name], b.extras[name])
+
     def test_non_vertex_element_skipped(self, tmp_path):
         path = tmp_path / "face.ply"
         path.write_text(

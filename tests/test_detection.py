@@ -1,6 +1,7 @@
 """Tests for coarse-to-fine change detection."""
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cloudchange import detection
 from cloudchange.detection import (
@@ -13,7 +14,12 @@ from cloudchange.detection import (
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.neighbors import kdtree
 from cloudchange.octree import cell_bounds, decode_cell, morton_codes
-from detection_reference import contains, density_feature, feature_distance
+from detection_reference import (
+    contains,
+    dense_component_filter,
+    density_feature,
+    feature_distance,
+)
 from scenes import hollow_box, removal_scene
 
 
@@ -159,6 +165,21 @@ def brute_force_components(points, radius, min_size):
     return kept, np.array([order[roots[i]] for i in kept], dtype=np.int64)
 
 
+def lattice_clusters(rng):
+    """Tie-heavy input on the integer lattice (radius 1 links face
+    neighbours): random subsets of 3x3x3 blocks whose least x is 0 or 1, so
+    that many clusters share their least x and most hold several points at
+    it; a fifth of the points duplicated; shuffled."""
+    cells = np.argwhere(np.ones((3, 3, 3), dtype=bool))
+    blocks = []
+    for i in range(12):
+        origin = np.array([rng.integers(0, 2), 6 * (i % 4), 6 * (i // 4)])
+        blocks.append(origin + cells[rng.random(len(cells)) < 0.6])
+    pts = np.vstack(blocks).astype(np.float64)
+    pts = np.vstack([pts, pts[rng.random(len(pts)) < 0.2]])
+    return pts[rng.permutation(len(pts))]
+
+
 class TestComponentFilter:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -206,10 +227,56 @@ class TestComponentFilter:
         kept, labels = component_filter(np.empty((0, 3)), 1.0, 1)
         assert len(kept) == 0 and len(labels) == 0
 
+    def test_lattice_ties_match_oracles(self):
+        rng = np.random.default_rng(14)
+        for trial in range(6):
+            pts = lattice_clusters(rng)
+            _, labels = dense_component_filter(pts, 1.0, 1)
+            sizes = np.sort(np.bincount(labels))
+            # min_size 1, then exactly some clusters' sizes: those clusters
+            # are kept and any smaller one is dropped.
+            for min_size in (1, int(sizes[len(sizes) // 2]), int(sizes[-1])):
+                expected = dense_component_filter(pts, 1.0, min_size)
+                kept, labels = component_filter(pts, 1.0, min_size)
+                np.testing.assert_array_equal(kept, expected[0])
+                np.testing.assert_array_equal(labels, expected[1])
+                if trial < 2:
+                    kept_bf, labels_bf = brute_force_components(pts, 1.0, min_size)
+                    np.testing.assert_array_equal(kept, kept_bf)
+                    np.testing.assert_array_equal(labels, labels_bf)
+
+    def test_smallest_point_found_among_tied_least_x(self):
+        # Cluster A's first point at its least x is not its smallest point:
+        # (0, 0, 0) < B's (0, 1, 10) < A's (0, 2, 0).
+        pts = np.array(
+            [[0.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 0.0],
+             [0.0, 1.0, 10.0], [1.0, 1.0, 10.0], [0.0, 1.0, 10.0]]
+        )
+        kept, labels = component_filter(pts, 1.0, 1)
+        np.testing.assert_array_equal(kept, np.arange(7))
+        np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1, 1, 1])
+        expected = dense_component_filter(pts, 1.0, 1)
+        np.testing.assert_array_equal(labels, expected[1])
+
+    @pytest.mark.parametrize("case", ["lattice", "surface"])
+    def test_independent_of_tree_construction(self, case):
+        rng = np.random.default_rng(15)
+        if case == "lattice":
+            pts, radius, min_size = lattice_clusters(rng), 1.0, 3
+        else:
+            pts, radius, min_size = hollow_box(rng, w=4.0, l=3.0, h=2.0, density=100.0), 0.12, 5
+        kept, labels = component_filter(pts, radius, min_size, tree=kdtree(pts))
+        kept_median, labels_median = component_filter(pts, radius, min_size, tree=cKDTree(pts))
+        np.testing.assert_array_equal(kept, kept_median)
+        np.testing.assert_array_equal(labels, labels_median)
+
     def test_bad_args_rejected(self):
         pts = np.zeros((2, 3))
         with pytest.raises(ValueError, match="radius"):
             component_filter(pts, -0.5, 1)
+        for radius in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+                component_filter(pts, radius, 5)
         with pytest.raises(ValueError, match="min_size"):
             component_filter(pts, 1.0, 0)
 

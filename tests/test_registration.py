@@ -1,6 +1,7 @@
 """Tests for ICP alignment and point-to-plane accuracy measurement."""
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from cloudchange import registration
@@ -350,6 +351,34 @@ class TestWorkerCount:
             icp_align(cloud, cloud, threads=threads)
         with pytest.raises(ValueError, match="threads: must be >= 1"):
             point_to_plane_distances(cloud, cloud, threads=threads)
+
+
+class TestTreeConstruction:
+    def test_median_split_tree_gives_bit_identical_results(self, monkeypatch):
+        # kd-tree queries are exact whatever the split rule, and the cache
+        # answers ties with a plain query of the same tree.
+        source, target, params = cache_case("resurvey")
+        source, target = PointCloud(source), PointCloud(target)
+        ours = icp_align(source, target, params)
+        ours_dist = point_to_plane_distances(source, target)
+        built = []
+
+        def median_kdtree(cloud):
+            built.append(cKDTree(getattr(cloud, "xyz", cloud)))
+            return built[-1]
+
+        monkeypatch.setattr(registration, "kdtree", median_kdtree)
+        median = icp_align(source, target, params)
+        median_dist = point_to_plane_distances(source, target)
+        assert len(built) == 2
+        np.testing.assert_array_equal(ours.transform.rotation, median.transform.rotation)
+        np.testing.assert_array_equal(ours.transform.translation, median.transform.translation)
+        np.testing.assert_array_equal(ours.rms_history, median.rms_history)
+        assert (ours.rms, ours.iterations, ours.converged, ours.n_pairs) == (
+            median.rms, median.iterations, median.converged, median.n_pairs
+        )
+        np.testing.assert_array_equal(ours_dist.distances, median_dist.distances)
+        np.testing.assert_array_equal(ours_dist.degenerate, median_dist.degenerate)
 
 
 class _FixedQuery:
