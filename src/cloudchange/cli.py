@@ -53,20 +53,12 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("detection overrides")
     group.add_argument("--start-depth", type=int, help="octree depth where scoring begins")
     group.add_argument("--max-depth", type=int, help="finest octree depth")
-    group.add_argument("--subvoxels-per-axis", type=int, help="density feature resolution")
     group.add_argument(
         "--threshold",
         type=float,
         action="append",
         dest="thresholds",
         help="change threshold; repeat for one value per depth",
-    )
-    group.add_argument(
-        "--unnormalized",
-        action="store_false",
-        dest="normalized",
-        default=None,
-        help="use the raw squared-difference sum instead of the per-subvoxel mean",
     )
     group.add_argument("--component-radius", type=float, help="cluster filter radius, metres")
     group.add_argument("--component-min-size", type=int, help="minimum cluster size kept")

@@ -28,7 +28,7 @@ __all__ = [
     "serialize_config",
 ]
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 _REGISTRATION_MODES = ("none", "icp")
 
@@ -189,13 +189,6 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
-def _boolean(value) -> bool:
-    """A YAML boolean (true/false); no string or number stands for one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _string(value) -> str:
     """A YAML string as given; null or a number is no name or path."""
     if not isinstance(value, str):
@@ -225,7 +218,6 @@ def _optional(convert):
 _CONVERTERS = {
     int: _integer,
     float: _float,
-    bool: _boolean,
     str: _string,
     Optional[int]: _optional(_integer),
     Optional[float]: _optional(_float),

@@ -3,11 +3,12 @@
 A `Lattice` fixes the voxel lattice: the union bounding cube of every cloud
 it indexes, so no point of either epoch falls outside it, and one Morton
 index per cloud, built once however many intervals share the cloud. Each
-candidate cell is scored by the squared difference of sub-voxel point
-densities between the epochs; only cells above threshold are subdivided, so
-unchanged space is discarded at coarse scale and changed space is located at
-the finest scale. Every depth is scored in one batch: each cell's sub-voxel
-counts are binned from the points in its span of each index, and the
+candidate cell is scored by tau, the mean over its 8 octants of the squared
+difference of the two epochs' point densities, in (points/m^3)^2; only cells
+above threshold are subdivided, so unchanged space is discarded at coarse
+scale and changed space is located at the finest scale. Every depth is
+scored in one batch: each cell's octant counts are read off the code bits of
+the points in its span of each index, one level below the cell, and the
 changed points are the points in the final survivors' spans, so nothing is
 re-encoded or searched per cell. A connected-component pass then drops
 isolated flagged points.
@@ -28,7 +29,6 @@ from .neighbors import kdtree
 from .octree import (
     MAX_SUPPORTED_DEPTH,
     Octree,
-    cell_bounds,
     morton_codes,
     parent_cells,
     span_positions,
@@ -45,16 +45,16 @@ DEFAULT_THRESHOLD = 3.0e5
 class ChangeParams:
     """Knobs of hierarchical_detect.
 
+    A cell's score tau is the mean over its 8 octants of the squared
+    difference of the two epochs' point densities, in (points/m^3)^2.
+
     Attributes:
         start_depth: octree depth where scoring begins.
-        max_depth: finest depth; surviving cells at this depth form the
-            changed-voxel set.
-        subvoxels_per_axis: m of the density feature (2 aligns sub-voxels
-            with octree children).
+        max_depth: finest depth, at most MAX_SUPPORTED_DEPTH - 1 (the
+            octants of a finest cell are one code level below it);
+            surviving cells at this depth form the changed-voxel set.
         thresholds: scalar tau applied at every depth, or one value per
             depth from start_depth to max_depth.
-        normalized: divide the squared-difference sum by the sub-voxel
-            count (keeps tau comparable across m).
         component_radius: single-linkage radius of the component filter in
             metres; None picks max(1.5 * finest cell edge, 3 * median
             nearest-neighbour spacing of the flagged points).
@@ -63,20 +63,16 @@ class ChangeParams:
 
     start_depth: int = 7
     max_depth: int = 11
-    subvoxels_per_axis: int = 2
     thresholds: Union[float, Sequence[float]] = DEFAULT_THRESHOLD
-    normalized: bool = True
     component_radius: Optional[float] = None
     component_min_size: int = 50
 
     def __post_init__(self) -> None:
-        if not 1 <= self.start_depth <= self.max_depth <= MAX_SUPPORTED_DEPTH:
+        if not 1 <= self.start_depth <= self.max_depth <= MAX_SUPPORTED_DEPTH - 1:
             raise ValueError(
-                f"need 1 <= start_depth <= max_depth <= {MAX_SUPPORTED_DEPTH}, "
+                f"need 1 <= start_depth <= max_depth <= {MAX_SUPPORTED_DEPTH - 1}, "
                 f"got start={self.start_depth} max={self.max_depth}"
             )
-        if self.subvoxels_per_axis < 1:
-            raise ValueError(f"subvoxels_per_axis must be >= 1, got {self.subvoxels_per_axis}")
         taus = np.atleast_1d(np.asarray(self.thresholds, dtype=np.float64))
         if not (np.isfinite(taus) & (taus > 0)).all():
             raise ValueError(f"thresholds must be finite and > 0, got {self.thresholds}")
@@ -228,25 +224,15 @@ def _scatter_rows(spans: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _subvoxel_counts(
-    index: Octree, xyz: np.ndarray, cells: np.ndarray, spans: np.ndarray, depth: int,
-    cube: BoundingCube, m: int,
-) -> np.ndarray:
-    """(len(cells), m**3) sub-voxel point counts of each cell at `depth`,
-    binned from the points inside the cell's span of the index."""
+def _subvoxel_counts(index: Octree, spans: np.ndarray, depth: int) -> np.ndarray:
+    """(len(spans), 8) octant point counts of each cell at `depth`, read off
+    the code bits one level below it of the points inside the cell's span
+    of the index."""
     rows, pos = span_positions(spans)
-    levels = int(m).bit_length() - 1
-    if m == (1 << levels) and depth + levels <= index.code_depth:
-        # Sub-voxels are the descendants `levels` below: read the code bits.
-        shift = np.uint64(3 * (index.code_depth - depth - levels))
-        sub = ((index.sorted_codes[pos] >> shift) & np.uint64(8 ** levels - 1)).astype(np.int64)
-    else:
-        corners, edge = cell_bounds(cube, cells, depth)
-        idx = np.floor((xyz[index.order[pos]] - corners[rows]) / (edge / m)).astype(np.int64)
-        np.clip(idx, 0, m - 1, out=idx)
-        sub = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
-    counts = np.bincount(rows * m ** 3 + sub, minlength=len(cells) * m ** 3)
-    return counts.reshape(len(cells), m ** 3)
+    shift = np.uint64(3 * (index.code_depth - depth - 1))
+    octant = ((index.sorted_codes[pos] >> shift) & np.uint64(7)).astype(np.int64)
+    counts = np.bincount(rows * 8 + octant, minlength=len(spans) * 8)
+    return counts.reshape(len(spans), 8)
 
 
 def _entered(cells: np.ndarray, occupied_ref: np.ndarray, passed: np.ndarray) -> np.ndarray:
@@ -281,7 +267,9 @@ def hierarchical_detect(
     lattice shared by consecutive intervals encodes each cloud once. Scoring
     starts at params.start_depth on the reference octree's cells
     (reference-empty leaves are scored once at their own bounds) and
-    descends only into cells whose score reaches the depth's threshold.
+    descends only into cells whose score reaches the depth's threshold. A
+    cell's score is tau, the mean over its 8 octants of the squared
+    difference of the two epochs' point densities, in (points/m^3)^2.
 
     The start_depth cells of each index are read in one pass, as the runs of
     equal code prefixes with their [lo, hi) spans (`Octree.cells`), and the
@@ -295,9 +283,9 @@ def hierarchical_detect(
     next frontier is read off the codes inside the spans of the cells that
     descend (`Octree.children`), so no depth searches the index. Cells
     empty in both epochs score exactly 0, below every threshold, so they
-    never enter the frontier. The sub-voxel counts of the scored cells are
-    binned from the points in their spans, and the changed points are the
-    points in the final survivors' spans.
+    never enter the frontier. The octant counts of the scored cells are read
+    off the code bits one level below them of the points in their spans, and
+    the changed points are the points in the final survivors' spans.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -305,23 +293,21 @@ def hierarchical_detect(
     if lattice is None:
         lattice = Lattice((reference, other))
     cube = lattice.cube
-    m = params.subvoxels_per_axis
-    levels = max(int(m).bit_length() - 1, 1)
-    code_depth = min(params.max_depth + levels, MAX_SUPPORTED_DEPTH)
+    # One code level below max_depth holds the finest cells' octants.
+    code_depth = params.max_depth + 1
     ref = lattice.index(reference, code_depth)
     oth = lattice.index(other, code_depth)
 
-    def passed(cells, spans_ref, spans_oth, depth):
+    def passed(spans_ref, spans_oth, depth):
         """Rows of the cells at `depth` whose score reaches the threshold."""
         # In place where the arithmetic allows: at start_depth the counts
         # hold every occupied cell, and their temporaries set peak memory.
-        diff = _subvoxel_counts(oth, other.xyz, cells, spans_oth, depth, cube, m)
-        diff -= _subvoxel_counts(ref, reference.xyz, cells, spans_ref, depth, cube, m)
+        diff = _subvoxel_counts(oth, spans_oth, depth)
+        diff -= _subvoxel_counts(ref, spans_ref, depth)
         diff = diff.astype(np.float64)
-        diff /= (cube.edge / float(1 << depth) / m) ** 3
+        diff /= (cube.edge / float(1 << depth) / 2) ** 3
         score = np.square(diff, out=diff).sum(axis=1)
-        if params.normalized:
-            score /= m ** 3
+        score /= 8
         return np.flatnonzero(score >= params.threshold_at(depth))
 
     # Each epoch's occupied cells at depth start - k, for k = 0..start: the
@@ -342,7 +328,7 @@ def hierarchical_detect(
             & ~_isin_sorted(cells, coarse_ref[start - depth][0])
         )
         cells, spans = cells[rows], spans[rows]
-        survivors = cells[passed(cells, np.zeros_like(spans), spans, depth)]
+        survivors = cells[passed(np.zeros_like(spans), spans, depth)]
         scored.append(len(cells))
         kept.append(len(survivors))
     # From start_depth on, every frontier cell is scored and only survivors'
@@ -354,7 +340,7 @@ def hierarchical_detect(
     for depth in range(start, params.max_depth + 1):
         if depth > start:
             cells, spans_ref, spans_oth = _child_frontier(ref, oth, spans_ref, spans_oth, depth - 1)
-        rows = passed(cells, spans_ref, spans_oth, depth)
+        rows = passed(spans_ref, spans_oth, depth)
         scored.append(len(cells))
         kept.append(len(rows))
         cells, spans_ref, spans_oth = cells[rows], spans_ref[rows], spans_oth[rows]

@@ -564,8 +564,9 @@ def _camera_positions(config: PoseScenarioConfig, n: int, phase: float) -> List[
 def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
     """Build a two-epoch camera network with observations and truth.
 
-    Deterministic per config (including its seed). Raises when the geometry
-    leaves some object point observed by fewer than two cameras.
+    Deterministic per config (including its seed). Every camera observes
+    every object point; raises ValueError naming the camera when
+    `project_points` finds a point at or behind its image plane.
     """
     rng = np.random.default_rng(config.seed)
     ex, ey, ez = config.point_extent
@@ -657,9 +658,6 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
         for t, p in points_truth.items()
     }
 
-    n_cameras = config.n_fixed_cameras + config.n_new_cameras
-    if n_cameras < 2:
-        raise ValueError("scenario leaves object points observed by fewer than two cameras")
     return PoseScenario(
         fixed=fixed,
         new_truth=new_truth,

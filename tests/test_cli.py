@@ -84,7 +84,7 @@ class TestRun:
         out, _ = pipeline_run
         report = json.loads((out / "report.json").read_text())
         manifest = json.loads((out / "manifest.json").read_text())
-        assert report["report_version"] == 2
+        assert report["report_version"] == 3
         assert len(report["intervals"]) == 2
         assert manifest["status"] == "ok"
         assert manifest["timings_s"]
@@ -194,12 +194,10 @@ class TestDetectionOverrides:
         overrides = [
             "--start-depth", "5",
             "--max-depth", "8",
-            "--subvoxels-per-axis", "3",
             "--threshold", "1e4",
             "--threshold", "2e4",
             "--threshold", "3e4",
             "--threshold", "4e4",
-            "--unnormalized",
             "--component-radius", "0.3",
             "--component-min-size", "7",
         ]
@@ -209,9 +207,7 @@ class TestDetectionOverrides:
         expected = ChangeParams(
             start_depth=5,
             max_depth=8,
-            subvoxels_per_axis=3,
             thresholds=(1e4, 2e4, 3e4, 4e4),
-            normalized=False,
             component_radius=0.3,
             component_min_size=7,
         )

@@ -84,6 +84,11 @@ class TestStrictness:
             parse_config_text(MINIMAL + "detection: {max_depht: 9}\n")
         with pytest.raises(ValueError, match="unknown config key: icp.iterations"):
             parse_config_text(MINIMAL + "icp: {iterations: 3}\n")
+        # Keys removed from the schema, as configs written before
+        # report_version 3 carry them, fail the same way.
+        for key, value in (("subvoxels_per_axis", "2"), ("normalized", "true")):
+            with pytest.raises(ValueError, match=f"unknown config key: detection.{key}"):
+                parse_config_text(MINIMAL + f"detection: {{{key}: {value}}}\n")
 
     def test_unknown_epoch_key(self):
         with pytest.raises(ValueError, match=r"unknown config key: epochs\[1\].when"):
@@ -102,7 +107,7 @@ class TestStrictness:
             parse_config_text(MINIMAL + "detection: {max_depth: deep}\n")
 
     @pytest.mark.parametrize("text,key", [
-        ('detection: {normalized: "false"}', "detection.normalized"),
+        ('detection: {component_min_size: "7"}', "detection.component_min_size"),
         ("detection: {max_depth: 8.9}", "detection.max_depth"),
         ("icp: {max_iterations: 12.5}", "icp.max_iterations"),
         ("threads: 2.7", "threads"),
@@ -116,9 +121,9 @@ class TestStrictness:
         ("epochs:\n  - {path: a.ply, timestamp: 0}\n  - {path: 2, timestamp: 1}", r"epochs\[1\]\.path"),
     ])
     def test_scalars_not_coerced(self, text, key):
-        # A string is no boolean, a fraction no integer, a boolean no number
-        # and null or a number no path: each is refused under its dotted
-        # key, never rounded, read as truthy or turned into "None".
+        # A string or a fraction is no integer, a boolean no number and null
+        # or a number no path: each is refused under its dotted key, never
+        # rounded, read as truthy or turned into "None".
         document = text if text.startswith("epochs:") else MINIMAL + text
         with pytest.raises(ValueError, match=rf"^{key}: expected"):
             parse_config_text(document + "\n")
@@ -226,14 +231,12 @@ class TestSerialization:
                 detection:
                   start_depth: 5
                   max_depth: 8
-                  subvoxels_per_axis: 3
                   thresholds: [10.0, 20.0, 30.0, 40.0]
-                  normalized: false
                   component_radius: 0.4
                   component_min_size: 7
                 grid_size: 0.25
                 output_dir: elsewhere
-                report_version: 3
+                report_version: 4
                 seed: 5
                 threads: 3
                 """

@@ -108,8 +108,10 @@ class TestChangeParams:
             ChangeParams(start_depth=8, max_depth=7)
 
     def test_excessive_depth_rejected(self):
-        with pytest.raises(ValueError, match="max_depth"):
-            ChangeParams(max_depth=22)
+        # The octants of a depth-20 cell use the last 3 of the 63 code bits.
+        for max_depth in (21, 22):
+            with pytest.raises(ValueError, match="max_depth <= 20"):
+                ChangeParams(max_depth=max_depth)
 
     def test_threshold_count_rejected(self):
         with pytest.raises(ValueError, match="thresholds"):
@@ -412,22 +414,7 @@ class TestHierarchicalDetect:
                     assert codes <= previous
                 previous = codes
 
-    def test_pure_sum_equivalent_to_scaled_threshold(self):
-        rng = np.random.default_rng(28)
-        ref, oth, _ = removal_scene(rng, density=400.0)
-        normalized = ChangeParams(
-            start_depth=5, max_depth=8, thresholds=2e4, component_min_size=1
-        )
-        pure = ChangeParams(
-            start_depth=5, max_depth=8, thresholds=2e4 * 8, normalized=False,
-            component_min_size=1,
-        )
-        a = hierarchical_detect(ref, oth, normalized)
-        b = hierarchical_detect(ref, oth, pure)
-        np.testing.assert_array_equal(a.voxel_codes, b.voxel_codes)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_matches_per_cell_scoring(self, m):
+    def test_matches_per_cell_scoring(self):
         # With a reference occupying every cell, the walk degenerates to
         # scoring all cells at max_depth, so the survivor set must equal
         # direct per-cell feature comparison.
@@ -438,8 +425,7 @@ class TestHierarchicalDetect:
         ref, oth = PointCloud(ref_pts), PointCloud(oth_pts)
         depth, tau = 2, 50.0
         params = ChangeParams(
-            start_depth=depth, max_depth=depth, subvoxels_per_axis=m,
-            thresholds=tau, component_min_size=1,
+            start_depth=depth, max_depth=depth, thresholds=tau, component_min_size=1
         )
         result = hierarchical_detect(ref, oth, params)
         cube = bounding_cube(ref)
@@ -448,7 +434,7 @@ class TestHierarchicalDetect:
             corners, edge = cell_bounds(cube, np.array([code], dtype=np.uint64), depth)
             cell = BoundingCube(corners[0], edge)
             score = feature_distance(
-                density_feature(cell, ref, m), density_feature(cell, oth, m)
+                density_feature(cell, ref, 2), density_feature(cell, oth, 2)
             )
             if score >= tau:
                 expected.append(code)
@@ -586,9 +572,8 @@ def walk_funnel(ref, oth, params, cube=None):
     scored, kept), where scored[d - 1] counts the cells scored at depth d
     that hold a point of either epoch and kept[d - 1] the cells that
     survived at depth d. The lattice is `cube`, by default the union cube
-    of both epochs."""
+    of both epochs. Each cell is scored on its octants."""
     cube = bounding_cube(ref, oth) if cube is None else cube
-    m = params.subvoxels_per_axis
 
     def bounds(code, depth):
         corners, edge = cell_bounds(cube, np.array([code], dtype=np.uint64), depth)
@@ -613,9 +598,9 @@ def walk_funnel(ref, oth, params, cube=None):
         empty_here = 0
         for code in candidates[depth]:
             cell = bounds(code, depth)
-            a, b = density_feature(cell, ref, m), density_feature(cell, oth, m)
+            a, b = density_feature(cell, ref, 2), density_feature(cell, oth, 2)
             empty_here += int(a.densities.sum() == 0 and b.densities.sum() == 0)
-            if feature_distance(a, b, params.normalized) >= params.threshold_at(depth):
+            if feature_distance(a, b) >= params.threshold_at(depth):
                 survivors.append(code)
         empty_scored += empty_here
         scored.append(len(candidates[depth]) - empty_here)
@@ -692,13 +677,13 @@ def blocked_start_cells(ref, oth, params):
     reference-empty ancestor fails at its own depth, so the walk never
     reaches them."""
     cube = bounding_cube(ref, oth)
-    start, m = params.start_depth, params.subvoxels_per_axis
+    start = params.start_depth
 
     def passes(code, depth):
         corners, edge = cell_bounds(cube, np.array([code], dtype=np.uint64), depth)
         cell = BoundingCube(corners[0], edge)
-        a, b = density_feature(cell, ref, m), density_feature(cell, oth, m)
-        return feature_distance(a, b, params.normalized) >= params.threshold_at(depth)
+        a, b = density_feature(cell, ref, 2), density_feature(cell, oth, 2)
+        return feature_distance(a, b) >= params.threshold_at(depth)
 
     def occupied(cloud, depth):
         return set(np.unique(morton_codes(cloud.xyz, cube, depth)).tolist())
@@ -724,9 +709,10 @@ ORACLE_CASES = {
     "empty-space-start-1": (added_in_empty_space_scene, 1, 4, 0.01),
     "start-equals-max": (added_in_empty_space_scene, 4, 4, 0.1),
     "other-outside-cube": (outside_cube_scene, 2, 4, 5.0),
-    # code_depth == max_depth: power-of-two m bins by coordinates at the
-    # finest depths, where no code bits are left below the cell.
-    "max-depth-21": (finest_depth_scene, 17, 21, 1.0),
+    # The deepest max_depth: at code depth 21 the octants of a depth-20
+    # cell are the code's last three bits, and nothing is binned by
+    # coordinates.
+    "max-depth-20": (finest_depth_scene, 17, 20, 1.0),
     # A sparse cluster fails at its first reference-empty depth above
     # start_depth, though its start_depth cell would pass if scored.
     "sparse-cluster-above-start": (sparse_cluster_scene, 3, 5, 1.0),
@@ -734,16 +720,14 @@ ORACLE_CASES = {
 
 
 class TestWalkOracle:
-    """hierarchical_detect against the cell-by-cell walk at every m."""
+    """hierarchical_detect against the cell-by-cell walk."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_walk(self, case, m):
+    def test_matches_walk(self, case):
         scene, start, stop, taus = ORACLE_CASES[case]
         ref, oth = scene(np.random.default_rng(51))
         params = ChangeParams(
-            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
-            thresholds=taus, component_min_size=1,
+            start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
         expected, empty_scored = walk_oracle(ref, oth, params)
         assert len(expected) > 0
@@ -752,14 +736,12 @@ class TestWalkOracle:
         result = hierarchical_detect(ref, oth, params)
         np.testing.assert_array_equal(result.voxel_codes, expected)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_members_and_funnel_match_walk(self, case, m):
+    def test_members_and_funnel_match_walk(self, case):
         scene, start, stop, taus = ORACLE_CASES[case]
         ref, oth = scene(np.random.default_rng(51))
         params = ChangeParams(
-            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
-            thresholds=taus, component_min_size=1,
+            start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
         _, _, scored, kept = walk_funnel(ref, oth, params)
         result = hierarchical_detect(ref, oth, params)
@@ -770,15 +752,13 @@ class TestWalkOracle:
         assert result.stats.scored == tuple(scored)
         assert result.stats.kept == tuple(kept)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_failed_empty_ancestor_blocks_start_cell(self, m):
+    def test_failed_empty_ancestor_blocks_start_cell(self):
         # Scoring every start_depth cell the later epoch occupies would flag
         # the sparse cluster; the walk scores it only where it enters.
         scene, start, stop, taus = ORACLE_CASES["sparse-cluster-above-start"]
         ref, oth = scene(np.random.default_rng(51))
         params = ChangeParams(
-            start_depth=start, max_depth=stop, subvoxels_per_axis=m,
-            thresholds=taus, component_min_size=1,
+            start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
         blocked = blocked_start_cells(ref, oth, params)
         assert len(blocked) > 0
