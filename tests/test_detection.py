@@ -414,11 +414,12 @@ class TestHierarchicalDetect:
                     assert codes <= previous
                 previous = codes
 
-    def test_matches_per_cell_scoring(self):
+    @pytest.mark.parametrize("draw", [1, 2, 3])
+    def test_matches_per_cell_scoring(self, draw):
         # With a reference occupying every cell, the walk degenerates to
         # scoring all cells at max_depth, so the survivor set must equal
-        # direct per-cell feature comparison.
-        rng = np.random.default_rng(29)
+        # direct per-cell feature comparison, on each of three draws.
+        rng = np.random.default_rng(28 + draw)
         ref_pts = rng.uniform(0.0, 8.0, (6000, 3))
         keep = ~((ref_pts >= [2.0, 2.0, 2.0]) & (ref_pts <= [4.0, 3.0, 4.0])).all(axis=1)
         oth_pts = np.vstack([ref_pts[keep], rng.uniform(5.0, 7.0, (200, 3))])
@@ -718,14 +719,19 @@ ORACLE_CASES = {
     "sparse-cluster-above-start": (sparse_cluster_scene, 3, 5, 1.0),
 }
 
+# Each oracle case is drawn from default_rng(50 + draw).
+DRAWS = [1, 2, 3, 4]
+
 
 class TestWalkOracle:
-    """hierarchical_detect against the cell-by-cell walk."""
+    """hierarchical_detect against the cell-by-cell walk, on four
+    independent draws of each scene."""
 
+    @pytest.mark.parametrize("draw", DRAWS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_walk(self, case):
+    def test_matches_walk(self, case, draw):
         scene, start, stop, taus = ORACLE_CASES[case]
-        ref, oth = scene(np.random.default_rng(51))
+        ref, oth = scene(np.random.default_rng(50 + draw))
         params = ChangeParams(
             start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
@@ -736,10 +742,11 @@ class TestWalkOracle:
         result = hierarchical_detect(ref, oth, params)
         np.testing.assert_array_equal(result.voxel_codes, expected)
 
+    @pytest.mark.parametrize("draw", DRAWS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_members_and_funnel_match_walk(self, case):
+    def test_members_and_funnel_match_walk(self, case, draw):
         scene, start, stop, taus = ORACLE_CASES[case]
-        ref, oth = scene(np.random.default_rng(51))
+        ref, oth = scene(np.random.default_rng(50 + draw))
         params = ChangeParams(
             start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
@@ -752,11 +759,12 @@ class TestWalkOracle:
         assert result.stats.scored == tuple(scored)
         assert result.stats.kept == tuple(kept)
 
-    def test_failed_empty_ancestor_blocks_start_cell(self):
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_failed_empty_ancestor_blocks_start_cell(self, draw):
         # Scoring every start_depth cell the later epoch occupies would flag
         # the sparse cluster; the walk scores it only where it enters.
         scene, start, stop, taus = ORACLE_CASES["sparse-cluster-above-start"]
-        ref, oth = scene(np.random.default_rng(51))
+        ref, oth = scene(np.random.default_rng(50 + draw))
         params = ChangeParams(
             start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
