@@ -52,10 +52,8 @@ from .adjustment import (
 from .evaluation import (
     ChangeMetrics,
     ConfusionCounts,
-    DistanceStats,
     change_metrics,
     confusion_counts,
-    distance_stats,
 )
 from .volumetrics import (
     GroundGrid,
@@ -96,7 +94,6 @@ __all__ = [
     "DemolitionScript",
     "DetectionStats",
     "DistanceReport",
-    "DistanceStats",
     "EpochCameras",
     "EpochInput",
     "ExteriorOrientation",
@@ -127,7 +124,6 @@ __all__ = [
     "change_volume",
     "component_filter",
     "confusion_counts",
-    "distance_stats",
     "generate_building",
     "generate_demolition_series",
     "generate_pose_scenario",

@@ -843,6 +843,13 @@ def _epoch_to_dict(epoch: EpochCameras, fixed: bool) -> dict:
     }
 
 
+def _points_to_list(points: Mapping[int, ObjectPoint]) -> List[dict]:
+    return [
+        {"track": track, "position": [float(v) for v in point.position]}
+        for track, point in sorted(points.items())
+    ]
+
+
 def _epoch_from_dict(entry: dict) -> EpochCameras:
     sc = SelfCalibration(**entry["calibration"])
     cameras = {
@@ -860,10 +867,7 @@ def save_scenario(scenario: Scenario, path) -> None:
     payload = {
         "epochs": [_epoch_to_dict(e, True) for e in scenario.fixed_epochs]
         + [_epoch_to_dict(scenario.new_epoch, False)],
-        "points": [
-            {"track": track, "position": [float(v) for v in point.position]}
-            for track, point in sorted(scenario.points.items())
-        ],
+        "points": _points_to_list(scenario.points),
         "observations": [
             {
                 "camera": o.camera_id,

@@ -16,6 +16,7 @@ import numpy as np
 from .adjustment import (
     AdjustmentOptions,
     _epoch_to_dict,
+    _points_to_list,
     load_scenario,
     refine_progressive,
 )
@@ -27,7 +28,7 @@ from .config import (
     serialize_config,
 )
 from .detection import ChangeParams, hierarchical_detect
-from .evaluation import change_metrics, confusion_counts, distance_stats
+from .evaluation import change_metrics, confusion_counts
 from .geometry import apply_transform
 from .pipeline import StageError, run_pipeline, write_json, _interval_outputs
 from .registration import IcpParams, icp_align, point_to_plane_distances
@@ -161,7 +162,6 @@ def cmd_register(args) -> int:
     if args.distances:
         report = point_to_plane_distances(aligned, target, threads=args.threads)
         payload["distances"] = report.to_dict()
-        payload["distance_stats"] = distance_stats(report).to_dict()
     _emit(payload, args.report)
     return 0
 
@@ -182,10 +182,7 @@ def cmd_refine_poses(args) -> int:
         "iterations": len(result.iteration_log),
         "rejected_observations": list(result.rejected_observations),
         "new_epoch": _epoch_to_dict(result.new_cameras, False),
-        "points": [
-            {"track": t, "position": [float(v) for v in p.position]}
-            for t, p in sorted(result.points.items())
-        ],
+        "points": _points_to_list(result.points),
     }
     _emit(payload, args.output)
     return 0

@@ -11,6 +11,7 @@ import dataclasses
 import datetime
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union, get_type_hints
 
@@ -197,7 +198,8 @@ def _string(value) -> str:
 
 
 def _float(value) -> float:
-    if isinstance(value, bool):
+    """A YAML number as given; a bool or a string is no number."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -233,6 +235,21 @@ def _section_fields(cls, skip=()) -> dict:
     }
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads `1e5` and `3e-4` (no dot) as strings; this loader
+    reads them as floats."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """Quotes the strings _Loader would read as floats, so serialize ->
+    parse stays the identity."""
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$")
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789."))
+
+
 _ICP_FIELDS = _section_fields(IcpParams)
 _DETECTION_FIELDS = _section_fields(ChangeParams)
 _NESTED_KEYS = ("epochs", "icp", "detection")
@@ -241,7 +258,7 @@ _SCALAR_FIELDS = _section_fields(PipelineConfig, skip=_NESTED_KEYS)
 
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse a config document from a string; see parse_config."""
-    raw = yaml.safe_load(text)
+    raw = yaml.load(text, Loader=_Loader)
     if raw is None:
         raw = {}
     _check_keys(raw, {*_NESTED_KEYS, *_SCALAR_FIELDS}, "")
@@ -303,4 +320,6 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 def serialize_config(config: PipelineConfig) -> str:
     """Render a config back to YAML; parsing the result reproduces it."""
-    return yaml.safe_dump(config_to_dict(config), sort_keys=True, default_flow_style=False)
+    return yaml.dump(
+        config_to_dict(config), Dumper=_Dumper, sort_keys=True, default_flow_style=False
+    )

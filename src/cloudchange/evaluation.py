@@ -1,14 +1,13 @@
 """Accuracy metrics for change detection against labeled ground truth.
 
-Point-level confusion counts, the derived precision/recall/F1/IoU metrics
-with explicit handling of undefined cases, and summary statistics for
-cloud-to-cloud distance reports.
+Point-level confusion counts and the derived precision/recall/F1/IoU
+metrics, with explicit handling of undefined cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -17,10 +16,8 @@ from .geometry import ChangeLabel
 __all__ = [
     "ChangeMetrics",
     "ConfusionCounts",
-    "DistanceStats",
     "change_metrics",
     "confusion_counts",
-    "distance_stats",
 ]
 
 
@@ -137,41 +134,3 @@ def change_metrics(counts: ConfusionCounts) -> ChangeMetrics:
     iou = tp / (tp + fp + fn) if tp + fp + fn > 0 else None
     return ChangeMetrics(precision=precision, recall=recall, f1=f1, iou=iou)
 
-
-@dataclass(frozen=True)
-class DistanceStats:
-    """Summary of a distance distribution.
-
-    Attributes:
-        mean: arithmetic mean, metres.
-        std: population standard deviation (ddof = 0), metres.
-        percentiles: value at each requested percentile, metres.
-    """
-
-    mean: float
-    std: float
-    percentiles: Dict[int, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_m": self.mean,
-            "std_m": self.std,
-            "percentiles_m": {str(k): v for k, v in sorted(self.percentiles.items())},
-        }
-
-
-def distance_stats(report, percentiles: Tuple[int, ...] = (50, 90, 95)) -> DistanceStats:
-    """Mean, population std, and percentiles of a distance report.
-
-    Accepts a DistanceReport or a plain array of distances; empty input is
-    an error.
-    """
-    distances = np.asarray(getattr(report, "distances", report), dtype=np.float64)
-    if distances.size == 0:
-        raise ValueError("distance report is empty")
-    values = np.percentile(distances, percentiles)
-    return DistanceStats(
-        mean=float(distances.mean()),
-        std=float(distances.std()),
-        percentiles={int(p): float(v) for p, v in zip(percentiles, values)},
-    )

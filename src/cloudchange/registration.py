@@ -106,49 +106,53 @@ class IcpResult:
         }
 
 
+# Percentiles of the distances that DistanceReport.to_dict reports.
+DISTANCE_PERCENTILES = (50, 90, 95)
+
+
 @dataclass(frozen=True)
 class DistanceReport:
-    """Per-point distances with summary statistics.
+    """Per-point distances and their summary statistics.
 
     Attributes:
         distances: metres, one per probe point.
-        mean / std: population statistics of `distances` (std with ddof=0).
         degenerate: True where the local plane was ill-conditioned and the
             distance fell back to plain nearest-neighbour distance.
     """
 
     distances: np.ndarray
-    mean: float
-    std: float
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.distances) != len(self.degenerate):
             raise ValueError("distances and degenerate flags must align")
-        if len(self.distances):
-            if not np.isclose(self.mean, float(self.distances.mean()), rtol=1e-12, atol=1e-300):
-                raise ValueError("stored mean inconsistent with distances")
-            if not np.isclose(self.std, float(self.distances.std()), rtol=1e-12, atol=1e-300):
-                raise ValueError("stored std inconsistent with distances")
 
-    @classmethod
-    def from_distances(cls, distances: np.ndarray, degenerate: Optional[np.ndarray] = None) -> "DistanceReport":
-        distances = np.asarray(distances, dtype=np.float64)
-        if degenerate is None:
-            degenerate = np.zeros(len(distances), dtype=bool)
-        mean = float(distances.mean()) if len(distances) else 0.0
-        std = float(distances.std()) if len(distances) else 0.0
-        return cls(distances, mean, std, np.asarray(degenerate, dtype=bool))
+    @property
+    def mean(self) -> float:
+        """Mean distance, metres; 0.0 for an empty report."""
+        return float(self.distances.mean()) if len(self.distances) else 0.0
+
+    @property
+    def std(self) -> float:
+        """Population standard deviation (ddof = 0), metres; 0.0 for an
+        empty report."""
+        return float(self.distances.std()) if len(self.distances) else 0.0
 
     def histogram(self, bins: int = 20) -> Tuple[np.ndarray, np.ndarray]:
         return np.histogram(self.distances, bins=bins)
 
     def to_dict(self, bins: int = 20) -> dict:
+        """Report record; each of DISTANCE_PERCENTILES is None when empty."""
         counts, edges = self.histogram(bins)
+        if len(self.distances):
+            values = np.percentile(self.distances, DISTANCE_PERCENTILES).tolist()
+        else:
+            values = [None] * len(DISTANCE_PERCENTILES)
         return {
             "count": int(len(self.distances)),
             "mean_m": self.mean,
             "std_m": self.std,
+            "percentiles_m": {str(p): v for p, v in zip(DISTANCE_PERCENTILES, values)},
             "n_degenerate": int(self.degenerate.sum()),
             "histogram_counts": counts.tolist(),
             "histogram_edges_m": edges.tolist(),
@@ -457,7 +461,7 @@ def point_to_plane_distances(
     if len(reference) < k:
         raise ValueError(f"reference has {len(reference)} points, need >= k = {k}")
     if len(probe) == 0:
-        return DistanceReport.from_distances(np.empty(0))
+        return DistanceReport(np.empty(0), np.zeros(0, dtype=bool))
     tree = kdtree(reference)
     nn_dist, idx = tree.query(probe.xyz, k=k, workers=workers)
     neighbours = reference.xyz[idx]
@@ -471,4 +475,4 @@ def point_to_plane_distances(
     distances = np.where(degenerate, nn_dist[:, 0], plane_dist)
     if degenerate.any():
         logger.info("%d of %d probe points hit degenerate local planes", degenerate.sum(), len(probe))
-    return DistanceReport.from_distances(distances, degenerate)
+    return DistanceReport(distances, degenerate)

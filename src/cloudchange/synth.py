@@ -502,14 +502,11 @@ class PoseScenario:
     def to_scenario(self):
         """Repackage for the solver's scenario file format (initial values
         as the estimate, truth carried in the auxiliary block)."""
-        from .adjustment import Scenario, _epoch_to_dict
+        from .adjustment import Scenario, _epoch_to_dict, _points_to_list
 
         truth = {
             "new_epoch": _epoch_to_dict(self.new_truth, False),
-            "points": [
-                {"track": t, "position": [float(v) for v in p.position]}
-                for t, p in sorted(self.points_truth.items())
-            ],
+            "points": _points_to_list(self.points_truth),
             "outlier_observations": list(self.outlier_indices),
         }
         return Scenario(

@@ -289,8 +289,9 @@ class TestRegisterCommand:
         assert np.allclose(recovered @ rot, np.eye(3), atol=1e-6)
         # Plane fits straddling box creases keep the mean away from zero even
         # for a perfect alignment; the median is the clean signal.
-        assert payload["distance_stats"]["percentiles_m"]["50"] < 1e-9
-        assert payload["distance_stats"]["mean_m"] < 0.01
+        assert payload["distances"]["percentiles_m"]["50"] < 1e-9
+        assert payload["distances"]["mean_m"] < 0.01
+        assert "distance_stats" not in payload
         np.testing.assert_allclose(load_cloud(aligned).xyz, pts, atol=1e-5)
 
 

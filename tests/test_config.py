@@ -73,6 +73,15 @@ class TestParsing:
         config = parse_config_text(MINIMAL + "detection: {thresholds: 250.0}\n")
         assert config.detection.thresholds == 250.0
 
+    def test_unquoted_exponent_is_a_number(self):
+        # YAML 1.1 reads an exponent without a dot as a string; the config
+        # loader reads it as a float.
+        config = parse_config_text(
+            MINIMAL + "detection: {thresholds: 1e5}\nicp: {convergence_threshold: 3e-4}\n"
+        )
+        assert config.detection.thresholds == 100000.0
+        assert config.icp.convergence_threshold == 3e-4
+
 
 class TestStrictness:
     def test_unknown_top_level_key(self):
@@ -115,15 +124,19 @@ class TestStrictness:
         ("seed: 1.5", "seed"),
         ("report_version: 2.9", "report_version"),
         ("grid_size: true", "grid_size"),
+        ('grid_size: "0.5"', "grid_size"),
+        ('detection: {thresholds: "1e5"}', "detection.thresholds"),
+        ('detection: {thresholds: ["1e5"]}', "detection.thresholds"),
         ("output_dir: null", "output_dir"),
         ("output_dir: 7", "output_dir"),
         ("epochs:\n  - {path: null, timestamp: 0}\n  - {path: b.ply, timestamp: 1}", r"epochs\[0\]\.path"),
         ("epochs:\n  - {path: a.ply, timestamp: 0}\n  - {path: 2, timestamp: 1}", r"epochs\[1\]\.path"),
     ])
     def test_scalars_not_coerced(self, text, key):
-        # A string or a fraction is no integer, a boolean no number and null
-        # or a number no path: each is refused under its dotted key, never
-        # rounded, read as truthy or turned into "None".
+        # A string or a fraction is no integer, a boolean or a string no
+        # number and null or a number no path: each is refused under its
+        # dotted key, never rounded, parsed, read as truthy or turned into
+        # "None".
         document = text if text.startswith("epochs:") else MINIMAL + text
         with pytest.raises(ValueError, match=rf"^{key}: expected"):
             parse_config_text(document + "\n")
@@ -208,6 +221,9 @@ class TestSerialization:
         for text in (
             MINIMAL,
             MINIMAL + "registration: icp\ndetection: {thresholds: [1.0, 2.0, 3.0, 4.0, 5.0]}\n",
+            MINIMAL + "detection: {thresholds: 1e5}\n",
+            # A string shaped like an exponent is quoted when serialized.
+            MINIMAL + 'output_dir: "1e5"\n',
             MINIMAL.replace("timestamp: 0", "timestamp: 2026-01-01").replace(
                 "timestamp: 10", "timestamp: 2026-01-31"
             ),

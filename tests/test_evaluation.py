@@ -7,10 +7,9 @@ from cloudchange.evaluation import (
     ConfusionCounts,
     change_metrics,
     confusion_counts,
-    distance_stats,
 )
 from cloudchange.geometry import ChangeLabel
-from cloudchange.registration import DistanceReport
+from cloudchange.registration import DISTANCE_PERCENTILES, DistanceReport
 
 CHANGED = int(ChangeLabel.CHANGED)
 UNCHANGED = int(ChangeLabel.UNCHANGED)
@@ -121,30 +120,39 @@ class TestChangeMetrics:
 
 
 class TestDistanceStats:
+    """The distance summary a DistanceReport carries."""
+
+    @staticmethod
+    def report(distances) -> DistanceReport:
+        distances = np.asarray(distances, dtype=np.float64)
+        return DistanceReport(distances, np.zeros(len(distances), dtype=bool))
+
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(8)
         distances = rng.exponential(0.05, 4000)
-        stats = distance_stats(distances, percentiles=(50, 90, 95, 99))
-        assert stats.mean == pytest.approx(distances.mean())
-        assert stats.std == pytest.approx(distances.std(ddof=0))
-        for p, value in stats.percentiles.items():
-            assert value == pytest.approx(float(np.percentile(distances, p)))
-
-    def test_accepts_distance_report(self):
-        distances = np.array([0.01, 0.02, 0.03, 0.04])
-        report = DistanceReport.from_distances(distances)
-        stats = distance_stats(report)
-        assert stats.mean == pytest.approx(0.025)
-        assert stats.percentiles[50] == pytest.approx(np.median(distances))
-
-    def test_to_dict_layout(self):
-        stats = distance_stats(np.array([1.0, 2.0, 3.0]), percentiles=(50,))
-        assert stats.to_dict() == {
-            "mean_m": 2.0,
-            "std_m": pytest.approx(np.std([1.0, 2.0, 3.0])),
-            "percentiles_m": {"50": 2.0},
+        report = self.report(distances)
+        assert report.mean == np.mean(distances)
+        assert report.std == np.std(distances, ddof=0)
+        expected = np.percentile(distances, DISTANCE_PERCENTILES)
+        assert report.to_dict()["percentiles_m"] == {
+            str(p): float(v) for p, v in zip(DISTANCE_PERCENTILES, expected)
         }
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            distance_stats(np.array([]))
+    def test_to_dict_layout(self):
+        payload = self.report([1.0, 2.0, 3.0]).to_dict(bins=2)
+        assert payload == {
+            "count": 3,
+            "mean_m": 2.0,
+            "std_m": pytest.approx(np.std([1.0, 2.0, 3.0])),
+            "percentiles_m": {"50": 2.0, "90": pytest.approx(2.8), "95": pytest.approx(2.9)},
+            "n_degenerate": 0,
+            "histogram_counts": [1, 2],
+            "histogram_edges_m": [1.0, 2.0, 3.0],
+        }
+
+    def test_empty_report_has_no_percentiles(self):
+        report = self.report([])
+        assert report.mean == 0.0 and report.std == 0.0
+        payload = report.to_dict()
+        assert payload["count"] == 0
+        assert payload["percentiles_m"] == {"50": None, "90": None, "95": None}

@@ -511,12 +511,12 @@ class TestPointToPlane:
         with pytest.raises(ValueError, match="need >= k"):
             point_to_plane_distances(cloud, cloud, k=11)
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError, match="mean inconsistent"):
-            DistanceReport(np.array([1.0, 2.0]), 99.0, 0.5, np.zeros(2, dtype=bool))
+    def test_misaligned_degenerate_flags_rejected(self):
+        with pytest.raises(ValueError, match="must align"):
+            DistanceReport(np.array([1.0, 2.0]), np.zeros(3, dtype=bool))
 
     def test_report_export(self):
-        report = DistanceReport.from_distances(np.linspace(0.0, 1.0, 100))
+        report = DistanceReport(np.linspace(0.0, 1.0, 100), np.zeros(100, dtype=bool))
         payload = report.to_dict(bins=10)
         assert payload["count"] == 100
         assert sum(payload["histogram_counts"]) == 100
