@@ -29,12 +29,23 @@ so the camera-point coupling block is dense anyway. After convergence,
 observations whose reprojection error exceeds a robust threshold (scaled
 median absolute deviation) are removed and the solve repeats a bounded number
 of times.
+
+Each layout owns the working arrays of the iterations on it: every
+per-observation array (the kernel's outputs and intermediates, the weighted
+Jacobians and per-row products) and the reduced system's dense
+intermediates are allocated once with the layout and freed with it when the
+mask changes. The kernel, cost, normal-equation and solve calls write into
+them in place, so kernel outputs written there are valid only until the next
+kernel call on that layout; what these calls return is allocated afresh and
+belongs to the caller.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -50,6 +61,7 @@ from .cameras import (
     SelfCalibration,
     _JAC_CAL,
     _JAC_CENTER,
+    _KernelBuffers,
     _Projection,
     _UNIT_CAL,
     _projection,
@@ -122,24 +134,27 @@ class AdjustmentOptions:
     min_track_length: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        # A fractional count is no count, and NaN passes no comparison, so
+        # the real-valued settings are checked for finiteness as well.
+        counts = (("max_iterations", 1), ("max_outlier_rounds", 0), ("min_track_length", 2))
+        for name, least in counts:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.convergence_tolerance < 1:
             raise ValueError("convergence_tolerance must be in (0, 1)")
         if not 0 < self.step_tolerance < 1:
             raise ValueError("step_tolerance must be in (0, 1)")
-        if self.max_outlier_rounds < 0:
-            raise ValueError("max_outlier_rounds must be >= 0")
-        if self.outlier_sigma_scale <= 0:
-            raise ValueError("outlier_sigma_scale must be > 0")
+        for name in ("initial_lambda", "outlier_sigma_scale", "prior_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.outlier_floor) and self.outlier_floor >= 0):
+            raise ValueError(f"outlier_floor must be finite and >= 0, got {self.outlier_floor}")
         if self.fixed_handling not in ("exclude", "prior_weight"):
             raise ValueError(
                 f"fixed_handling must be 'exclude' or 'prior_weight', got {self.fixed_handling!r}"
             )
-        if self.prior_weight <= 0:
-            raise ValueError("prior_weight must be > 0")
-        if self.min_track_length < 2:
-            raise ValueError(f"min_track_length must be >= 2, got {self.min_track_length}")
 
 
 class _NormalEquations(NamedTuple):
@@ -160,6 +175,73 @@ class _NormalEquations(NamedTuple):
     v: np.ndarray
     grad_c: np.ndarray
     grad_p: np.ndarray
+
+
+def _views(shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
+    """Uninitialized float64 arrays of the given shapes, consecutive views of
+    one new block, so that they are allocated and freed together."""
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+class _Workspace:
+    """The per-observation arrays of one layout's LM iteration, allocated
+    once with the layout and freed with it.
+
+    The kernel and every cost, normal-equation and solve call on the layout
+    overwrite them, so an array read from here is valid only until the next
+    such call; what those calls return is allocated afresh and owned by the
+    caller. The sizes come from the layout: g groups of width w, of which
+    n_system are in the system, nc camera and calibration columns, and (set
+    by `bind_tracks`) the active point count. All but y are views of one
+    block, so that a layout's arrays come and go as one allocation, which
+    the next layout of a similar size can reuse.
+
+    Attributes:
+        kernel: the projection kernel's buffers, with Jacobians.
+        points: (g, w, 3) the object point of each row.
+        residual: (g, 2, w) measured minus projected pixels, then weighted.
+        w_center: (g, 3, 2, w) the weighted center Jacobian.
+        point_pairs: (g, 3, 3, w) per row, the point block's products.
+        point_grad: (g, 3, w) per row, the point gradient's products.
+        w_jac: (n_system, 9, 2w) the weighted camera Jacobian blocks.
+        products: (n_system, 11, 3, w) per row, the camera-point products.
+        damped: (nc, nc) the damped camera block, then the reduced system.
+        coupling: (nc, nc) Y H_cp^T.
+        y: (nc, 3 n_points) Y = H_cp V^-1, allocated by `bind_tracks`.
+    """
+
+    def __init__(self, groups: int, width: int, n_system: int, n_cols: int) -> None:
+        dense = _CAM_CAL_PARAMS - len(_UNIT_CAL)
+        kernel = _KernelBuffers.shapes(groups, width, jacobians=True)
+        views = _views(
+            kernel
+            + [
+                (groups, width, _POINT_PARAMS),
+                (groups, 2, width),
+                (groups, _POINT_PARAMS, 2, width),
+                (groups, _POINT_PARAMS, _POINT_PARAMS, width),
+                (groups, _POINT_PARAMS, width),
+                (n_system, dense, 2 * width),
+                (n_system, _CAM_CAL_PARAMS, _POINT_PARAMS, width),
+                (n_cols, n_cols),
+                (n_cols, n_cols),
+            ]
+        )
+        self.kernel = _KernelBuffers(*views[: len(kernel)])
+        (
+            self.points,
+            self.residual,
+            self.w_center,
+            self.point_pairs,
+            self.point_grad,
+            self.w_jac,
+            self.products,
+            self.damped,
+            self.coupling,
+        ) = views[len(kernel) :]
+        self.y = np.empty((n_cols, 0))
 
 
 def _group_width(counts: np.ndarray) -> int:
@@ -237,6 +319,10 @@ class _BlockLayout:
         )
         self.hcc_index = (self.cols[:, :, None] * nc + self.cols[:, None, :]).ravel()
         self.gc_index = self.cols.ravel()
+        # (n_system, 1, 2w): each system group's weights along the x and then
+        # the y rows of its Jacobian block.
+        self.jac_weight = self.weight[:n, None].repeat(2, axis=1).reshape(n, 1, 2 * width)
+        self.work = _Workspace(len(self.cams), width, n, nc)
         self.track_active: Optional[np.ndarray] = None
 
     def bind_tracks(self, track_active: np.ndarray) -> None:
@@ -259,6 +345,7 @@ class _BlockLayout:
             + point[: self.n_system]
             + k[:, None]
         ).ravel()
+        self.work.y = np.empty((self.n_cols, _POINT_PARAMS * self.n_points))
 
     def matches(self, mask: np.ndarray) -> bool:
         return np.array_equal(mask, self.mask)
@@ -398,19 +485,28 @@ class _Problem:
         """The camera-grouped layout of `mask`, rebuilt only when the mask
         differs from the one it was built for."""
         if self._layout is None or not self._layout.matches(mask):
+            # Free the old layout and its workspace first, so that their
+            # memory is free for the new one.
+            self._layout = None
             self._layout = _BlockLayout(self, mask)
         return self._layout
 
     def _project(self, layout: _BlockLayout, jacobians: bool = False) -> _Projection:
         """The projection kernel over the layout's camera groups, with one
-        rotation matrix, center and calibration per group."""
+        rotation matrix, center and calibration per group, written into the
+        layout's workspace."""
         cams = layout.cams
+        work = layout.work
+        # Every track index is valid, so "clip" never clips; unlike the
+        # default "raise", it writes straight into `out` with no buffer.
+        points = np.take(self.positions, layout.track, axis=0, out=work.points, mode="clip")
         return _projection(
-            self.positions[layout.track].transpose(0, 2, 1),
+            points.transpose(0, 2, 1),
             Rotation.from_rotvec(self.cam_rot[cams]).as_matrix(),
             self.cam_cen[cams],
             self.cal_values[self.cam_cal[cams]],
             jacobians,
+            work.kernel,
         )
 
     def residuals(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -426,7 +522,8 @@ class _Problem:
         bad = proj.depth[real] <= 0
         behind[rows[bad]] = True
         ok = ~bad
-        res[rows[ok]] = (layout.measured - proj.pixels).transpose(0, 2, 1)[real][ok]
+        diff = np.subtract(layout.measured, proj.pixels, out=layout.work.residual)
+        res[rows[ok]] = diff.transpose(0, 2, 1)[real][ok]
         return res, behind
 
     def cost(self, mask: np.ndarray) -> float:
@@ -437,7 +534,10 @@ class _Problem:
         # Padding repeats real rows, so it is behind only where they are.
         if (proj.depth <= 0).any():
             return float("inf")
-        return float((layout.weight[:, None] * (layout.measured - proj.pixels) ** 2).sum())
+        residual = np.subtract(layout.measured, proj.pixels, out=layout.work.residual)
+        np.square(residual, out=residual)
+        residual *= layout.weight[:, None]
+        return float(residual.sum())
 
     def prior_residuals(self) -> np.ndarray:
         """Residuals of the prior equations keeping fixed parameters at their
@@ -466,30 +566,32 @@ class _Problem:
         its point targets only when `track_active` does."""
         layout = self._layout_for(mask)
         layout.bind_tracks(track_active)
+        work = layout.work
         proj = self._project(layout, jacobians=True)
         _require_in_front(proj.depth[layout.real])
         width = layout.weight.shape[1]
         weight = layout.weight[:, None, :]
-        w_res = weight * (layout.measured - proj.pixels)
+        w_res = np.subtract(layout.measured, proj.pixels, out=work.residual)
+        w_res *= weight
 
         # Point blocks. The point derivative is minus the center's, so
         # dp^T W dp = dc^T W dc and dp^T W r = -(dc^T W r).
         d_center = proj.jac[:, _JAC_CENTER]
-        w_center = weight[:, None] * d_center
+        w_center = np.multiply(weight[:, None], d_center, out=work.w_center)
         n_p = layout.n_points
-        v = _accumulate(
-            layout.v_index, np.einsum(_PAIRS, d_center, w_center), _POINT_PARAMS**2 * n_p
-        ).reshape(n_p, _POINT_PARAMS, _POINT_PARAMS)
-        grad_p = -_accumulate(
-            layout.gp_index, np.einsum("gkaw,gaw->gkw", d_center, w_res), _POINT_PARAMS * n_p
+        pairs = np.einsum(_PAIRS, d_center, w_center, out=work.point_pairs)
+        v = _accumulate(layout.v_index, pairs, _POINT_PARAMS**2 * n_p).reshape(
+            n_p, _POINT_PARAMS, _POINT_PARAMS
         )
+        terms = np.einsum("gkaw,gaw->gkw", d_center, w_res, out=work.point_grad)
+        grad_p = -_accumulate(layout.gp_index, terms, _POINT_PARAMS * n_p)
 
         # Camera blocks, one (9, 2w) Jacobian per system group; cx and cy
         # have unit slope on the x and y rows, so their entries are sums.
         n = layout.n_system
         dense = proj.jac.shape[1]
         jac = proj.jac[:n].reshape(n, dense, 2 * width)
-        w_jac = jac * weight[:n].repeat(2, axis=1).reshape(n, 1, 2 * width)
+        w_jac = np.multiply(jac, layout.jac_weight, out=work.w_jac)
         unit = w_jac.reshape(n, dense, 2, width).sum(axis=3)
         block = np.empty((n, _CAM_CAL_PARAMS, _CAM_CAL_PARAMS))
         np.matmul(w_jac, jac.transpose(0, 2, 1), out=block[:, :dense, :dense])
@@ -504,7 +606,7 @@ class _Problem:
         grad_c = _accumulate(layout.gc_index, grad, nc)
         # (W jc)^T dp = -(W jc)^T dc per observation.
         w_jac = w_jac.reshape(n, dense, 2, width)
-        products = np.empty((n, _CAM_CAL_PARAMS, _POINT_PARAMS, width))
+        products = work.products
         np.einsum(_PAIRS, w_jac, d_center[:n], out=products[:, :dense])
         products[:, dense:] = w_center[:n].transpose(0, 2, 1, 3)
         h_cp = _accumulate(layout.hcp_index, products, nc * _POINT_PARAMS * n_p).reshape(
@@ -539,11 +641,13 @@ def _solve_reduced(
     grad_c: np.ndarray,
     grad_p: np.ndarray,
     lam: float,
+    work: _Workspace,
 ) -> np.ndarray:
     """One damped normal-equation solve, eliminating points by Schur
     complement. Returns the full parameter step, camera and calibration
     columns first, points last. The blocks are those of _NormalEquations
-    and are not modified.
+    and are not modified; the dense intermediates are written into the
+    workspace of the layout the blocks were formed on.
 
     With H = [[H_cc, H_cp], [H_cp^T, V]], V block-diagonal per point and the
     whole diagonal damped by (1 + lam), the camera step solves
@@ -557,18 +661,25 @@ def _solve_reduced(
     diag_p = np.diagonal(v, axis1=1, axis2=2).copy()
     if (diag_c <= 0).any() or (diag_p <= 0).any():
         raise ValueError("rank-deficient normal equations: parameter without support")
-    h_cc = h_cc + np.diag(lam * diag_c)
+    nc = len(h_cc)
+    # The damped H_cc, then S in place.
+    reduced = work.damped
+    np.copyto(reduced, h_cc)
+    reduced.ravel()[:: nc + 1] += lam * diag_c
     v = v + (lam * diag_p)[:, :, None] * np.eye(_POINT_PARAMS)
     try:
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient normal equations in the point block") from exc
 
-    # Y = H_cp V^-1, one (nc, 3) @ (3, 3) product per point.
-    nc = len(h_cc)
-    per_point = h_cp.reshape(nc, n_points, _POINT_PARAMS).transpose(1, 0, 2)
-    y = (per_point @ v_inv).transpose(1, 0, 2).reshape(nc, -1)
-    reduced = h_cc - y @ h_cp.T
+    # Y = H_cp V^-1, one (nc, 3) @ (3, 3) product per point, written
+    # straight into Y's (nc, 3 n_points) layout.
+    def per_point(a: np.ndarray) -> np.ndarray:
+        return a.reshape(nc, n_points, _POINT_PARAMS).transpose(1, 0, 2)
+
+    y = work.y
+    np.matmul(per_point(h_cp), v_inv, out=per_point(y))
+    reduced -= np.matmul(y, h_cp.T, out=work.coupling)
     rhs = grad_c - y @ grad_p
     try:
         delta_c = np.linalg.solve(reduced, rhs)
@@ -606,7 +717,8 @@ def _levenberg_marquardt(
     n_kept = int(mask.sum())
 
     for iteration in range(options.max_iterations):
-        delta = _solve_reduced(*problem.normal_equations(mask, track_active, prior_weight), lam)
+        equations = problem.normal_equations(mask, track_active, prior_weight)
+        delta = _solve_reduced(*equations, lam, problem._layout_for(mask).work)
         step_norm = float(np.linalg.norm(delta))
         tiny_step = step_norm <= options.step_tolerance * (
             1.0 + problem.param_norm(track_active)

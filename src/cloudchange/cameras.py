@@ -12,12 +12,18 @@ returns every pixel coordinate and Jacobian component as its own
 camera-major array (structure of arrays). The bundle adjustment reads those
 arrays straight into its normal equations; project_points and
 projection_jacobians call the same kernel with a single group.
+
+The kernel writes into buffers the caller passes as `out`: the bundle
+adjustment passes its layout's resident ones, and the results are views of
+them, valid only until its next kernel call on that layout. Called without
+`out`, as project_points and projection_jacobians call it, it allocates its
+own, and the caller owns the results.
 """
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from scipy.spatial.transform import Rotation
 
@@ -183,7 +189,41 @@ class _Projection(NamedTuple):
     jac: Optional[np.ndarray]
 
 
-def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projection:
+class _KernelBuffers(NamedTuple):
+    """The arrays the projection kernel writes over g groups of w rows: its
+    outputs and its largest intermediates.
+
+    Attributes:
+        offset: (g, w, 3) object points minus the camera center, in the
+            layout of the points the adjustment gathers; the kernel reads it
+            as (g, 3, w).
+        cam: (g, 3, w) the points in the camera frame; depth is its z row.
+        pixels: (g, 2, w) as in _Projection.
+        rows: None, or (g, 3, 2, w) the derivative rows that the rotation
+            turns into Jacobian rows: first those of the rotation increment,
+            then those of the camera-frame point.
+        jac: None, or (g, 9, 2, w) as in _Projection.
+    """
+
+    offset: np.ndarray
+    cam: np.ndarray
+    pixels: np.ndarray
+    rows: Optional[np.ndarray] = None
+    jac: Optional[np.ndarray] = None
+
+    @staticmethod
+    def shapes(groups: int, width: int, jacobians: bool) -> List[Tuple[int, ...]]:
+        """The shapes of the buffers in field order; the Jacobian ones only
+        if `jacobians`."""
+        shapes = [(groups, width, 3), (groups, 3, width), (groups, 2, width)]
+        if jacobians:
+            shapes += [(groups, 3, 2, width), (groups, 9, 2, width)]
+        return shapes
+
+
+def _projection(
+    points, rot, center, cal, jacobians: bool = False, out: Optional[_KernelBuffers] = None
+) -> _Projection:
     """The projection model over camera groups.
 
     Group i is w object points seen by one camera: points[i, k, j] is
@@ -194,10 +234,21 @@ def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projectio
     a group's rows as one (3, 3) @ (3, w) product. Rows at or behind the
     camera plane are not rejected here: they come back with depth <= 0 and
     meaningless values, for the caller to raise on or mask.
+
+    The kernel writes its outputs and largest intermediates into `out`,
+    which the caller owns and which must hold the Jacobian buffers if
+    `jacobians`; the returned arrays are views of it, valid only until the
+    next call with the same `out`. Without `out`, each call allocates its
+    own buffers, and the caller owns the results.
     """
+    g, _, width = points.shape
+    if out is None:
+        shapes = _KernelBuffers.shapes(g, width, jacobians)
+        out = _KernelBuffers(*map(np.empty, shapes))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f, cx, cy, k1, k2 = (cal[:, k, None] for k in range(5))
-        cam = rot @ (points - center[:, :, None])
+        offset = np.subtract(points, center[:, :, None], out=out.offset.transpose(0, 2, 1))
+        cam = np.matmul(rot, offset, out=out.cam)
         depth = cam[:, 2]
         u = cam[:, 0] / depth
         v = cam[:, 1] / depth
@@ -205,7 +256,10 @@ def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projectio
         factor = 1.0 + k1 * r2 + k2 * r2 * r2
         ud = u * factor
         vd = v * factor
-        pixels = np.stack([f * ud + cx, f * vd + cy], axis=1)
+        pixels = out.pixels
+        for axis, (t_d, c) in enumerate(((ud, cx), (vd, cy))):
+            np.multiply(f, t_d, out=pixels[:, axis])
+            pixels[:, axis] += c
         if not jacobians:
             return _Projection(pixels, depth, None)
 
@@ -221,26 +275,26 @@ def _projection(points, rot, center, cal, jacobians: bool = False) -> _Projectio
         # cam = R (X - C), so d(pixel)/dX = e R = -d(pixel)/dC; and for
         # R <- R exp([delta]x), d(cam)/d(delta) = -R [X - C]x = -[cam]x R, so
         # d(pixel)/d(delta) = (cam x e) R = ((u, v, 1) x (a, b, -s)) R.
-        g, width = depth.shape
-        e = np.empty((g, 3, 2, width))
-        cross = np.empty_like(e)
-        jac = np.empty((g, 9, 2, width))
-        for axis, (a, b, t, t_d) in enumerate(((dx_du, dx_dv, u, ud), (dx_dv, dy_dv, v, vd))):
-            s = a * u + b * v
-            e[:, 0, axis] = a * inv_z
-            e[:, 1, axis] = b * inv_z
-            e[:, 2, axis] = -s * inv_z
-            cross[:, 0, axis] = -(v * s + b)
-            cross[:, 1, axis] = u * s + a
-            cross[:, 2, axis] = u * b - v * a
+        # Row vectors times R: one (3, 3) @ (3, 2w) product per camera, first
+        # of the rows cam x e, then of the rows e, in the same buffer.
+        rows, jac = out.rows, out.jac
+        axes = ((dx_du, dx_dv, u, ud), (dx_dv, dy_dv, v, vd))
+        s = [a * u + b * v for a, b, _, _ in axes]
+        for axis, (a, b, t, t_d) in enumerate(axes):
+            rows[:, 0, axis] = -(v * s[axis] + b)
+            rows[:, 1, axis] = u * s[axis] + a
+            rows[:, 2, axis] = u * b - v * a
             jac[:, 6, axis] = t_d
             jac[:, 7, axis] = f * t * r2
             jac[:, 8, axis] = jac[:, 7, axis] * r2
-        # Row vectors times R: one (3, 3) @ (3, 2w) product per camera.
         rot_t = rot.transpose(0, 2, 1)
         flat = (g, 3, 2 * width)
-        np.matmul(rot_t, cross.reshape(flat), out=jac[:, _JAC_ROTATION].reshape(flat))
-        np.matmul(-rot_t, e.reshape(flat), out=jac[:, _JAC_CENTER].reshape(flat))
+        np.matmul(rot_t, rows.reshape(flat), out=jac[:, _JAC_ROTATION].reshape(flat))
+        for axis, (a, b, _, _) in enumerate(axes):
+            rows[:, 0, axis] = a * inv_z
+            rows[:, 1, axis] = b * inv_z
+            rows[:, 2, axis] = -s[axis] * inv_z
+        np.matmul(-rot_t, rows.reshape(flat), out=jac[:, _JAC_CENTER].reshape(flat))
         return _Projection(pixels, depth, jac)
 
 

@@ -7,9 +7,11 @@ import pytest
 from scipy import sparse
 from scipy.spatial.transform import Rotation
 
+from cloudchange import adjustment
 from cloudchange.adjustment import (
     AdjustmentOptions,
     _BlockLayout,
+    _NormalEquations,
     _Problem,
     _group_width,
     _solve_reduced,
@@ -60,18 +62,42 @@ def split_fixed_epoch(scenario):
     ]
 
 
-def skewed_observations(scenario, n_points):
-    """Two cameras (one new, one reference) see every track; each other
-    camera sees a window of a fifth of them, so the cameras' row counts
-    differ fivefold. Weights vary per observation."""
+def skewed_visibility(scenario, n_points):
+    """Which of the scenario's observations to keep: two cameras (one new,
+    one reference) see every track; each other camera sees a window of a
+    fifth of them, so the cameras' row counts differ fivefold."""
     wide = {min(scenario.new_initial.cameras), min(scenario.fixed.cameras)}
     narrow = sorted({o.camera_id for o in scenario.observations} - wide)
     rank = {c: k for k, c in enumerate(narrow)}
+    return np.array(
+        [
+            o.camera_id in wide or (o.track_id + 5 * rank[o.camera_id]) % n_points < n_points // 5
+            for o in scenario.observations
+        ]
+    )
+
+
+def weighted_observations(scenario):
+    """The scenario's observations with weights that vary per observation."""
     return [
         dataclasses.replace(o, weight=0.5 + 0.25 * (i % 5))
         for i, o in enumerate(scenario.observations)
-        if o.camera_id in wide or (o.track_id + 5 * rank[o.camera_id]) % n_points < n_points // 5
     ]
+
+
+def skewed_observations(scenario, n_points):
+    """The observations skewed_visibility keeps, weighted as in
+    weighted_observations."""
+    keep = skewed_visibility(scenario, n_points)
+    return [o for o, kept in zip(weighted_observations(scenario), keep) if kept]
+
+
+def poison(work, keep=None):
+    """Fill every buffer of a layout's workspace with NaN, except `keep`."""
+    for value in vars(work).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if array is not None and array is not keep:
+                array.fill(np.nan)
 
 
 def solve(scenario, **options):
@@ -264,6 +290,30 @@ class TestObservationOrder:
         )
 
 
+class TestRepeatedCalls:
+    def test_solves_keep_no_state_between_calls(self):
+        # A uniform network with outliers, whose rejection rounds build
+        # several layouts, then a ragged one, then the first again.
+        uniform = small_scenario(noise_sigma=0.5, outlier_fraction=0.02, seed=12)
+        ragged = small_scenario(n_points=40, noise_sigma=0.5, seed=8)
+        first = solve(uniform)
+        refine_progressive(
+            ragged.fixed,
+            ragged.new_initial,
+            ragged.points_initial,
+            skewed_observations(ragged, 40),
+        )
+        again = solve(uniform)
+        assert first.rejected_observations
+        assert again.rejected_observations == first.rejected_observations
+        np.testing.assert_array_equal(first.residuals, again.residuals)
+        for cam_id, eo in first.new_cameras.cameras.items():
+            np.testing.assert_array_equal(again.new_cameras.cameras[cam_id].center, eo.center)
+            np.testing.assert_array_equal(again.new_cameras.cameras[cam_id].rotation, eo.rotation)
+        for track, point in first.points.items():
+            np.testing.assert_array_equal(again.points[track].position, point.position)
+
+
 class TestGroupLayout:
     def test_uniform_visibility_gives_one_unpadded_group_per_camera(self):
         assert _group_width(np.full(7, 250)) == 250
@@ -399,6 +449,24 @@ class TestValidation:
             AdjustmentOptions(max_iterations=0)
         with pytest.raises(ValueError, match="step_tolerance"):
             AdjustmentOptions(step_tolerance=1.5)
+        nan, inf = float("nan"), float("inf")
+        refused = [
+            ("initial_lambda", 0.0),
+            ("initial_lambda", -1.0),
+            ("initial_lambda", nan),
+            ("prior_weight", nan),
+            ("prior_weight", inf),
+            ("outlier_sigma_scale", nan),
+            ("outlier_floor", nan),
+            ("outlier_floor", -1.0),
+            ("max_iterations", 2.5),
+            ("max_outlier_rounds", 1.5),
+            ("min_track_length", 2.5),
+        ]
+        for name, value in refused:
+            with pytest.raises(ValueError, match=name):
+                AdjustmentOptions(**{name: value})
+        AdjustmentOptions(outlier_floor=0.0, max_outlier_rounds=0)
 
 
 class TestLinearizedSystem:
@@ -477,7 +545,7 @@ class TestSolverOracles:
         )
 
         equations = problem.normal_equations(mask, track_active, 1e4 if include_fixed else None)
-        step = _solve_reduced(*equations, lam)
+        step = _solve_reduced(*equations, lam, problem._layout.work)
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @staticmethod
@@ -587,6 +655,89 @@ class TestSolverOracles:
             assert block.shape == expected.shape, name
             gap = np.linalg.norm(block - expected)
             assert gap <= 1e-12 * np.linalg.norm(expected), name
+
+    @staticmethod
+    def _layout_sequence(scenario, include_fixed, masks, poisoned, monkeypatch):
+        """Residuals, cost, normal equations and a damped step on each mask in
+        turn, on one problem: per mask, the layout's group width, the cost,
+        and the arrays returned (residuals, behind flags, the five blocks and
+        the step) with a copy of each taken when it was returned. When
+        `poisoned`, every workspace buffer is filled with NaN before each
+        kernel, residual, cost, normal-equation and solve call (the kernel's
+        input points excepted)."""
+        problem = _Problem(
+            [scenario.fixed],
+            scenario.new_initial,
+            scenario.points_initial,
+            weighted_observations(scenario),
+            include_fixed=include_fixed,
+        )
+        prior_weight = 1e4 if include_fixed else None
+        track_active = np.ones(len(problem.track_ids), dtype=bool)
+
+        def before_call():
+            if poisoned and problem._layout is not None:
+                poison(problem._layout.work)
+
+        kernel = adjustment._projection
+
+        def poisoned_kernel(*args, **kwargs):
+            if poisoned:
+                poison(problem._layout.work, keep=problem._layout.work.points)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(adjustment, "_projection", poisoned_kernel)
+        results = []
+        for mask in masks:
+            before_call()
+            arrays = problem.residuals(mask)
+            before_call()
+            cost = problem.cost(mask)
+            before_call()
+            equations = problem.normal_equations(mask, track_active, prior_weight)
+            before_call()
+            step = _solve_reduced(*equations, 1e-3, problem._layout.work)
+            arrays += tuple(equations) + (step,)
+            width = problem._layout.weight.shape[1]
+            results.append((width, cost, arrays, [a.copy() for a in arrays]))
+        monkeypatch.setattr(adjustment, "_projection", kernel)
+        return problem, results
+
+    @pytest.mark.parametrize("fixed_handling", ["exclude", "prior_weight"])
+    def test_workspace_reuse_across_layouts(self, fixed_handling, monkeypatch):
+        # Every camera sees every track, so the full mask gives one group of
+        # 40 rows per camera; the skewed mask cuts the two wide cameras into
+        # groups of a narrower width.
+        scenario = small_scenario(
+            n_fixed_cameras=6, n_new_cameras=5, n_points=40, noise_sigma=0.5, seed=8
+        )
+        include_fixed = fixed_handling == "prior_weight"
+        full = np.ones(len(scenario.observations), dtype=bool)
+        masks = (full, skewed_visibility(scenario, 40), full)
+        problem, clean = self._layout_sequence(scenario, include_fixed, masks, False, monkeypatch)
+        assert [width for width, *_ in clean] == [40, 8, 40]
+        track_active = np.ones(len(problem.track_ids), dtype=bool)
+        prior_weight = 1e4 if include_fixed else None
+        for mask, (_, _, arrays, copies) in zip(masks, clean):
+            # What a call returned is not changed by the calls after it ...
+            for array, copy in zip(arrays, copies):
+                np.testing.assert_array_equal(array, copy)
+            # ... and each call's blocks equal the dense oracle's.
+            want = self._dense_normal_equations(problem, mask, track_active, prior_weight)
+            for name, block, expected in zip(_NormalEquations._fields, arrays[2:7], want):
+                assert block.shape == expected.shape, name
+                gap = np.linalg.norm(block - expected)
+                assert gap <= 1e-12 * np.linalg.norm(expected), name
+        # The first mask gives the same numbers before and after the other.
+        assert clean[0][1] == clean[2][1]
+        for before, after in zip(clean[0][2], clean[2][2]):
+            np.testing.assert_array_equal(before, after)
+        # A read of a workspace entry before it is written would show as NaN.
+        _, poisoned = self._layout_sequence(scenario, include_fixed, masks, True, monkeypatch)
+        for (_, cost, arrays, _), (_, cost_p, arrays_p, _) in zip(clean, poisoned):
+            assert cost_p == cost
+            for got, want in zip(arrays_p, arrays):
+                np.testing.assert_array_equal(got, want)
 
     def test_residuals_use_each_observation_calibration(self):
         scenario = small_scenario(
