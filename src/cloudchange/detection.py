@@ -1,17 +1,19 @@
 """Coarse-to-fine volumetric change detection between two epochs.
 
 A `Lattice` fixes the voxel lattice: the union bounding cube of every cloud
-it indexes, so no point of either epoch falls outside it, and one Morton
-index per cloud, built once however many intervals share the cloud. Each
-candidate cell is scored by tau, the mean over its 8 octants of the squared
-difference of the two epochs' point densities, in (points/m^3)^2; only cells
-above threshold are subdivided, so unchanged space is discarded at coarse
-scale and changed space is located at the finest scale. Every depth is
-scored in one batch: each cell's octant counts are read off the code bits of
-the points in its span of each index, one level below the cell, and the
-changed points are the points in the final survivors' spans, so nothing is
-re-encoded or searched per cell. A connected-component pass then drops
-isolated flagged points.
+it indexes, so no point of either epoch falls outside it, and each cloud's
+Morton codes, encoded once however many intervals share the cloud. Each
+interval is one joint linear octree of both epochs' codes, so every cell is
+one span holding the points of both. Each candidate cell is scored by tau,
+the mean over its 8 octants of the squared difference of the two epochs'
+point densities, in (points/m^3)^2; only cells above threshold are
+subdivided, so unchanged space is discarded at coarse scale and changed
+space is located at the finest scale. Every depth is scored in one batch:
+each cell's other-minus-reference octant counts are read off the code bits,
+one level below the cell, of the points in its span, each weighted by its
+epoch's sign, and the changed points are the points in the final
+survivors' spans, so nothing is re-encoded or searched per cell. A
+connected-component pass then drops isolated flagged points.
 """
 from __future__ import annotations
 
@@ -102,8 +104,9 @@ class DetectionStats:
 
     Attributes:
         scored: cells scored at each depth 1..max_depth (entry depth - 1).
-            Only cells holding a point of either epoch are scored; above
-            start_depth only the reference-empty ones are.
+            Only cells holding a point of either epoch, the nonempty spans
+            of the interval's joint index, are scored; above start_depth
+            only the reference-empty ones are.
         kept: scored cells whose score reached the depth's threshold.
     """
 
@@ -151,14 +154,15 @@ class ChangeSet:
 
 
 class Lattice:
-    """One voxel lattice over a fixed set of clouds, and each cloud's index.
+    """One voxel lattice over a fixed set of clouds, and each cloud's codes.
 
     The cube is the union bounding cube of the clouds, so every point of
     every cloud lies inside it and no index needs a containment mask. A
     cloud is recognised by identity; any other cloud is refused, since its
-    points outside the cube would be clipped into edge cells. An index is
-    encoded on its first request and kept while it is one of the two most
-    recently requested: consecutive intervals of a series share one epoch.
+    points outside the cube would be clipped into edge cells. A cloud's
+    Morton codes are encoded on their first request and kept while they are
+    one of the two most recently requested: consecutive intervals of a
+    series share one epoch.
 
     Attributes:
         cube: the union bounding cube, the root of every voxel code.
@@ -169,86 +173,21 @@ class Lattice:
         for cloud in clouds:
             self._clouds.setdefault(id(cloud), cloud)
         self.cube = bounding_cube(*self._clouds.values())
-        self._indexes: OrderedDict = OrderedDict()
+        self._codes: OrderedDict = OrderedDict()
 
-    def index(self, cloud: PointCloud, code_depth: int) -> Octree:
-        """Linear octree of `cloud` on the lattice at `code_depth`; `order`
-        indexes the cloud's points."""
+    def codes(self, cloud: PointCloud, code_depth: int) -> np.ndarray:
+        """Morton codes of `cloud`'s points on the lattice at `code_depth`,
+        in input order."""
         if self._clouds.get(id(cloud)) is not cloud:
             raise ValueError("cloud is not one of the clouds the lattice was built from")
         key = (id(cloud), code_depth)
-        tree = self._indexes.pop(key, None)
-        if tree is None:
-            while len(self._indexes) > 1:
-                self._indexes.popitem(last=False)
-            tree = Octree(morton_codes(cloud.xyz, self.cube, code_depth), code_depth)
-        self._indexes[key] = tree
-        return tree
-
-
-def _child_frontier(ref: Octree, oth: Octree, spans_ref: np.ndarray, spans_oth: np.ndarray, depth: int):
-    """(cells, spans_ref, spans_oth): the children at depth + 1 of the sorted,
-    disjoint cells at `depth` with the given spans, that either epoch
-    occupies, merged in Morton order with their spans in each index."""
-    cells_ref, child_ref = ref.children(spans_ref, depth)
-    cells_oth, child_oth = oth.children(spans_oth, depth)
-    return _merge_cells(cells_ref, child_ref, cells_oth, child_oth)
-
-
-def _merge_cells(cells_ref, spans_ref, cells_oth, spans_oth):
-    """(cells, spans_ref, spans_oth): the union of two sorted, unique cell
-    arrays with each cell's spans in both indexes. A cell one epoch does not
-    occupy gets the empty span [0, 0) there."""
-    # One sort of both arrays ranks every cell: a cell both epochs occupy
-    # comes out twice in a row, and both copies take the same row. A stable
-    # sort merges the two sorted runs in linear time.
-    both = np.concatenate([cells_ref, cells_oth])
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    first = np.empty(len(merged), dtype=bool)
-    first[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    rows = np.empty(len(merged), dtype=np.intp)
-    rows[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(merged)))
-    k, n = len(cells_ref), len(starts)
-    return merged[starts], _scatter_rows(spans_ref, rows[:k], n), _scatter_rows(spans_oth, rows[k:], n)
-
-
-def _scatter_rows(spans: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, 2) spans, `spans` at `rows` and [0, 0) elsewhere; one column at a
-    time, which numpy scatters much faster than (k, 2) rows."""
-    out = np.zeros((n, 2), dtype=np.intp)
-    out[:, 0][rows] = spans[:, 0]
-    out[:, 1][rows] = spans[:, 1]
-    return out
-
-
-def _subvoxel_counts(index: Octree, spans: np.ndarray, depth: int) -> np.ndarray:
-    """(len(spans), 8) octant point counts of each cell at `depth`, read off
-    the code bits one level below it of the points inside the cell's span
-    of the index."""
-    rows, pos = span_positions(spans)
-    shift = np.uint64(3 * (index.code_depth - depth - 1))
-    octant = ((index.sorted_codes[pos] >> shift) & np.uint64(7)).astype(np.int64)
-    counts = np.bincount(rows * 8 + octant, minlength=len(spans) * 8)
-    return counts.reshape(len(spans), 8)
-
-
-def _entered(cells: np.ndarray, occupied_ref: np.ndarray, passed: np.ndarray) -> np.ndarray:
-    """Mask of the cells whose parent is in the sorted arrays of the cells the
-    reference occupies or of the reference-empty cells that passed, one
-    depth up: the children of those cells enter the walk."""
-    parents = cells >> np.uint64(3)
-    return _isin_sorted(parents, occupied_ref) | _isin_sorted(parents, passed)
-
-
-def _isin_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Mask of the entries of `values` found in the sorted array `sorted_set`."""
-    if not len(sorted_set):
-        return np.zeros(len(values), dtype=bool)
-    pos = np.searchsorted(sorted_set, values)
-    return sorted_set[np.minimum(pos, len(sorted_set) - 1)] == values
+        codes = self._codes.pop(key, None)
+        if codes is None:
+            while len(self._codes) > 1:
+                self._codes.popitem(last=False)
+            codes = morton_codes(cloud.xyz, self.cube, code_depth)
+        self._codes[key] = codes
+        return codes
 
 
 def hierarchical_detect(
@@ -263,29 +202,29 @@ def hierarchical_detect(
 
     The voxel lattice is `lattice`, which must have been built from both
     clouds, or else a new one over the two; either way its cube holds every
-    point of both epochs. Each epoch's index is `lattice.index`, so a
-    lattice shared by consecutive intervals encodes each cloud once. Scoring
-    starts at params.start_depth on the reference octree's cells
-    (reference-empty leaves are scored once at their own bounds) and
-    descends only into cells whose score reaches the depth's threshold. A
-    cell's score is tau, the mean over its 8 octants of the squared
-    difference of the two epochs' point densities, in (points/m^3)^2.
+    point of both epochs. The interval has one joint index, a linear octree
+    of both epochs' codes (`lattice.codes`, so a lattice shared by
+    consecutive intervals encodes each cloud once) in which every cell is
+    one span holding the points of both epochs. Scoring starts at
+    params.start_depth (reference-empty leaves are scored once at their own
+    bounds) and descends only into cells whose score reaches the depth's
+    threshold. A cell's score is tau, the mean over its 8 octants of the
+    squared difference of the two epochs' point densities, in
+    (points/m^3)^2.
 
-    The start_depth cells of each index are read in one pass, as the runs of
-    equal code prefixes with their [lo, hi) spans (`Octree.cells`), and the
-    cells of every coarser depth are the runs of their prefixes, so the
-    depths above start_depth are not walked: there only the cells the other
-    epoch occupies and the reference does not are scored, each if its
-    parent is reference-occupied or passed, and a start_depth cell enters
-    the frontier only under such a parent. Each depth's frontier is one
-    sorted, disjoint array of cell codes that carries every cell's span in
-    both epochs' indexes, the two epochs' cells merged by one stable sort. The
-    next frontier is read off the codes inside the spans of the cells that
-    descend (`Octree.children`), so no depth searches the index. Cells
-    empty in both epochs score exactly 0, below every threshold, so they
-    never enter the frontier. The octant counts of the scored cells are read
-    off the code bits one level below them of the points in their spans, and
-    the changed points are the points in the final survivors' spans.
+    The start_depth cells are read in one pass, as the runs of equal code
+    prefixes with their [lo, hi) spans (`Octree.cells`), and the cells of
+    every coarser depth are the runs of their prefixes, so the depths above
+    start_depth are not walked: there only the cells the reference leaves
+    empty are scored, each if its parent is reference-occupied or passed,
+    and a start_depth cell enters the frontier only under such a parent.
+    Below, the next frontier is read off the codes inside the spans of the
+    cells that descend (`Octree.children`), so no depth searches the index.
+    Cells empty in both epochs score exactly 0, below every threshold, so
+    they never enter the frontier. A cell's other-minus-reference octant
+    counts are one gather of the code bits one level below it, each entry
+    weighted by its epoch's sign, and the changed points are the points in
+    the final survivors' spans.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -295,59 +234,71 @@ def hierarchical_detect(
     cube = lattice.cube
     # One code level below max_depth holds the finest cells' octants.
     code_depth = params.max_depth + 1
-    ref = lattice.index(reference, code_depth)
-    oth = lattice.index(other, code_depth)
+    n_ref = len(reference)
+    index = Octree(
+        np.concatenate([lattice.codes(reference, code_depth), lattice.codes(other, code_depth)]),
+        code_depth,
+    )
+    # -1 for each reference entry of the index, +1 for each other-epoch one.
+    sign = np.where(index.order < n_ref, np.int8(-1), np.int8(1))
 
-    def passed(spans_ref, spans_oth, depth):
+    def passed(spans, depth):
         """Rows of the cells at `depth` whose score reaches the threshold."""
-        # In place where the arithmetic allows: at start_depth the counts
-        # hold every occupied cell, and their temporaries set peak memory.
-        diff = _subvoxel_counts(oth, spans_oth, depth)
-        diff -= _subvoxel_counts(ref, spans_ref, depth)
-        diff = diff.astype(np.float64)
+        # In place, and each buffer freed once read: at start_depth the
+        # spans tile the index, and these temporaries set peak memory.
+        rows, pos = span_positions(spans)
+        octant = index.sorted_codes[pos]
+        octant >>= np.uint64(3 * (code_depth - depth - 1))
+        octant &= np.uint64(7)
+        rows *= 8
+        rows += octant.view(np.intp)
+        del octant
+        # A weighted bincount of no entries is int64, not float64.
+        diff = np.bincount(rows, weights=sign[pos], minlength=len(spans) * 8)
+        diff = diff.astype(np.float64, copy=False).reshape(len(spans), 8)
         diff /= (cube.edge / float(1 << depth) / 2) ** 3
         score = np.square(diff, out=diff).sum(axis=1)
         score /= 8
         return np.flatnonzero(score >= params.threshold_at(depth))
 
-    # Each epoch's occupied cells at depth start - k, for k = 0..start: the
-    # start_depth cells read in one pass, then the runs of their prefixes.
+    # The occupied cells at each depth 0..start: the start_depth cells read
+    # in one pass, then the runs of their prefixes.
     start = params.start_depth
-    coarse_ref, coarse_oth = [ref.cells(start)], [oth.cells(start)]
+    levels = [index.cells(start)]
     for _ in range(start):
-        coarse_ref.append(parent_cells(*coarse_ref[-1], 1))
-        coarse_oth.append(parent_cells(*coarse_oth[-1], 1))
-    # Above start_depth only reference-empty cells are scored: those the
-    # other epoch occupies, whose parent the reference occupies or passed.
+        levels.append(parent_cells(*levels[-1], 1))
+    levels.reverse()
+    # A cell enters when its parent is reference-occupied or passed: `open_`
+    # marks those cells one depth up. The root holds the reference.
     scored, kept = [], []
-    survivors = np.empty(0, dtype=np.uint64)
-    for depth in range(1, start):
-        cells, spans = coarse_oth[start - depth]
-        rows = np.flatnonzero(
-            _entered(cells, coarse_ref[start - depth + 1][0], survivors)
-            & ~_isin_sorted(cells, coarse_ref[start - depth][0])
-        )
-        cells, spans = cells[rows], spans[rows]
-        survivors = cells[passed(np.zeros_like(spans), spans, depth)]
-        scored.append(len(cells))
-        kept.append(len(survivors))
+    open_ = np.ones(1, dtype=bool)
+    for depth in range(1, start + 1):
+        cells, spans = levels[depth]
+        rows = np.flatnonzero(open_[np.searchsorted(levels[depth - 1][0], cells >> np.uint64(3))])
+        if depth == start:
+            break
+        # Above start_depth only the reference-empty cells are scored.
+        open_ = np.minimum.reduceat(sign, spans[:, 0]) < 0
+        rows = rows[~open_[rows]]
+        hits = rows[passed(spans[rows], depth)]
+        open_[hits] = True
+        scored.append(len(rows))
+        kept.append(len(hits))
     # From start_depth on, every frontier cell is scored and only survivors'
     # children enter the next depth.
-    (cells_ref, spans_ref), (cells_oth, spans_oth) = coarse_ref[0], coarse_oth[0]
-    rows = np.flatnonzero(_entered(cells_oth, coarse_ref[1][0], survivors))
-    cells, spans_ref, spans_oth = _merge_cells(cells_ref, spans_ref, cells_oth[rows], spans_oth[rows])
-    del coarse_ref, coarse_oth, cells_ref, cells_oth
+    cells, spans = cells[rows], spans[rows]
+    del levels, open_
     for depth in range(start, params.max_depth + 1):
         if depth > start:
-            cells, spans_ref, spans_oth = _child_frontier(ref, oth, spans_ref, spans_oth, depth - 1)
-        rows = passed(spans_ref, spans_oth, depth)
+            cells, spans = index.children(spans, depth - 1)
+        rows = passed(spans, depth)
         scored.append(len(cells))
         kept.append(len(rows))
-        cells, spans_ref, spans_oth = cells[rows], spans_ref[rows], spans_oth[rows]
+        cells, spans = cells[rows], spans[rows]
 
-    voxels = cells
-    raw_ref = ref.span_members(spans_ref)
-    raw_oth = oth.span_members(spans_oth)
+    members = index.span_members(spans)
+    split = np.searchsorted(members, n_ref)
+    raw_ref, raw_oth = members[:split], members[split:] - n_ref
 
     finest_edge = cube.edge / float(1 << params.max_depth)
     kept_ref, labels_ref = _filter_epoch(reference.xyz, raw_ref, finest_edge, params)
@@ -356,7 +307,7 @@ def hierarchical_detect(
     return ChangeSet(
         cube=cube,
         depth=params.max_depth,
-        voxel_codes=voxels,
+        voxel_codes=cells,
         voxel_edge=finest_edge,
         raw_changed_reference=raw_ref,
         raw_changed_other=raw_oth,

@@ -180,7 +180,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         # Every interval is registered before any is detected, so the one
         # lattice of the run bounds each aligned later epoch. ICP aligns each
         # epoch onto the previous one only: an aligned cloud is a cloud of
-        # its own and gets its own index. Without registration, epoch k is
+        # its own and gets its own codes. Without registration, epoch k is
         # the `other` of interval k-1 -> k and the `reference` of k -> k+1,
         # and is encoded once.
         laters = []

@@ -134,10 +134,10 @@ class RubbleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.points_per_m3 <= 0:
-            raise ValueError("points_per_m3 must be > 0")
-        if self.height <= 0:
-            raise ValueError("rubble height must be > 0")
+        if not (np.isfinite(self.points_per_m3) and self.points_per_m3 > 0):
+            raise ValueError(f"points_per_m3 must be finite and > 0, got {self.points_per_m3}")
+        if not (np.isfinite(self.height) and self.height > 0):
+            raise ValueError(f"rubble height must be finite and > 0, got {self.height}")
 
 
 def _clipped_box(lo, hi, spec: BuildingSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,8 +333,8 @@ def apply_demolition(
 def add_noise(cloud: PointCloud, sigma: float, seed: int = 0) -> PointCloud:
     """Isotropic Gaussian perturbation of every point; sigma = 0 is the
     identity. Deterministic per seed; per-point attributes are kept."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return cloud
     rng = np.random.default_rng(seed)
@@ -369,6 +369,8 @@ def generate_demolition_series(
     """
     if n_epochs < 2:
         raise ValueError("a demolition series needs at least two epochs")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     n_intervals = n_epochs - 1
     stripe = spec.width / n_intervals

@@ -48,8 +48,8 @@ class GroundGrid:
     fallback: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.cell_size <= 0:
-            raise ValueError(f"cell size must be > 0, got {self.cell_size}")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell size must be finite and > 0, got {self.cell_size}")
         if not (len(self.cells) == len(self.heights) == len(self.fallback)):
             raise ValueError("grid arrays must align")
         if len(self.heights) and (np.asarray(self.heights) < 0).any():
@@ -89,8 +89,8 @@ def build_ground_grid(
     ChangeSet yields an empty grid.
     """
     s = changes.voxel_edge if cell_size is None else float(cell_size)
-    if s <= 0:
-        raise ValueError(f"cell size must be > 0, got {s}")
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"cell size must be finite and > 0, got {s}")
     pts_e, pts_l = earlier.xyz, later.xyz
     if len(pts_e) != changes.reference_size or len(pts_l) != changes.other_size:
         raise ValueError(

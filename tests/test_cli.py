@@ -246,6 +246,26 @@ class TestVolumeCommand:
         assert payload["cell_size_m"] == 0.5
         assert payload["n_cells"] > 0
 
+    @pytest.mark.parametrize("grid_size", ["nan", "inf"])
+    def test_non_finite_grid_size_fails(self, scene, tmp_path, caplog, grid_size):
+        report = tmp_path / "volume.json"
+        code = main(
+            [
+                "volume",
+                "--reference",
+                str(scene / "epoch_0.ply"),
+                "--other",
+                str(scene / "epoch_1.ply"),
+                "--grid-size",
+                grid_size,
+                "--output",
+                str(report),
+            ]
+        )
+        assert code == 1
+        assert "cell size must be finite" in caplog.text
+        assert not report.exists()
+
 
 class TestRegisterCommand:
     def test_known_offset_recovered(self, tmp_path):
@@ -403,6 +423,13 @@ class TestFailureModes:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan", "inf"])
+    def test_synth_refuses_invalid_noise_sigma(self, tmp_path, caplog, sigma):
+        code = main(["synth", "--output", str(tmp_path), "--epochs", "2", "--noise-sigma", sigma])
+        assert code == 1
+        assert "noise_sigma must be finite and >= 0" in caplog.text
+        assert not (tmp_path / "truth.json").exists()
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -380,12 +380,11 @@ class TestHierarchicalDetect:
         lattice = Lattice((reference, other))
         cube = lattice.cube
         assert ref[1, 0] == cube.min_corner[0] + cube.edge
-        index = lattice.index(reference, 12)
-        assert len(index) == len(ref)
-        np.testing.assert_array_equal(np.sort(index.order), np.arange(len(ref)))
-        np.testing.assert_array_equal(index.sorted_codes, np.sort(morton_codes(ref, cube, 12)))
+        codes = lattice.codes(reference, 12)
+        assert len(codes) == len(ref)
+        np.testing.assert_array_equal(codes, morton_codes(ref, cube, 12))
         # The max-face point sits in the last cell along x.
-        assert decode_cell(index.sorted_codes[index.order == 1], 12)[0, 0] == 2**12 - 1
+        assert decode_cell(codes[1:2], 12)[0, 0] == 2**12 - 1
         result = hierarchical_detect(
             reference, other, ChangeParams(thresholds=10.0, component_min_size=1), lattice=lattice
         )
@@ -505,7 +504,7 @@ class TestLattice:
         lattice = Lattice((a, b))
         # Equal points, but not a cloud the lattice bounds by construction.
         with pytest.raises(ValueError, match="lattice was built from"):
-            lattice.index(PointCloud(a.xyz.copy()), 8)
+            lattice.codes(PointCloud(a.xyz.copy()), 8)
         with pytest.raises(ValueError, match="lattice was built from"):
             hierarchical_detect(a, PointCloud(b.xyz.copy()), lattice=lattice)
 
@@ -520,18 +519,18 @@ class TestLattice:
         monkeypatch.setattr(detection, "morton_codes", counting)
         a, b, c = self.clouds()
         lattice = Lattice((a, b, b, c))
-        first = lattice.index(a, 8)
-        assert lattice.index(a, 8) is first
-        lattice.index(b, 8)
-        assert lattice.index(a, 8) is first
+        first = lattice.codes(a, 8)
+        assert lattice.codes(a, 8) is first
+        lattice.codes(b, 8)
+        assert lattice.codes(a, 8) is first
         assert encoded == [len(a), len(b)]
         # c evicts b, the least recently requested; a stays.
-        lattice.index(c, 8)
-        assert lattice.index(a, 8) is first
-        lattice.index(b, 8)
+        lattice.codes(c, 8)
+        assert lattice.codes(a, 8) is first
+        lattice.codes(b, 8)
         assert encoded == [len(a), len(b), len(c), len(b)]
-        # A different code depth is a different index.
-        lattice.index(b, 9)
+        # A different code depth is a different encoding.
+        lattice.codes(b, 9)
         assert encoded[-1] == len(b)
         assert len(encoded) == 5
 

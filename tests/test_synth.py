@@ -178,6 +178,13 @@ class TestDemolition:
         assert debris[:, 2].max() <= 0.5
         assert ((debris[:, :2] >= [4.0, 6.0]) & (debris[:, :2] <= [9.0, 11.0])).all()
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_rubble_rejected(self, value):
+        with pytest.raises(ValueError, match="points_per_m3 must be finite and > 0"):
+            RubbleSpec(points_per_m3=value, height=0.5)
+        with pytest.raises(ValueError, match="rubble height must be finite and > 0"):
+            RubbleSpec(points_per_m3=20.0, height=value)
+
 
 class TestDemolitionSeries:
     def test_progressive_series_volumes_and_labels(self):
@@ -210,6 +217,12 @@ class TestDemolitionSeries:
             assert len(a) == len(b)
             assert not np.array_equal(a.xyz, b.xyz)
 
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_invalid_noise_sigma_rejected(self, sigma):
+        spec = BuildingSpec(width=10, length=10, height=5, density=50.0)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            generate_demolition_series(spec, 3, seed=2, noise_sigma=sigma)
+
 
 class TestNoise:
     def test_displacement_norm_statistics(self):
@@ -240,6 +253,9 @@ class TestNoise:
         np.testing.assert_array_equal(a.xyz, b.xyz)
         with pytest.raises(ValueError, match="sigma"):
             add_noise(cloud, -0.1)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                add_noise(cloud, sigma)
 
 
 class TestPoseScenario:

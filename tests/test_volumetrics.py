@@ -59,6 +59,9 @@ class TestGroundGridArithmetic:
     def test_validation(self):
         with pytest.raises(ValueError, match="cell size"):
             self._grid(cell_size=0.0)
+        for cell_size in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="cell size must be finite"):
+                self._grid(cell_size=cell_size)
         with pytest.raises(ValueError, match=">= 0"):
             self._grid(heights=(-1.0,))
         with pytest.raises(ValueError, match="align"):
@@ -157,6 +160,9 @@ class TestBuildGroundGrid:
         assert grid.cell_size == changes.voxel_edge
         with pytest.raises(ValueError, match="cell size"):
             build_ground_grid(changes, earlier, later, cell_size=0.0)
+        for cell_size in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="cell size must be finite"):
+                build_ground_grid(changes, earlier, later, cell_size=cell_size)
 
 
 def contains_ground_grid(changes, earlier, later, cell_size):
