@@ -59,7 +59,6 @@ class PipelineConfig:
         grid_size: ground-grid cell edge, metres; None uses the changed
             voxel edge.
         output_dir: where the run writes its artifacts.
-        report_version: format version stamped into reports.
         seed: base seed recorded in the manifest.
         threads: worker count for neighbour queries; None: one worker;
             scoped to the run.
@@ -71,7 +70,6 @@ class PipelineConfig:
     detection: ChangeParams = field(default_factory=ChangeParams)
     grid_size: Optional[float] = None
     output_dir: str = "out"
-    report_version: int = REPORT_VERSION
     seed: int = 0
     threads: Optional[int] = None
 
@@ -95,6 +93,10 @@ class PipelineConfig:
         if len(kinds) > 1:
             raise ValueError("epochs: timestamps mix incompatible kinds")
         stamps = [e.timestamp for e in self.epochs]
+        # NaN would pass the order check below: every comparison with it is
+        # False.
+        if kinds == {"number"} and not all(math.isfinite(t) for t in stamps):
+            raise ValueError(f"epochs: timestamps must be finite, got {stamps}")
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("epochs: timestamps must be strictly increasing")
         if self.grid_size is not None and not (math.isfinite(self.grid_size) and self.grid_size > 0):
@@ -204,6 +206,15 @@ def _float(value) -> float:
     return float(value)
 
 
+def _report_version(value) -> int:
+    """The report format a config was written with: a serialized config
+    records it, but only the format this library writes parses."""
+    version = _integer(value)
+    if version != REPORT_VERSION:
+        raise ValueError(f"this library writes report format {REPORT_VERSION} only, got {version}")
+    return version
+
+
 def _thresholds(value):
     if isinstance(value, (list, tuple)):
         return tuple(_float(v) for v in value)
@@ -261,7 +272,8 @@ def parse_config_text(text: str) -> PipelineConfig:
     raw = yaml.load(text, Loader=_Loader)
     if raw is None:
         raw = {}
-    _check_keys(raw, {*_NESTED_KEYS, *_SCALAR_FIELDS}, "")
+    _check_keys(raw, {*_NESTED_KEYS, *_SCALAR_FIELDS, "report_version"}, "")
+    _convert(raw, {"report_version": _report_version}, "")
     epochs = _parse_epochs(_require(raw, "epochs", ""), "epochs")
     return PipelineConfig(
         epochs=epochs,
@@ -312,7 +324,7 @@ def config_to_dict(config: PipelineConfig) -> dict:
         "detection": _section_to_dict(config.detection, _DETECTION_FIELDS),
         "grid_size": config.grid_size,
         "output_dir": config.output_dir,
-        "report_version": config.report_version,
+        "report_version": REPORT_VERSION,
         "seed": config.seed,
         "threads": config.threads,
     }

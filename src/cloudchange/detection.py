@@ -9,11 +9,13 @@ the mean over its 8 octants of the squared difference of the two epochs'
 point densities, in (points/m^3)^2; only cells above threshold are
 subdivided, so unchanged space is discarded at coarse scale and changed
 space is located at the finest scale. Every depth is scored in one batch:
-each cell's other-minus-reference octant counts are read off the code bits,
-one level below the cell, of the points in its span, each weighted by its
-epoch's sign, and the changed points are the points in the final
-survivors' spans, so nothing is re-encoded or searched per cell. A
-connected-component pass then drops isolated flagged points.
+the walk carries the index positions of the points still in play, and one
+read of their codes gives the cells (runs of equal prefixes) and each
+point's octant, one level below its cell. A cell's other-minus-reference
+octant counts are those points counted per octant, each weighted by its
+epoch's sign, and the changed points are the points left at the finest
+depth, so nothing is re-encoded or searched per cell. A connected-component
+pass then drops isolated flagged points.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .neighbors import kdtree
 from .octree import (
     MAX_SUPPORTED_DEPTH,
     Octree,
+    _runs,
     morton_codes,
     parent_cells,
     span_positions,
@@ -218,13 +221,16 @@ def hierarchical_detect(
     start_depth are not walked: there only the cells the reference leaves
     empty are scored, each if its parent is reference-occupied or passed,
     and a start_depth cell enters the frontier only under such a parent.
-    Below, the next frontier is read off the codes inside the spans of the
-    cells that descend (`Octree.children`), so no depth searches the index.
-    Cells empty in both epochs score exactly 0, below every threshold, so
-    they never enter the frontier. A cell's other-minus-reference octant
-    counts are one gather of the code bits one level below it, each entry
-    weighted by its epoch's sign, and the changed points are the points in
-    the final survivors' spans.
+    From start_depth on, the frontier is the sorted index positions of the
+    points in the cells still in play, converted from the spans once
+    (`span_positions`). Each depth gathers their codes once: the runs of
+    equal prefixes are the cells, and the code bits one level below a cell
+    are each point's octant. A cell's other-minus-reference octant counts
+    are one bincount of those points, each weighted by its epoch's sign;
+    the points of the cells that pass are the next frontier, so no depth
+    searches the index. Cells empty in both epochs score exactly 0, below
+    every threshold, so they never enter the frontier. The changed points
+    are the frontier left after max_depth.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -242,24 +248,34 @@ def hierarchical_detect(
     # -1 for each reference entry of the index, +1 for each other-epoch one.
     sign = np.where(index.order < n_ref, np.int8(-1), np.int8(1))
 
-    def passed(spans, depth):
-        """Rows of the cells at `depth` whose score reaches the threshold."""
-        # In place, and each buffer freed once read: at start_depth the
-        # spans tile the index, and these temporaries set peak memory.
-        rows, pos = span_positions(spans)
-        octant = index.sorted_codes[pos]
-        octant >>= np.uint64(3 * (code_depth - depth - 1))
-        octant &= np.uint64(7)
-        rows *= 8
-        rows += octant.view(np.intp)
+    def passed(pos, depth):
+        """(cells, row, hit) of the cells at `depth` holding the sorted index
+        positions `pos`: their codes, each entry's row and whether each
+        cell's score reaches the threshold. One gather of the codes gives
+        the cells, as runs of equal prefixes, and each entry's octant."""
+        # In place, and each buffer freed once read: at start_depth `pos`
+        # may cover the whole index, and these temporaries set peak memory.
+        code = index.sorted_codes[pos]
+        code >>= np.uint64(3 * (code_depth - depth - 1))
+        octant = code & np.uint64(7)
+        code >>= np.uint64(3)
+        starts, counts = _runs(code)
+        cells = code[starts]
+        counts -= starts
+        del code, starts
+        # Each entry's bin: 8 * its cell's row + its octant.
+        row = np.repeat(np.arange(0, 8 * len(cells), 8), counts)
+        del counts
+        row += octant.view(np.intp)
         del octant
         # A weighted bincount of no entries is int64, not float64.
-        diff = np.bincount(rows, weights=sign[pos], minlength=len(spans) * 8)
-        diff = diff.astype(np.float64, copy=False).reshape(len(spans), 8)
+        diff = np.bincount(row, weights=sign[pos], minlength=len(cells) * 8)
+        diff = diff.astype(np.float64, copy=False).reshape(len(cells), 8)
         diff /= (cube.edge / float(1 << depth) / 2) ** 3
         score = np.square(diff, out=diff).sum(axis=1)
         score /= 8
-        return np.flatnonzero(score >= params.threshold_at(depth))
+        row >>= 3  # each entry's bin back to its cell's row
+        return cells, row, score >= params.threshold_at(depth)
 
     # The occupied cells at each depth 0..start: the start_depth cells read
     # in one pass, then the runs of their prefixes.
@@ -280,23 +296,25 @@ def hierarchical_detect(
         # Above start_depth only the reference-empty cells are scored.
         open_ = np.minimum.reduceat(sign, spans[:, 0]) < 0
         rows = rows[~open_[rows]]
-        hits = rows[passed(spans[rows], depth)]
+        hits = rows[passed(span_positions(spans[rows]), depth)[2]]
         open_[hits] = True
         scored.append(len(rows))
         kept.append(len(hits))
-    # From start_depth on, every frontier cell is scored and only survivors'
-    # children enter the next depth.
-    cells, spans = cells[rows], spans[rows]
-    del levels, open_
+    # From start_depth on, the frontier is the index positions of the points
+    # in the cells still in play: every frontier cell is scored, and only
+    # survivors' points go on to the next depth.
+    pos = span_positions(spans[rows])
+    del levels, open_, cells, spans, rows
     for depth in range(start, params.max_depth + 1):
-        if depth > start:
-            cells, spans = index.children(spans, depth - 1)
-        rows = passed(spans, depth)
-        scored.append(len(cells))
-        kept.append(len(rows))
-        cells, spans = cells[rows], spans[rows]
+        cells, row, hit = passed(pos, depth)
+        pos = pos[hit[row]]
+        del row
+        cells = cells[hit]
+        scored.append(len(hit))
+        kept.append(len(cells))
 
-    members = index.span_members(spans)
+    members = index.order[pos]
+    members.sort()
     split = np.searchsorted(members, n_ref)
     raw_ref, raw_oth = members[:split], members[split:] - n_ref
 

@@ -82,10 +82,17 @@ class ChangeMetrics:
         }
 
 
-def _as_labels(values, name: str) -> np.ndarray:
+def _as_labels(values, name: str, allowed) -> np.ndarray:
+    """`values` as int64 labels, each one of the ChangeLabel members
+    `allowed`. Checked before the cast, which would truncate 0.5 or 1.7 to a
+    label; whole floats such as 0.0 and 1.0 pass."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if not np.isin(arr, [int(label) for label in allowed]).all():
+        raise ValueError(
+            f"{name} labels must each be one of {', '.join(label.name for label in allowed)}"
+        )
     return arr.astype(np.int64)
 
 
@@ -96,17 +103,13 @@ def confusion_counts(predicted, truth) -> ConfusionCounts:
     contain UNKNOWN, which excludes the point from the tally (counted in
     the `unknown` field instead).
     """
-    pred = _as_labels(predicted, "predicted")
-    true = _as_labels(truth, "truth")
+    known_labels = (ChangeLabel.CHANGED, ChangeLabel.UNCHANGED)
+    pred = _as_labels(predicted, "predicted", known_labels)
+    true = _as_labels(truth, "truth", known_labels + (ChangeLabel.UNKNOWN,))
     if len(pred) != len(true):
         raise ValueError(
             f"label arrays differ in length: predicted {len(pred)}, truth {len(true)}"
         )
-    valid_pred = {int(ChangeLabel.UNCHANGED), int(ChangeLabel.CHANGED)}
-    if not set(np.unique(pred)) <= valid_pred:
-        raise ValueError("predicted labels must be CHANGED or UNCHANGED")
-    if not set(np.unique(true)) <= valid_pred | {int(ChangeLabel.UNKNOWN)}:
-        raise ValueError("truth labels must be CHANGED, UNCHANGED, or UNKNOWN")
     known = true != int(ChangeLabel.UNKNOWN)
     p = pred[known] == int(ChangeLabel.CHANGED)
     t = true[known] == int(ChangeLabel.CHANGED)

@@ -7,13 +7,12 @@ node objects (Gargantini, "An effective way to represent quadtrees", CACM
 cells of any depth are the runs of equal code prefixes, read with their spans
 in one pass over the index (`Octree.cells`), and their ancestors are the runs
 of their own prefixes (`parent_cells`; Sundar, Sampath & Biros, SIAM J. Sci.
-Comput. 2008). The occupied children of cells whose spans are known are read
-off the codes inside those spans (`Octree.children`), so a coarse-to-fine
-walk that carries its cells' spans down never searches the index; the points
-of any set of cells are the entries in their spans (`Octree.span_members`).
-One quantisation at the finest depth defines cell membership at every
-coarser depth (prefix of the code), which keeps parent/child assignment
-consistent to the last ulp.
+Comput. 2008). A coarse-to-fine walk converts its cells' spans to index
+positions once (`span_positions`) and reads every deeper cell off the codes
+at those positions, so it never searches the index; the points of a cell
+are the `order` entries in its span. One quantisation at the finest depth
+defines cell membership at every coarser depth (prefix of the code), which
+keeps parent/child assignment consistent to the last ulp.
 """
 from __future__ import annotations
 
@@ -113,8 +112,8 @@ class Octree:
     Every cell at depth d <= code_depth is the contiguous span of
     `sorted_codes` whose codes shifted right by 3 * (code_depth - d) equal
     the cell's code, so cells are never materialized: `cells(d)` reads every
-    occupied cell's span at one depth, `children` those below known spans,
-    a cell's count is its span's length and its points are `span_members`.
+    occupied cell's span at one depth, a cell's count is its span's length
+    and its points are `order[lo:hi]`.
 
     The index is sorted as one 64-bit key per entry, its code shifted above
     its input position, whenever 3 * code_depth plus the bits of the
@@ -162,41 +161,15 @@ class Octree:
         starts, ends = _runs(prefix)
         return prefix[starts], np.stack([starts, ends], axis=1)
 
-    def children(self, spans: np.ndarray, depth: int) -> tuple:
-        """(codes, spans) of the occupied children at depth + 1 of the cells
-        at `depth` whose spans are the rows of `spans`, in Morton order.
 
-        The cells must be sorted and disjoint, so their spans are too; empty
-        spans are allowed. The children are the runs of equal codes among
-        the codes inside those spans, shifted to depth + 1: no search.
-        """
-        if not 0 <= depth < self.code_depth:
-            raise ValueError(f"need 0 <= depth < {self.code_depth}, got depth={depth}")
-        _, pos = span_positions(spans)
-        codes = self.sorted_codes[pos] >> np.uint64(3 * (self.code_depth - depth - 1))
-        # A child never spans two parents, so each run is contiguous in
-        # `sorted_codes`.
-        starts, ends = _runs(codes)
-        lo = pos[starts]
-        return codes[starts], np.stack([lo, lo + (ends - starts)], axis=1)
-
-    def span_members(self, spans: np.ndarray) -> np.ndarray:
-        """Sorted `order` entries of the points inside the given spans."""
-        _, pos = span_positions(spans)
-        out = self.order[pos]
-        out.sort()
-        return out
-
-
-def span_positions(spans: np.ndarray) -> tuple:
-    """(rows, positions): every position inside the [lo, hi) spans given as
-    the rows of an (n, 2) array, concatenated in row order, and the row each
-    came from. One gather, no loop per span."""
+def span_positions(spans: np.ndarray) -> np.ndarray:
+    """Every position inside the [lo, hi) spans given as the rows of an
+    (n, 2) array, concatenated in row order. No loop per span."""
     lo, hi = np.asarray(spans).T
     lengths = hi - lo
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(lengths.sum()) + (lo - (np.cumsum(lengths) - lengths))[rows]
-    return rows, pos
+    pos = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(len(pos))
+    return pos
 
 
 def parent_cells(codes: np.ndarray, spans: np.ndarray, levels: int) -> tuple:

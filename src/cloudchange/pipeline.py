@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .cloud_io import load_cloud, save_cloud
-from .config import PipelineConfig, config_to_dict
+from .config import REPORT_VERSION, PipelineConfig, config_to_dict
 from .detection import Lattice, hierarchical_detect
 from .geometry import ChangeLabel, PointCloud, apply_transform
 from .registration import icp_align
@@ -166,7 +166,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     timings: dict = {}
     manifest = {
         "package_version": _package_version(),
-        "report_version": config.report_version,
+        "report_version": REPORT_VERSION,
         "seed": config.seed,
         "config": config_to_dict(config),
         "status": "incomplete",
@@ -230,7 +230,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         timeline = timeline_report([e.timestamp for e in config.epochs], volumes)
         report = {
-            "report_version": config.report_version,
+            "report_version": REPORT_VERSION,
             "config": config_to_dict(config),
             "intervals": intervals,
             "timeline": timeline.to_dict(),

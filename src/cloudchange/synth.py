@@ -461,6 +461,14 @@ class PoseScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        settings = (
+            *self.point_extent, self.ring_radius, self.ring_height, self.overhead_height,
+            self.overhead_span, self.overhead_fraction, self.noise_sigma, self.outlier_fraction,
+            self.outlier_shift, self.initial_center_offset, self.initial_rotation_deg,
+            self.initial_point_sigma,
+        )
+        if not all(math.isfinite(v) for v in settings):
+            raise ValueError(f"pose scenario settings must be finite, got {settings}")
         if self.n_fixed_cameras < 1 or self.n_new_cameras < 1:
             raise ValueError("both epochs need at least one camera")
         if self.n_points < 1:

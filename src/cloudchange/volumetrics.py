@@ -9,6 +9,7 @@ rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -166,8 +167,9 @@ class VolumeReport:
 def timeline_report(timestamps: Sequence, volumes: Sequence[float]) -> VolumeReport:
     """Aggregate per-interval volumes into a volume timeline.
 
-    `timestamps` must be strictly increasing with one entry per epoch;
-    `volumes` holds one volume in cubic metres per consecutive epoch pair.
+    `timestamps` must be finite and strictly increasing with one entry per
+    epoch; `volumes` holds one finite volume in cubic metres per
+    consecutive epoch pair.
     """
     timestamps = tuple(timestamps)
     if len(timestamps) < 2:
@@ -177,9 +179,12 @@ def timeline_report(timestamps: Sequence, volumes: Sequence[float]) -> VolumeRep
             f"expected {len(timestamps) - 1} volumes for {len(timestamps)} epochs, got {len(volumes)}"
         )
     spans = [_day_span(a, b) for a, b in zip(timestamps, timestamps[1:])]
-    if min(spans) <= 0:
-        raise ValueError("timestamps must be strictly increasing")
+    # A NaN or infinite timestamp makes a span NaN or infinite.
+    if not all(0 < d < math.inf for d in spans):
+        raise ValueError(f"timestamps must be finite and strictly increasing, got {timestamps}")
     volumes = [float(v) for v in volumes]
+    if not all(math.isfinite(v) for v in volumes):
+        raise ValueError(f"volumes must be finite, got {volumes}")
     cumulative = np.cumsum(volumes)
     rates = [v / d for v, d in zip(volumes, spans)]
     return VolumeReport(

@@ -374,6 +374,13 @@ class TestTimelineCommand:
     def test_mismatched_counts_fail(self):
         assert main(["timeline", "--timestamps", "0", "10", "--volumes", "5", "9"]) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_values_fail(self, bad, capsys):
+        # These printed a bare NaN or Infinity, which is not JSON, and exited 0.
+        assert main(["timeline", "--timestamps", "0", "10", "--volumes", bad]) == 1
+        assert main(["timeline", "--timestamps", "0", bad, "2", "--volumes", "5", "9"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestFailureModes:
     def test_missing_input_fails_with_manifest(self, tmp_path):

@@ -186,6 +186,16 @@ class TestInvariants:
                 "  - {path: b.ply, timestamp: 2026-01-01}\n"
             )
 
+    @pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+    def test_timestamps_finite(self, bad):
+        # NaN defeats the strictly-increasing check: every comparison with
+        # it is False.
+        text = f"epochs:\n  - {{path: a.ply, timestamp: 0}}\n  - {{path: b.ply, timestamp: {bad}}}\n"
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            parse_config_text(text)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            PipelineConfig(epochs=self._epochs(float(bad.replace(".", "")), 1.0))
+
     def test_timestamp_kinds_must_not_mix(self):
         with pytest.raises(ValueError, match="mix"):
             PipelineConfig(epochs=self._epochs(0.0, datetime.date(2026, 1, 1)))
@@ -252,7 +262,6 @@ class TestSerialization:
                   component_min_size: 7
                 grid_size: 0.25
                 output_dir: elsewhere
-                report_version: 4
                 seed: 5
                 threads: 3
                 """
@@ -267,6 +276,17 @@ class TestSerialization:
         text = serialize_config(config)
         assert parse_config_text(text) == config
         assert serialize_config(parse_config_text(text)) == text
+
+    def test_report_version_is_not_a_setting(self):
+        # A config records the report format it was written with; only the
+        # one this library writes parses, so no config stamps another.
+        for value in ("4", "1", "2"):
+            with pytest.raises(ValueError, match=r"^report_version: .*format 3 only"):
+                parse_config_text(MINIMAL + f"report_version: {value}\n")
+        config = parse_config_text(MINIMAL + "report_version: 3\n")
+        assert config == parse_config_text(MINIMAL)
+        assert config_to_dict(config)["report_version"] == 3
+        assert not hasattr(config, "report_version")
 
     def test_serialized_config_is_complete(self):
         payload = config_to_dict(parse_config_text(MINIMAL))

@@ -58,6 +58,22 @@ class TestConfusionCounts:
         with pytest.raises(ValueError, match="tp"):
             ConfusionCounts(tp=-1, fp=0, fn=0, tn=0)
 
+    def test_rejects_non_whole_labels(self):
+        # A cast first would score 0.5 and 1.7 as UNCHANGED and CHANGED.
+        with pytest.raises(ValueError, match="predicted labels"):
+            confusion_counts([0.5, 1.7], [UNCHANGED, CHANGED])
+        with pytest.raises(ValueError, match="truth labels"):
+            confusion_counts([UNCHANGED, CHANGED], [0.0, 1.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="predicted labels"):
+                confusion_counts([bad], [CHANGED])
+            with pytest.raises(ValueError, match="truth labels"):
+                confusion_counts([CHANGED], [bad])
+        # Whole floats are labels.
+        assert confusion_counts(
+            np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])
+        ) == confusion_counts([UNCHANGED, CHANGED, CHANGED], [UNCHANGED, CHANGED, UNKNOWN])
+
 
 class TestChangeMetrics:
     def test_balanced_detection_scores(self):

@@ -10,6 +10,7 @@ from cloudchange.octree import (
     decode_cell,
     morton_codes,
     parent_cells,
+    span_positions,
 )
 from detection_reference import cell_indices
 
@@ -62,13 +63,37 @@ def root(index):
     return np.zeros(1, dtype=np.uint64), np.array([[0, len(index)]])
 
 
+def members(index, spans):
+    """Sorted caller indices of the points inside the given spans: the
+    `order` entries of each span, read one span at a time."""
+    return np.sort(np.concatenate([index.order[lo:hi] for lo, hi in spans] + [np.empty(0, np.intp)]))
+
+
+def split(index, depth, lo, hi):
+    """(codes, spans) of the occupied children at depth + 1 of the cell at
+    `depth` whose span is [lo, hi), by np.unique over the codes in it."""
+    codes, first = np.unique(prefixes(index, depth + 1)[lo:hi], return_index=True)
+    edges = np.append(first, hi - lo) + lo
+    return codes, np.stack([edges[:-1], edges[1:]], axis=1)
+
+
 def descend(index, depth):
     """(codes, spans) of the occupied cells at `depth`, walked down from the
-    root through `children`."""
+    root one cell at a time through `split`."""
     codes, spans = root(index)
     for d in range(depth):
-        codes, spans = index.children(spans, d)
+        parts = [split(index, d, lo, hi) for lo, hi in spans]
+        codes = np.concatenate([p[0] for p in parts])
+        spans = np.concatenate([p[1] for p in parts])
     return codes, spans
+
+
+def children(index, cells, depth):
+    """(codes, spans) of the occupied children at depth + 1 of the sorted
+    cells `cells` at `depth`, read off `index.cells(depth + 1)`."""
+    kids, spans = index.cells(depth + 1)
+    keep = np.isin(kids >> np.uint64(3), cells)
+    return kids[keep], spans[keep]
 
 
 def walk(index, min_split):
@@ -81,7 +106,7 @@ def walk(index, min_split):
         if depth == index.code_depth or hi - lo < min_split:
             yield depth, code, lo, hi
             continue
-        codes, spans = index.children(np.array([[lo, hi]]), depth)
+        codes, spans = split(index, depth, lo, hi)
         assert np.all(codes >> np.uint64(3) == code)
         assert np.all(np.diff(codes.astype(np.int64)) > 0)
         assert spans[0, 0] == lo and spans[-1, 1] == hi
@@ -96,7 +121,7 @@ class TestBuild:
         # Corners pin the bounding cube to the unit cube.
         pts = np.vstack([cube_pts, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
         index, _ = index_of(pts, 1)
-        codes, spans = index.children(root(index)[1], 0)
+        codes, spans = index.cells(1)
         counts = spans[:, 1] - spans[:, 0]
         np.testing.assert_array_equal(codes, np.arange(8))
         assert sorted(counts) == [1, 1, 1, 1, 1, 1, 2, 2]  # corners join octants 0 and 7
@@ -106,14 +131,15 @@ class TestBuild:
         # The other epoch may have no point inside the reference cube.
         index = Octree(np.empty(0, dtype=np.uint64), 5)
         assert len(index) == 0
-        for d in range(5):
-            codes, spans = index.children(np.array([[0, 0]] * 3), d)
+        for d in range(6):
+            codes, spans = index.cells(d)
             assert len(codes) == 0 and spans.shape == (0, 2)
             np.testing.assert_array_equal(
                 reference_spans(index, np.arange(8, dtype=np.uint64), d), np.zeros((8, 2))
             )
-        assert len(index.span_members(root(index)[1])) == 0
-        assert len(index.span_members(np.empty((0, 2), dtype=np.int64))) == 0
+        assert len(span_positions(root(index)[1])) == 0
+        assert len(span_positions(np.array([[0, 0]] * 3))) == 0
+        assert len(span_positions(np.empty((0, 2), dtype=np.int64))) == 0
 
     def test_depth_bounds_validated(self):
         codes = np.arange(8, dtype=np.uint64)
@@ -130,9 +156,9 @@ class TestBuild:
         # `order` holds input positions; the sort is stable, so equal codes
         # keep their input order.
         np.testing.assert_array_equal(index.order, [3, 1, 4, 0, 2])
-        cells, spans = index.children(root(index)[1], 0)
+        cells, spans = index.cells(1)
         np.testing.assert_array_equal(cells, [0, 1, 3, 5])
-        np.testing.assert_array_equal(index.span_members(spans[[1, 3]]), [0, 1, 2])
+        np.testing.assert_array_equal(members(index, spans[[1, 3]]), [0, 1, 2])
 
     def test_codes_beyond_code_depth_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -218,8 +244,9 @@ class TestStructure:
         pts = rng.normal(scale=5.0, size=(n, 3))
         index, _ = index_of(pts, depth)
         np.testing.assert_array_equal(np.sort(index.order), np.arange(n))
-        cells, pos = root(index)
+        np.testing.assert_array_equal(index.cells(0)[1], root(index)[1])
         for d in range(depth + 1):
+            cells, pos = index.cells(d)
             np.testing.assert_array_equal(cells, occupied(index, d))
             np.testing.assert_array_equal(pos, reference_spans(index, cells, d))
             # The occupied cells' spans tile [0, n) in Morton order.
@@ -227,13 +254,15 @@ class TestStructure:
             np.testing.assert_array_equal(pos[1:, 0], pos[:-1, 1])
             assert np.all(pos[:, 1] > pos[:, 0])
             if d < depth:
-                # Children's counts sum to each parent's count.
-                kids, kid_pos = index.children(pos, d)
+                # Children's counts sum to each parent's count, and the
+                # children of a cell tile its span.
+                kids, kid_pos = index.cells(d + 1)
                 parent = np.searchsorted(cells, kids >> np.uint64(3))
                 np.testing.assert_array_equal(cells[parent], kids >> np.uint64(3))
                 sums = np.bincount(parent, weights=kid_pos[:, 1] - kid_pos[:, 0], minlength=len(cells))
                 np.testing.assert_array_equal(sums, pos[:, 1] - pos[:, 0])
-                cells, pos = kids, kid_pos
+                first = np.flatnonzero(np.diff(parent, prepend=-1))
+                np.testing.assert_array_equal(kid_pos[first, 0], pos[:, 0])
         # Leaves of an adaptive walk tile [0, n) too; one above the finest
         # depth holds fewer points than the split threshold.
         leaves = sorted(walk(index, min_split), key=lambda leaf: leaf[2:])
@@ -243,15 +272,19 @@ class TestStructure:
         for leaf_depth, _, lo, hi in leaves:
             assert leaf_depth == depth or hi - lo < min_split
 
+    def test_span_positions_concatenates_spans_in_row_order(self):
+        spans = np.array([[5, 7], [0, 2], [3, 3], [9, 10]])
+        np.testing.assert_array_equal(span_positions(spans), [5, 6, 0, 1, 9])
+
     def test_points_inside_node_bounds(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-3.0, 7.0, (800, 3))
         index, cube = index_of(pts, 5)
         for d in range(6):
-            cells, spans = descend(index, d)
+            cells, spans = index.cells(d)
             corners, edge = cell_bounds(cube, cells, d)
-            for span, corner in zip(spans, corners):
-                inside = pts[index.span_members(span[None])]
+            for (lo, hi), corner in zip(spans, corners):
+                inside = pts[index.order[lo:hi]]
                 assert len(inside)
                 # Closed bounds: points on the cube's top face stay inside.
                 assert BoundingCube(corner, edge).contains(inside).all()
@@ -270,10 +303,10 @@ class TestStructure:
         # A point exactly on the midplane belongs to the upper octant.
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.25, 0.25]])
         index, _ = index_of(pts, 1)
-        codes, spans = index.children(root(index)[1], 0)
+        codes, spans = index.cells(1)
         np.testing.assert_array_equal(codes, [0b000, 0b100, 0b111])
         assert spans[1, 1] - spans[1, 0] == 1  # x in upper half, y and z lower
-        np.testing.assert_array_equal(index.span_members(spans[1:2]), [2])
+        np.testing.assert_array_equal(index.order[spans[1, 0]:spans[1, 1]], [2])
 
     def test_max_boundary_closed(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
@@ -287,7 +320,7 @@ class TestStructure:
         index, cube = index_of(pts, code_depth)
         codes = morton_codes(pts, cube, code_depth)
         for d in range(code_depth + 1):
-            cells, spans = descend(index, d)
+            cells, spans = index.cells(d)
             rows = np.sort(rng.choice(len(cells), size=max(1, len(cells) // 3), replace=False))
             pick, pick_spans = cells[rows], spans[rows]
             if cells[-1] + 1 < 8 ** d:
@@ -298,7 +331,8 @@ class TestStructure:
                 pick = np.append(pick, gap)
                 pick_spans = np.vstack([pick_spans, gap_span])
             expected = np.flatnonzero(np.isin(codes >> np.uint64(3 * (code_depth - d)), pick))
-            np.testing.assert_array_equal(index.span_members(pick_spans), expected)
+            np.testing.assert_array_equal(members(index, pick_spans), expected)
+            np.testing.assert_array_equal(np.sort(index.order[span_positions(pick_spans)]), expected)
             np.testing.assert_array_equal(expected, reference_members(index, pick, d))
 
 
@@ -312,19 +346,19 @@ def children_by_count(index, cells, depth):
 
 
 def assert_children_law(index, cells, depth):
-    codes, spans = index.children(reference_spans(index, cells, depth), depth)
+    codes, spans = children(index, cells, depth)
     expected_codes, expected_spans = children_by_count(index, cells, depth)
     np.testing.assert_array_equal(codes, expected_codes)
     np.testing.assert_array_equal(spans, expected_spans)
     assert codes.dtype == np.uint64
     np.testing.assert_array_equal(
-        index.span_members(spans), reference_members(index, codes, depth + 1)
+        members(index, spans), reference_members(index, codes, depth + 1)
     )
 
 
 class TestChildren:
-    """Occupied children read off the codes in the parents' spans equal a
-    count over all eight children of every parent."""
+    """The occupied children of any cells, read off the next depth's cells,
+    equal a count over all eight children of every parent."""
 
     @pytest.mark.parametrize("seed,n,code_depth", [(20, 800, 5), (21, 3000, 8), (22, 500, 13)])
     def test_matches_search_at_every_depth(self, seed, n, code_depth):
@@ -344,12 +378,13 @@ class TestChildren:
         index, _ = index_of(rng.uniform(0.0, 1.0, (50, 3)), 6)
         for d in range(6):
             cells = np.setdiff1d(np.arange(min(8 ** d, 64), dtype=np.uint64), occupied(index, d))
-            codes, spans = index.children(reference_spans(index, cells, d), d)
+            assert_children_law(index, cells, d)
+            codes, spans = children(index, cells, d)
             assert len(codes) == 0 and spans.shape == (0, 2)
-        codes, spans = index.children(np.empty((0, 2), dtype=np.int64), 2)
+        codes, spans = children(index, np.empty(0, dtype=np.uint64), 2)
         assert len(codes) == 0 and spans.shape == (0, 2)
         empty = Octree(np.empty(0, dtype=np.uint64), 4)
-        codes, spans = empty.children(np.array([[0, 0]]), 0)
+        codes, spans = children(empty, np.zeros(1, dtype=np.uint64), 0)
         assert len(codes) == 0 and spans.shape == (0, 2)
 
     def test_single_point(self):
@@ -358,7 +393,7 @@ class TestChildren:
         cell = np.zeros(1, dtype=np.uint64)
         for d in range(9):
             assert_children_law(index, cell, d)
-            cell, spans = index.children(spans, d)
+            cell, spans = children(index, cell, d)
             assert len(cell) == 1
             np.testing.assert_array_equal(spans, [[0, 1]])
         np.testing.assert_array_equal(cell, index.sorted_codes)
@@ -392,19 +427,10 @@ class TestChildren:
             cells = np.union1d(occupied(a, d), occupied(b, d))
             for index in (a, b):
                 assert_children_law(index, cells, d)
-            kids_a, _ = a.children(reference_spans(a, cells, d), d)
-            kids_b, _ = b.children(reference_spans(b, cells, d), d)
+            kids_a, _ = children(a, cells, d)
+            kids_b, _ = children(b, cells, d)
             one_sided += len(np.setxor1d(kids_a, kids_b))
         assert one_sided > 0
-
-    def test_depth_validation(self):
-        index, _ = index_of(octant_corners(), 3)
-        spans = np.array([[0, len(index)]])
-        with pytest.raises(ValueError):
-            index.children(spans, 3)
-        with pytest.raises(ValueError):
-            index.children(spans, -1)
-        index.children(spans, 0)
 
 
 class TestNodesAtDepth:
@@ -415,15 +441,13 @@ class TestNodesAtDepth:
         pts = rng.normal(size=(1500, 3))
         index, _ = index_of(pts, 6)
         previous = None
-        cells, spans = root(index)
         for d in range(7):
+            cells, spans = index.cells(d)
             np.testing.assert_array_equal(cells, occupied(index, d))
             assert (spans[:, 1] - spans[:, 0]).sum() == 1500
             if previous is not None:
                 assert previous <= len(cells) <= 8 * previous
             previous = len(cells)
-            if d < 6:
-                cells, spans = index.children(spans, d)
 
 
 class TestMorton:

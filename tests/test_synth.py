@@ -335,6 +335,19 @@ class TestPoseScenario:
         with pytest.raises(ValueError, match="camera"):
             self._small(n_fixed_cameras=0)
 
+    @pytest.mark.parametrize("setting", [
+        "point_extent", "ring_radius", "ring_height", "overhead_height", "overhead_span",
+        "overhead_fraction", "noise_sigma", "outlier_fraction", "outlier_shift",
+        "initial_center_offset", "initial_rotation_deg", "initial_point_sigma",
+    ])
+    def test_non_finite_settings_rejected(self, setting):
+        # NaN passes every ordered comparison check: noise_sigma=nan gave
+        # noise-free observations and outlier_shift=nan an OverflowError.
+        for value in (np.nan, np.inf, -np.inf):
+            given = (10.0, value, 4.0) if setting == "point_extent" else value
+            with pytest.raises(ValueError, match="must be finite"):
+                self._small(**{setting: given})
+
     def test_to_scenario_carries_truth(self):
         scenario = generate_pose_scenario(self._small(outlier_fraction=0.02))
         packed = scenario.to_scenario()

@@ -291,3 +291,13 @@ class TestTimeline:
             timeline_report([0.0, 0.0], [5.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             timeline_report([3.0, 1.0], [5.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN passes the order check; it gave NaN rates and a NaN total.
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            timeline_report([0.0, bad, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            timeline_report([bad, 2.0], [1.0])
+        with pytest.raises(ValueError, match="volumes must be finite"):
+            timeline_report([0.0, 1.0, 2.0], [1.0, bad])
