@@ -134,12 +134,14 @@ class AdjustmentOptions:
     min_track_length: int = 2
 
     def __post_init__(self) -> None:
-        # A fractional count is no count, and NaN passes no comparison, so
-        # the real-valued settings are checked for finiteness as well.
+        # A fractional count or a bool is no count, and NaN passes no
+        # comparison, so the real-valued settings are checked for finiteness
+        # as well.
         counts = (("max_iterations", 1), ("max_outlier_rounds", 0), ("min_track_length", 2))
         for name, least in counts:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.convergence_tolerance < 1:
             raise ValueError("convergence_tolerance must be in (0, 1)")

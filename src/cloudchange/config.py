@@ -82,16 +82,9 @@ class PipelineConfig:
             raise ValueError(
                 f"registration: expected one of {_REGISTRATION_MODES}, got {self.registration!r}"
             )
-        kinds = {
-            "datetime"
-            if isinstance(e.timestamp, datetime.datetime)
-            else "date"
-            if isinstance(e.timestamp, datetime.date)
-            else "number"
-            for e in self.epochs
-        }
+        kinds = {_timestamp_kind(e.timestamp) for e in self.epochs}
         if len(kinds) > 1:
-            raise ValueError("epochs: timestamps mix incompatible kinds")
+            raise ValueError(f"epochs: timestamps mix incompatible kinds: {sorted(kinds)}")
         stamps = [e.timestamp for e in self.epochs]
         # NaN would pass the order check below: every comparison with it is
         # False.
@@ -103,6 +96,14 @@ class PipelineConfig:
             raise ValueError(f"grid_size: must be finite and > 0, got {self.grid_size}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads: must be >= 1, got {self.threads}")
+
+
+def _timestamp_kind(timestamp) -> str:
+    """Timestamps of one kind order among themselves; Python refuses to
+    compare a timezone-aware datetime with a naive one."""
+    if isinstance(timestamp, datetime.datetime):
+        return "naive datetime" if timestamp.utcoffset() is None else "aware datetime"
+    return "date" if isinstance(timestamp, datetime.date) else "number"
 
 
 def _require(mapping: dict, key: str, path: str):

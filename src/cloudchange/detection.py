@@ -20,6 +20,7 @@ pass then drops isolated flagged points.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
@@ -73,6 +74,11 @@ class ChangeParams:
     component_min_size: int = 50
 
     def __post_init__(self) -> None:
+        # A fractional depth or size, or a bool, is no count.
+        for name in ("start_depth", "max_depth", "component_min_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.start_depth <= self.max_depth <= MAX_SUPPORTED_DEPTH - 1:
             raise ValueError(
                 f"need 1 <= start_depth <= max_depth <= {MAX_SUPPORTED_DEPTH - 1}, "

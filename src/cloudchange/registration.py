@@ -4,16 +4,11 @@ icp_align removes small systematic offsets between epochs with point-to-point
 ICP (closed-form SVD step, distance rejection plus trimming). Its
 correspondences come from a per-call cache (_NeighbourCache) in the spirit of
 Nuechter, Lingemann & Hertzberg's cached k-d tree search, but exact: each
-source point keeps an anchor, K candidate targets with their distances from
-it, and a lower bound on the distance from it to every other target. The
-cached nearest target is reused only while the triangle inequality proves it
-is still the nearest, so the results equal a fresh kd-tree query bit for
-bit. A point proved from its recomputed candidates is re-anchored where it
-now is, so the cheap proof keeps passing as the motion accumulates; only
-the points that fail the proof are re-queried. When most points fail it
-(large motion in the first iterations of a wide-pose recovery), one plain
-query of every point is cheaper; a small anchored sample of the points then
-tells when the motion has slowed enough to rebuild the cache.
+source point keeps an anchor, its nearest target there and the distance to
+its second-nearest. The cached nearest target is reused only while the
+triangle inequality proves it is still the nearest, so the results equal a
+fresh kd-tree query bit for bit; every point that fails the proof is
+re-queried and re-anchored where it now is.
 point_to_plane_distances measures residual accuracy of a probe cloud against
 locally fitted planes of a reference cloud.
 """
@@ -54,11 +49,11 @@ class IcpParams:
 
     def __post_init__(self) -> None:
         # An infinite threshold "converges" after one step and an infinite
-        # distance rejects nothing; a fractional cap is no iteration count.
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
-            raise ValueError(
-                f"max_iterations must be a finite integer >= 1, got {self.max_iterations!r}"
-            )
+        # distance rejects nothing; a fractional cap or a bool is no
+        # iteration count.
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_iterations must be a finite integer >= 1, got {cap!r}")
         if not (math.isfinite(self.convergence_threshold) and self.convergence_threshold > 0):
             raise ValueError(
                 f"convergence_threshold must be finite and > 0, got {self.convergence_threshold}"
@@ -163,17 +158,9 @@ def _per_coordinate_rms(diffs: np.ndarray) -> float:
     return float(np.sqrt((diffs**2).sum() / (3 * len(diffs))))
 
 
-# Nearest targets cached per source point by _NeighbourCache.
-_CACHE_K = 4
-# Relative margin on every certification inequality, far above the few-ulp
+# Relative margin on the certification inequality, far above the few-ulp
 # rounding of the distances and displacements it compares.
 _CERT_SLOP = 1e-9
-# Above this share of uncertified points one plain query of every point is
-# cheaper than a K-query of the uncertified ones.
-_FALLBACK_SHARE = 0.5
-# Every _SAMPLE_STRIDE-th point is certified first, to estimate that share
-# before certifying the rest; ~160 points of a 10k-point source.
-_SAMPLE_STRIDE = 64
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -194,139 +181,58 @@ class _NeighbourCache:
     """Exact nearest target of every moved source point, re-querying only
     the points whose nearest neighbour may have changed since their anchor.
 
-    Each source point holds its anchor a, K candidate targets at distances
-    d1 <= ... <= dK from a (the K nearest after a K-query), and a lower
-    bound `outer` on the distance from a to every target outside those K
-    (dK after a K-query). At a new position p with delta = |p - a|, every
-    other cached target is at least d2 - delta from p and every uncached one
-    at least outer - delta, so the cached nearest target stays the unique
-    nearest when either test holds:
-      - tier 1: the cached nearest, recomputed at p, is nearer than
-        min(d2, outer) - delta; this costs the one distance the answer
-        needs anyway;
-      - tier 2: the best cached candidate, recomputed at p, is unique among
-        the candidates and nearer than outer - delta.
-    A point certified by tier 2 is re-anchored at p, keeping the K candidate
-    distances just computed there (sorted) and outer - delta as its new
-    bound, so its delta restarts from zero instead of growing with the
-    accumulated motion. Every other uncertified point is re-queried with
-    k = K and re-anchored. A point whose two nearest targets tie is
-    answered by a plain query, since cKDTree's k=1 and k=K searches may
-    break the tie differently. A certified point's distance is recomputed
-    at p by _distances, which equals the kd-tree's own, so rejection,
-    trimming and the RMS see the same values.
+    The first query anchors every source point with a k=2 query: the cache
+    keeps its anchor a, the index of a nearest target and `second`, the
+    distance from a to its second-nearest target. Every target but the
+    cached one is at least `second` from a, so at a new position p with
+    delta = |p - a| it is at least second - delta from p. The cached target
+    is therefore still the unique nearest when its distance, recomputed at p,
+    is below second - delta; that costs the one distance the answer needs
+    anyway, and _distances equals the kd-tree's own, so rejection, trimming
+    and the RMS see the same values. Every point that fails this proof is
+    re-queried with k=2 and re-anchored at p. A point whose two nearest
+    targets tie is answered by a plain k=1 query, since cKDTree's k=1 and
+    k=2 searches may break the tie differently. A one-point target has no
+    second neighbour to certify against and is always queried plainly.
 
-    Every iteration first certifies a sample (every _SAMPLE_STRIDE-th
-    point). When more than _FALLBACK_SHARE of it fails, so would most
-    points, and one plain query of every point is cheaper than their
-    K-queries: the cache is dropped and only the sample re-anchored. While
-    dropped, the sample's one-step test tells when the motion has slowed,
-    and the whole cache is rebuilt once at least 1 - _FALLBACK_SHARE of it
-    passes. A one-point target has no second neighbour to certify against
-    and is always queried plainly.
-
-    State: 80 bytes per source point (anchor, K int32 indices, K distances
-    and outer).
+    State: 40 bytes per source point (anchor, index and second).
     """
 
-    def __init__(self, tree, target_pts: np.ndarray, n_source: int, workers: int) -> None:
+    def __init__(self, tree, target_pts: np.ndarray, workers: int) -> None:
         self.tree = tree
         self.workers = workers
         self.target_pts = target_pts
-        self.k = min(_CACHE_K, len(target_pts))
-        self.anchor = np.empty((n_source, 3))
-        small = len(target_pts) <= np.iinfo(np.int32).max
-        self.idx = np.empty((n_source, self.k), dtype=np.int32 if small else np.intp)
-        self.dist = np.empty((n_source, self.k))
-        self.outer = np.empty(n_source)
-        self.sample = np.arange(0, n_source, _SAMPLE_STRIDE)
-        # "empty" before the first query; "valid" while every point is
-        # certified against its anchor; "dropped" after a fallback, while
-        # only the sample is.
-        self.state = "empty"
+        # Set by the first query, which anchors every source point.
+        self.anchor = self.idx = self.second = None
 
-    def _plain(self, moved: np.ndarray):
-        return self.tree.query(moved, workers=self.workers)
-
-    def _anchor(self, moved: np.ndarray, rows):
-        """K-query the points at `rows`, anchor them there and return their
-        (dist, idx) of the nearest target."""
-        pts = moved[rows]
-        dist_k, idx_k = self.tree.query(pts, k=self.k, workers=self.workers)
-        self.anchor[rows] = pts
-        self.dist[rows] = dist_k
-        self.idx[rows] = idx_k
-        self.outer[rows] = dist_k[:, -1]
-        dist, idx = dist_k[:, 0].copy(), idx_k[:, 0].copy()
-        tied = np.flatnonzero(dist >= dist_k[:, 1] * (1.0 - _CERT_SLOP))
-        if len(tied):
-            dist[tied], idx[tied] = self._plain(pts[tied])
-        return dist, idx
-
-    def _certify(self, moved: np.ndarray, rows):
-        """(dist, idx, ok) of the points at `rows`: the nearest target and its
-        distance where the cache proves it (`ok`), unset elsewhere. Points
-        certified by tier 2 are re-anchored."""
-        pts = moved[rows]
-        delta = _distances(pts, self.anchor[rows])
-        cached_idx = self.idx[rows]
-        outer = self.outer[rows]
-        idx = cached_idx[:, 0].astype(np.intp)
-        # The (n, 3) row gathers below and in the ICP loop use np.take: the
-        # same values at about a quarter of fancy indexing's cost.
-        dist = _distances(pts, np.take(self.target_pts, idx, axis=0))
-        # Tier 1: every other target was at least min(d2, outer) from the
-        # anchor.
-        ok = dist < (np.minimum(self.dist[rows, 1], outer) - delta) * (1.0 - _CERT_SLOP)
-
-        # Tier 2: the best candidate at p beats the others and outer - delta,
-        # the least distance any target outside the cached K can have.
-        sel = np.flatnonzero(~ok)
-        cand = cached_idx[sel]
-        near = np.take(pts, sel, axis=0)
-        cand_dist = _distances(near[:, None, :], np.take(self.target_pts, cand, axis=0))
-        order = np.argsort(cand_dist, axis=1, kind="stable")
-        cand_dist = np.take_along_axis(cand_dist, order, axis=1)
-        bound = outer[sel] - delta[sel]
-        tier2 = cand_dist[:, 0] < np.minimum(cand_dist[:, 1], bound) * (1.0 - _CERT_SLOP)
-        cand_dist, bound = cand_dist[tier2], bound[tier2]
-        cand = np.take_along_axis(cand[tier2], order[tier2], axis=1)
-        sel = sel[tier2]
-        idx[sel] = cand[:, 0]
-        dist[sel] = cand_dist[:, 0]
-        ok[sel] = True
-        # Re-anchor at p; `sel` indexes `rows`, not the source.
-        at = sel if isinstance(rows, slice) else rows[sel]
-        self.anchor[at] = near[tier2]
-        self.dist[at] = cand_dist
-        self.idx[at] = cand
-        self.outer[at] = bound
-        return dist, idx, ok
-
-    def _drop(self, moved: np.ndarray):
-        """One plain query of every point; re-anchor only the sample."""
-        self.state = "dropped"
-        self._anchor(moved, self.sample)
-        return self._plain(moved)
+    def _anchor(self, pts: np.ndarray):
+        """(dist, idx, second) of `pts` from one k=2 query: the nearest
+        target and its distance as a k=1 query gives them, and the
+        second-nearest distance."""
+        dist_2, idx_2 = self.tree.query(pts, k=2, workers=self.workers)
+        dist, idx, second = dist_2[:, 0].copy(), idx_2[:, 0].copy(), dist_2[:, 1].copy()
+        tied = np.flatnonzero(dist >= second * (1.0 - _CERT_SLOP))
+        dist[tied], idx[tied] = self.tree.query(pts[tied], workers=self.workers)
+        return dist, idx, second
 
     def query(self, moved: np.ndarray):
         """(dist, idx) equal to tree.query(moved) with k=1, bit for bit."""
-        if self.k < 2:
-            return self._plain(moved)
-        everything = slice(None)
-        if self.state != "empty":
-            # The sample tests the current motion first: where most of it
-            # fails, so would most points.
-            _, _, ok = self._certify(moved, self.sample)
-            if np.count_nonzero(ok) < (1.0 - _FALLBACK_SHARE) * len(ok):
-                return self._drop(moved)
-        if self.state != "valid":
-            self.state = "valid"
-            return self._anchor(moved, everything)
-        dist, idx, ok = self._certify(moved, everything)
-        stale = np.flatnonzero(~ok)
-        if len(stale):
-            dist[stale], idx[stale] = self._anchor(moved, stale)
+        if len(self.target_pts) < 2:
+            return self.tree.query(moved, workers=self.workers)
+        if self.anchor is None:
+            dist, idx, self.second = self._anchor(moved)
+            self.anchor, self.idx = moved.copy(), idx.copy()
+            return dist, idx
+        idx = self.idx.copy()
+        # The (n, 3) row gathers here and in the ICP loop use np.take: the
+        # same values at about a quarter of fancy indexing's cost.
+        dist = _distances(moved, np.take(self.target_pts, idx, axis=0))
+        delta = _distances(moved, self.anchor)
+        stale = np.flatnonzero(~(dist < (self.second - delta) * (1.0 - _CERT_SLOP)))
+        pts = np.take(moved, stale, axis=0)
+        dist[stale], idx[stale], self.second[stale] = self._anchor(pts)
+        self.anchor[stale] = pts
+        self.idx[stale] = idx[stale]
         return dist, idx
 
 
@@ -403,7 +309,7 @@ def icp_align(
         raise ValueError("both clouds must be nonempty")
     src = source.xyz
     tgt = target.xyz
-    cache = _NeighbourCache(kdtree(tgt), tgt, len(src), workers)
+    cache = _NeighbourCache(kdtree(tgt), tgt, workers)
 
     rotation = np.eye(3)
     translation = np.zeros(3)

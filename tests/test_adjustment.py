@@ -462,6 +462,8 @@ class TestValidation:
             ("max_iterations", 2.5),
             ("max_outlier_rounds", 1.5),
             ("min_track_length", 2.5),
+            ("max_iterations", True),
+            ("max_outlier_rounds", False),
         ]
         for name, value in refused:
             with pytest.raises(ValueError, match=name):

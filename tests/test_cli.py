@@ -407,6 +407,16 @@ class TestFailureModes:
         )
         assert main(["run", "--config", str(config)]) == 1
 
+    def test_mixed_timestamp_kinds_fail(self, tmp_path, caplog):
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "epochs:\n"
+            "  - {path: a.ply, timestamp: 2026-01-01T00:00:00Z}\n"
+            "  - {path: b.ply, timestamp: 2026-01-02T00:00:00}\n"
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert "mix incompatible kinds" in caplog.text
+
     def test_eval_requires_labels(self, scene):
         code = main(
             [

@@ -24,6 +24,15 @@ MINIMAL = textwrap.dedent(
     """
 )
 
+# One timezone-aware and one naive timestamp.
+MIXED_DATETIMES = textwrap.dedent(
+    """
+    epochs:
+      - {path: a.ply, timestamp: 2026-01-01T00:00:00Z}
+      - {path: b.ply, timestamp: 2026-01-02T00:00:00}
+    """
+)
+
 
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
@@ -205,6 +214,9 @@ class TestInvariants:
                     datetime.date(2026, 1, 1), datetime.datetime(2026, 1, 2, 12)
                 )
             )
+        # Python refuses to order an aware datetime against a naive one.
+        with pytest.raises(ValueError, match="mix incompatible kinds"):
+            parse_config_text(MIXED_DATETIMES)
 
     def test_bad_timestamp_value(self):
         with pytest.raises(ValueError, match=r"epochs\[0\].timestamp"):

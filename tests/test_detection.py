@@ -135,6 +135,23 @@ class TestChangeParams:
         with pytest.raises(ValueError, match="component_min_size"):
             ChangeParams(component_min_size=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("component_min_size", 2.5),
+            ("component_min_size", True),
+            ("start_depth", 3.0),
+            ("start_depth", True),
+            ("max_depth", 5.0),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # A float depth passed the order check and then failed in the walk's
+        # range(); a bool counted as 0 or 1.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ChangeParams(**{"start_depth": 3, "max_depth": 5, name: value})
+        assert ChangeParams(start_depth=np.int64(3), max_depth=np.int64(5)).max_depth == 5
+
 
 def brute_force_components(points, radius, min_size):
     """Union-find single linkage; same canonical labelling as the library."""
