@@ -977,7 +977,11 @@ def _epoch_from_dict(entry: dict) -> EpochCameras:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write a scenario as deterministic JSON (sorted keys)."""
+    """Write a scenario as deterministic JSON: one line, sorted keys.
+
+    No indentation, so the C encoder writes it; load_scenario reads this
+    layout and the older indented one alike.
+    """
     payload = {
         "epochs": [_epoch_to_dict(e, True) for e in scenario.fixed_epochs]
         + [_epoch_to_dict(scenario.new_epoch, False)],
@@ -995,7 +999,7 @@ def save_scenario(scenario: Scenario, path) -> None:
     }
     if scenario.truth is not None:
         payload["truth"] = scenario.truth
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_scenario(path) -> Scenario:

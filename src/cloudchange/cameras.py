@@ -21,6 +21,8 @@ own, and the caller owns the results.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -130,10 +132,12 @@ class ImageObservation:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
+        # Scalar math: np.isfinite on a Python float costs twice as much,
+        # and a scenario builds tens of thousands of observations.
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("image coordinates must be finite")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
 
 
 @dataclass

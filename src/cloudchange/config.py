@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple, Union, get_type_hints
 import yaml
 
 from .detection import ChangeParams
+from .neighbors import query_workers
 from .registration import IcpParams
 
 __all__ = [
@@ -94,8 +95,10 @@ class PipelineConfig:
             raise ValueError("epochs: timestamps must be strictly increasing")
         if self.grid_size is not None and not (math.isfinite(self.grid_size) and self.grid_size > 0):
             raise ValueError(f"grid_size: must be finite and > 0, got {self.grid_size}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads: must be >= 1, got {self.threads}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed: expected an integer, got {self.seed!r}")
+        if self.threads is not None:
+            query_workers(self.threads)
 
 
 def _timestamp_kind(timestamp) -> str:
@@ -186,9 +189,13 @@ def _convert(raw: dict, fields: dict, path: str) -> dict:
     return kwargs
 
 
-def _integer(value) -> int:
+def _is_integer(value) -> bool:
     """An integer as given: no bool, and no float, not even 8.0."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def _integer(value) -> int:
+    if not _is_integer(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
 

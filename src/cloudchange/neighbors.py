@@ -6,6 +6,7 @@ tie rule (equal distances resolve to the lower point index).
 """
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -109,9 +110,12 @@ def kdtree(cloud: Union[PointCloud, np.ndarray]) -> cKDTree:
 
 def query_workers(threads: Optional[int] = None) -> int:
     """kd-tree `workers` for a configured thread count: None gives one
-    worker, a count below 1 is refused, any other count is used as given."""
+    worker; a bool, a non-integral value or a count below 1 is refused;
+    any other count is used as given."""
     if threads is None:
         return 1
+    if isinstance(threads, bool) or not hasattr(type(threads), "__index__"):
+        raise ValueError(f"threads: expected an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads: must be >= 1, got {threads}")
-    return threads
+    return operator.index(threads)

@@ -9,6 +9,7 @@ parameters and a seed, which is what makes these scenes usable as oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -607,45 +608,41 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
         epoch=1, calibration=config.new_calibration, cameras=new_truth_cams
     )
 
-    observations: List[ImageObservation] = []
-    for cam_id, eo, sc in [(c, fixed_cams[c], config.fixed_calibration) for c in sorted(fixed_cams)] + [
+    # One (x, y) row per observation, camera-major in ascending camera id;
+    # noise and outliers go onto these rows, then each observation is built
+    # once from its final pixel.
+    cameras = [(c, fixed_cams[c], config.fixed_calibration) for c in sorted(fixed_cams)] + [
         (c, new_truth_cams[c], config.new_calibration) for c in sorted(new_truth_cams)
-    ]:
+    ]
+    blocks = []
+    for cam_id, eo, sc in cameras:
         try:
-            pixels = project_points(positions, eo, sc)
+            blocks.append(project_points(positions, eo, sc))
         except ValueError as exc:
             raise ValueError(
                 f"camera {cam_id} cannot see every object point: {exc}"
             ) from exc
-        for t in range(config.n_points):
-            observations.append(
-                ImageObservation(
-                    camera_id=cam_id, track_id=t, x=float(pixels[t, 0]), y=float(pixels[t, 1])
-                )
-            )
+    pixels = np.concatenate(blocks)
 
-    m = len(observations)
+    m = len(pixels)
     if config.noise_sigma > 0:
-        noise = rng.normal(0.0, config.noise_sigma, (m, 2))
-        observations = [
-            ImageObservation(o.camera_id, o.track_id, o.x + dx, o.y + dy, o.weight)
-            for o, (dx, dy) in zip(observations, noise)
-        ]
+        pixels += rng.normal(0.0, config.noise_sigma, (m, 2))
     n_outliers = math.floor(config.outlier_fraction * m)
     outlier_indices = sorted(
         int(i) for i in rng.choice(m, size=n_outliers, replace=False)
     )
     for i in outlier_indices:
-        o = observations[i]
         magnitude = rng.uniform(config.outlier_shift, 2.0 * config.outlier_shift)
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        observations[i] = ImageObservation(
-            o.camera_id,
-            o.track_id,
-            o.x + magnitude * np.cos(angle),
-            o.y + magnitude * np.sin(angle),
-            o.weight,
+        pixels[i, 0] += magnitude * np.cos(angle)
+        pixels[i, 1] += magnitude * np.sin(angle)
+    observations = [
+        ImageObservation(camera_id=cam_id, track_id=t, x=x, y=y)
+        for (cam_id, t), (x, y) in zip(
+            itertools.product([c for c, _, _ in cameras], range(config.n_points)),
+            pixels.tolist(),
         )
+    ]
 
     def unit(vec: np.ndarray) -> np.ndarray:
         return vec / np.linalg.norm(vec)

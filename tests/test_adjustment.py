@@ -1,5 +1,6 @@
 """Tests for progressive constrained bundle adjustment."""
 import dataclasses
+import json
 import logging
 
 import numpy as np
@@ -792,11 +793,43 @@ class TestScenarioFiles:
         scenario = small_scenario().to_scenario()
         path = tmp_path / "scenario.json"
         save_scenario(scenario, path)
-        text = path.read_text().replace('"fixed": false', '"fixed": true')
+        text = path.read_text()
+        assert '"fixed": false' in text
+        text = text.replace('"fixed": false', '"fixed": true')
         broken = tmp_path / "broken.json"
         broken.write_text(text)
         with pytest.raises(ValueError, match="exactly one non-fixed epoch"):
             load_scenario(broken)
+
+    def test_save_is_deterministic(self, tmp_path):
+        packed = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12).to_scenario()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scenario(packed, first)
+        save_scenario(packed, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text().count("\n") == 1
+
+    def test_indented_layout_loads_equal(self, tmp_path):
+        packed = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12).to_scenario()
+        path = tmp_path / "scenario.json"
+        save_scenario(packed, path)
+        payload = json.loads(path.read_text())
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        new, old = load_scenario(path), load_scenario(indented)
+        assert [dataclasses.astuple(o) for o in old.observations] == [
+            dataclasses.astuple(o) for o in new.observations
+        ]
+        for got, want in [(old.new_epoch, new.new_epoch), *zip(old.fixed_epochs, new.fixed_epochs)]:
+            assert (got.epoch, got.calibration) == (want.epoch, want.calibration)
+            assert got.cameras.keys() == want.cameras.keys()
+            for cam_id, eo in want.cameras.items():
+                np.testing.assert_array_equal(got.cameras[cam_id].center, eo.center)
+                np.testing.assert_array_equal(got.cameras[cam_id].rotation, eo.rotation)
+        assert old.points.keys() == new.points.keys()
+        for track, point in new.points.items():
+            np.testing.assert_array_equal(old.points[track].position, point.position)
+        assert old.truth == new.truth
 
     def test_solve_after_round_trip_matches_direct_solve(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.2, seed=3)

@@ -138,6 +138,17 @@ class TestProjection:
         with pytest.raises(ValueError, match="weight"):
             ImageObservation(camera_id=0, track_id=0, x=0.0, y=0.0, weight=0.0)
 
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x", "y", "weight"])
+    def test_observation_refuses_non_finite(self, name, value, kind):
+        fields = dict(camera_id=0, track_id=0, x=1.5, y=-2.5, weight=2.0)
+        fields[name] = kind(value)
+        with pytest.raises(ValueError, match="finite"):
+            ImageObservation(**fields)
+        fields[name] = kind(0.5)
+        assert getattr(ImageObservation(**fields), name) == 0.5
+
     def test_object_point_validated(self):
         with pytest.raises(ValueError, match="finite"):
             ObjectPoint(position=np.array([0.0, np.inf, 0.0]), track_id=3)

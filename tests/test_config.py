@@ -237,6 +237,14 @@ class TestInvariants:
             with pytest.raises(ValueError, match="grid_size: must be finite"):
                 PipelineConfig(epochs=self._epochs(0.0, 1.0), grid_size=bad)
 
+    @pytest.mark.parametrize("name", ["seed", "threads"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "2"])
+    def test_integer_fields_refuse_bool_and_non_integral(self, name, bad):
+        # Config files refuse these when parsing; direct construction must
+        # too, or a fractional thread count reaches the kd-tree.
+        with pytest.raises(ValueError, match=f"{name}: expected an integer"):
+            PipelineConfig(epochs=self._epochs(0.0, 1.0), **{name: bad})
+
 
 class TestSerialization:
     def test_parse_serialize_parse_identity(self):

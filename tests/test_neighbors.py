@@ -100,3 +100,10 @@ class TestQueryWorkers:
         for threads in (0, -1):
             with pytest.raises(ValueError, match="threads: must be >= 1"):
                 query_workers(threads)
+
+    def test_non_integral_count_refused(self):
+        assert query_workers(np.int64(2)) == 2
+        assert type(query_workers(np.int64(2))) is int
+        for threads in (1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="threads: expected an integer"):
+                query_workers(threads)
