@@ -97,8 +97,10 @@ class PipelineConfig:
             raise ValueError(f"grid_size: must be finite and > 0, got {self.grid_size}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed: expected an integer, got {self.seed!r}")
+        # Kept as plain ints, so a numpy integer serializes like any other.
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.threads is not None:
-            query_workers(self.threads)
+            object.__setattr__(self, "threads", query_workers(self.threads))
 
 
 def _timestamp_kind(timestamp) -> str:

@@ -1,8 +1,9 @@
 """Coarse-to-fine volumetric change detection between two epochs.
 
 A `Lattice` fixes the voxel lattice: the union bounding cube of every cloud
-it indexes, so no point of either epoch falls outside it, and each cloud's
-Morton codes, encoded once however many intervals share the cloud. Each
+it indexes, so no point of either epoch falls outside it, and the last
+requested cloud's Morton codes, so a series encodes each epoch once and the
+earlier epoch of an interval has no copy beside its joint index. Each
 interval is one joint linear octree of both epochs' codes, so every cell is
 one span holding the points of both. Each candidate cell is scored by tau,
 the mean over its 8 octants of the squared difference of the two epochs'
@@ -14,14 +15,16 @@ read of their codes gives the cells (runs of equal prefixes) and each
 point's octant, one level below its cell. A cell's other-minus-reference
 octant counts are those points counted per octant, each weighted by its
 epoch's sign, and the changed points are the points left at the finest
-depth, so nothing is re-encoded or searched per cell. A connected-component
-pass then drops isolated flagged points.
+depth, so nothing is re-encoded or searched per cell. Below the start depth
+the walk takes one block of consecutive start cells at a time, about
+_BLOCK_ENTRIES index entries, so its working memory is bounded by the block
+rather than the interval. A connected-component pass then drops isolated
+flagged points.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -45,6 +48,16 @@ from .octree import (
 # margin check); tau must sit above resampling noise at the coarse depth and
 # below the score of genuinely emptied cells.
 DEFAULT_THRESHOLD = 3.0e5
+
+# Index entries per block of the walk below start_depth, which descends one
+# block of consecutive start_depth cells at a time so that its temporaries
+# stop growing with the interval. Peak RSS of the `demolition` benchmark
+# (perfbench, seed 1, two runs each; 544,800 entries reach start_depth in its
+# first interval) read 115.3-115.6 / 115.1-115.3 / 116.8-117.9 /
+# 128.6-128.7 MiB at 2^14 / 2^16 / 2^18 entries and one block. From 2^16
+# down the component filter sets the peak, and each block costs a few numpy
+# calls.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -163,15 +176,17 @@ class ChangeSet:
 
 
 class Lattice:
-    """One voxel lattice over a fixed set of clouds, and each cloud's codes.
+    """One voxel lattice over a fixed set of clouds, and their codes.
 
     The cube is the union bounding cube of the clouds, so every point of
     every cloud lies inside it and no index needs a containment mask. A
     cloud is recognised by identity; any other cloud is refused, since its
-    points outside the cube would be clipped into edge cells. A cloud's
-    Morton codes are encoded on their first request and kept while they are
-    one of the two most recently requested: consecutive intervals of a
-    series share one epoch.
+    points outside the cube would be clipped into edge cells. Only the last
+    requested cloud's Morton codes are kept, until another cloud is
+    requested. Consecutive intervals of a series share one epoch, the later
+    epoch of one and the earlier of the next, and each interval requests
+    its earlier epoch first, so a series encodes each cloud once, and an
+    interval's earlier epoch has no copy beside its joint index.
 
     Attributes:
         cube: the union bounding cube, the root of every voxel code.
@@ -181,8 +196,17 @@ class Lattice:
         self._clouds = {}
         for cloud in clouds:
             self._clouds.setdefault(id(cloud), cloud)
-        self.cube = bounding_cube(*self._clouds.values())
-        self._codes: OrderedDict = OrderedDict()
+        try:
+            self.cube = bounding_cube(*self._clouds.values())
+        except ValueError:
+            if not any(len(cloud) for cloud in self._clouds.values()):
+                raise
+            # With no padding, points bound no cube only when they coincide.
+            raise ValueError(
+                "every point of every cloud coincides, so the voxel lattice would have zero edge"
+            ) from None
+        self._key = None
+        self._codes = None
 
     def codes(self, cloud: PointCloud, code_depth: int) -> np.ndarray:
         """Morton codes of `cloud`'s points on the lattice at `code_depth`,
@@ -190,13 +214,9 @@ class Lattice:
         if self._clouds.get(id(cloud)) is not cloud:
             raise ValueError("cloud is not one of the clouds the lattice was built from")
         key = (id(cloud), code_depth)
-        codes = self._codes.pop(key, None)
-        if codes is None:
-            while len(self._codes) > 1:
-                self._codes.popitem(last=False)
-            codes = morton_codes(cloud.xyz, self.cube, code_depth)
-        self._codes[key] = codes
-        return codes
+        if key != self._key:
+            self._key, self._codes = key, morton_codes(cloud.xyz, self.cube, code_depth)
+        return self._codes
 
 
 def hierarchical_detect(
@@ -237,6 +257,14 @@ def hierarchical_detect(
     searches the index. Cells empty in both epochs score exactly 0, below
     every threshold, so they never enter the frontier. The changed points
     are the frontier left after max_depth.
+
+    The start_depth cells in play are walked down to max_depth one block
+    at a time (`_blocks`: consecutive cells holding about _BLOCK_ENTRIES
+    index entries), so the walk's temporaries are bounded by the block, not
+    by the interval. A cell's descendants lie in its block and the blocks
+    are in Morton order, so the finest cells and the changed points are
+    the blocks' concatenated, and each depth's funnel counts are the sums
+    of the blocks', exactly as one walk over every cell would give them.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -306,18 +334,15 @@ def hierarchical_detect(
         open_[hits] = True
         scored.append(len(rows))
         kept.append(len(hits))
-    # From start_depth on, the frontier is the index positions of the points
-    # in the cells still in play: every frontier cell is scored, and only
-    # survivors' points go on to the next depth.
-    pos = span_positions(spans[rows])
+    blocks = _blocks(spans[rows])
     del levels, open_, cells, spans, rows
-    for depth in range(start, params.max_depth + 1):
-        cells, row, hit = passed(pos, depth)
-        pos = pos[hit[row]]
-        del row
-        cells = cells[hit]
-        scored.append(len(hit))
-        kept.append(len(cells))
+    depths = range(start, params.max_depth + 1)
+    finest, survivors, block_scored, block_kept = zip(
+        *(_descend(passed, block, depths) for block in blocks)
+    )
+    cells, pos = np.concatenate(finest), np.concatenate(survivors)
+    scored += [sum(counts) for counts in zip(*block_scored)]
+    kept += [sum(counts) for counts in zip(*block_kept)]
 
     members = index.order[pos]
     members.sort()
@@ -345,6 +370,35 @@ def hierarchical_detect(
         other_size=len(other),
         stats=DetectionStats(tuple(scored), tuple(kept)),
     )
+
+
+def _blocks(spans: np.ndarray) -> list:
+    """The [lo, hi) spans of consecutive cells cut into blocks, at least
+    one. A block starts at a cell whose count of entries before it enters
+    a new multiple of _BLOCK_ENTRIES, or at a cell holding _BLOCK_ENTRIES
+    entries or more, so a block holds fewer than 2 * _BLOCK_ENTRIES entries
+    or is one cell."""
+    lengths = spans[:, 1] - spans[:, 0]
+    window = (np.cumsum(lengths) - lengths) // _BLOCK_ENTRIES
+    cuts = np.flatnonzero((window[1:] != window[:-1]) | (lengths[1:] >= _BLOCK_ENTRIES))
+    return np.split(spans, cuts + 1)
+
+
+def _descend(passed, spans: np.ndarray, depths: range) -> tuple:
+    """Walk the start cells with the given spans down `depths`, scoring
+    with `passed`: (finest surviving cells, their points' index positions,
+    cells scored and cells kept at each depth). Every frontier cell is
+    scored, and only survivors' points go on to the next depth."""
+    pos = span_positions(spans)
+    scored, kept = [], []
+    for depth in depths:
+        cells, row, hit = passed(pos, depth)
+        pos = pos[hit[row]]
+        del row
+        cells = cells[hit]
+        scored.append(len(hit))
+        kept.append(len(cells))
+    return cells, pos, scored, kept
 
 
 def _auto_radius(points: np.ndarray, tree, finest_edge: float) -> float:
@@ -402,7 +456,10 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
     graph = sparse.coo_matrix(
         (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
+    # Each of these is the largest array of its step: freed once read.
+    del pairs
     _, labels = connected_components(graph, directed=False)
+    del graph
     sizes = np.bincount(labels)
     keep = sizes[labels] >= min_size
     kept = np.flatnonzero(keep)

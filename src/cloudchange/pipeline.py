@@ -194,7 +194,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 raise StageError(f"register[{i}]", str(exc)) from exc
             laters.append(later)
             registrations.append(registration)
-        lattice = Lattice(clouds[:-1] + laters)
+        try:
+            lattice = Lattice(clouds[:-1] + laters)
+        except Exception as exc:
+            raise StageError("lattice", str(exc)) from exc
 
         intervals = []
         volumes = []

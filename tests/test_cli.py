@@ -397,6 +397,23 @@ class TestFailureModes:
         assert manifest["failed_stage"] == "load"
         assert "missing_a.ply" in manifest["error"]
 
+    def test_coincident_points_fail_the_lattice_stage(self, tmp_path, caplog):
+        for k in range(2):
+            save_cloud(str(tmp_path / f"e{k}.ply"), PointCloud(np.zeros((1, 3))))
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "epochs:\n"
+            f"  - {{path: {tmp_path / 'e0.ply'}, timestamp: 0}}\n"
+            f"  - {{path: {tmp_path / 'e1.ply'}, timestamp: 1}}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert "lattice: every point of every cloud coincides" in caplog.text
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == "lattice"
+        assert "coincides" in manifest["error"]
+
     def test_unknown_config_key_fails(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(

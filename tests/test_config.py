@@ -3,6 +3,7 @@ import dataclasses
 import datetime
 import textwrap
 
+import numpy as np
 import pytest
 
 from cloudchange.config import (
@@ -296,6 +297,19 @@ class TestSerialization:
         text = serialize_config(config)
         assert parse_config_text(text) == config
         assert serialize_config(parse_config_text(text)) == text
+
+    def test_numpy_integers_serialize(self):
+        # Construction accepts numpy integers and keeps them as plain ints,
+        # which the YAML dumper can write.
+        config = PipelineConfig(
+            epochs=(EpochInput("a.ply", 0.0), EpochInput("b.ply", 1.0)),
+            seed=np.int64(4),
+            threads=np.int64(2),
+        )
+        assert type(config.seed) is int and type(config.threads) is int
+        parsed = parse_config_text(serialize_config(config))
+        assert parsed == config
+        assert (parsed.seed, parsed.threads) == (4, 2)
 
     def test_report_version_is_not_a_setting(self):
         # A config records the report format it was written with; only the

@@ -1,4 +1,7 @@
 """Tests for coarse-to-fine change detection."""
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -7,6 +10,7 @@ from cloudchange import detection
 from cloudchange.detection import (
     DEFAULT_THRESHOLD,
     ChangeParams,
+    DetectionStats,
     Lattice,
     component_filter,
     hierarchical_detect,
@@ -525,7 +529,7 @@ class TestLattice:
         with pytest.raises(ValueError, match="lattice was built from"):
             hierarchical_detect(a, PointCloud(b.xyz.copy()), lattice=lattice)
 
-    def test_encodes_once_and_keeps_two(self, monkeypatch):
+    def test_encodes_once_and_keeps_one(self, monkeypatch):
         encoded = []
         morton = detection.morton_codes
 
@@ -536,19 +540,26 @@ class TestLattice:
         monkeypatch.setattr(detection, "morton_codes", counting)
         a, b, c = self.clouds()
         lattice = Lattice((a, b, b, c))
+        # Consecutive intervals request a, b, then b, c: each cloud once.
         first = lattice.codes(a, 8)
         assert lattice.codes(a, 8) is first
-        lattice.codes(b, 8)
-        assert lattice.codes(a, 8) is first
+        shared = lattice.codes(b, 8)
+        assert lattice.codes(b, 8) is shared
         assert encoded == [len(a), len(b)]
-        # c evicts b, the least recently requested; a stays.
+        freed = weakref.ref(shared)
+        del shared
         lattice.codes(c, 8)
-        assert lattice.codes(a, 8) is first
-        lattice.codes(b, 8)
-        assert encoded == [len(a), len(b), len(c), len(b)]
+        assert encoded == [len(a), len(b), len(c)]
+        # Only the last requested cloud's codes are kept: b's are gone, and
+        # a cloud requested again after another one is encoded again.
+        assert freed() is None
+        again = lattice.codes(a, 8)
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+        assert encoded == [len(a), len(b), len(c), len(a)]
         # A different code depth is a different encoding.
-        lattice.codes(b, 9)
-        assert encoded[-1] == len(b)
+        lattice.codes(a, 9)
+        assert encoded[-1] == len(a)
         assert len(encoded) == 5
 
     def test_library_call_uses_union_cube(self):
@@ -789,6 +800,113 @@ class TestWalkOracle:
         result = hierarchical_detect(ref, oth, params)
         assert result.n_voxels > 0
         assert not np.isin(result.voxel_codes >> np.uint64(3 * (stop - start)), blocked).any()
+
+
+BLOCKED_FIELDS = (
+    "voxel_codes",
+    "raw_changed_reference",
+    "raw_changed_other",
+    "changed_reference",
+    "changed_other",
+    "component_labels_reference",
+    "component_labels_other",
+)
+
+
+class TestBlockedWalk:
+    """The walk below start_depth, one block of start cells at a time,
+    gives what one walk over every cell gives."""
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_blocks_match_one_walk_and_oracle(self, case, draw, monkeypatch):
+        scene, start, stop, taus = ORACLE_CASES[case]
+        ref, oth = scene(np.random.default_rng(50 + draw))
+        params = ChangeParams(
+            start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
+        )
+        expected, _, scored, kept = walk_funnel(ref, oth, params)
+        descend = detection._descend
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return descend(*args)
+
+        monkeypatch.setattr(detection, "_descend", counting)
+        results, blocks = [], []
+        # The whole frontier in one block, a few cells per block, one cell
+        # per block.
+        for entries in (1 << 62, 100, 1):
+            monkeypatch.setattr(detection, "_BLOCK_ENTRIES", entries)
+            calls.clear()
+            results.append(hierarchical_detect(ref, oth, params))
+            blocks.append(list(calls))
+        whole, *blocked = results
+        assert len(blocks[0]) == 1
+        # One cell per block: as many blocks as start cells in play.
+        assert set(blocks[2]) == {1} and len(blocks[2]) == blocks[0][0]
+        assert len(blocks[0]) <= len(blocks[1]) <= len(blocks[2])
+        np.testing.assert_array_equal(whole.voxel_codes, expected)
+        assert whole.stats == DetectionStats(tuple(scored), tuple(kept))
+        for result in blocked:
+            for name in BLOCKED_FIELDS:
+                np.testing.assert_array_equal(getattr(result, name), getattr(whole, name), err_msg=name)
+            assert result.stats == whole.stats
+
+    def test_blocks_tile_the_cells(self, monkeypatch):
+        monkeypatch.setattr(detection, "_BLOCK_ENTRIES", 50)
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(1, 40, 300)
+        lengths[[7, 8, 100, 299]] = [50, 120, 75, 60]
+        gaps = rng.integers(0, 5, 300)
+        lo = np.cumsum(gaps + lengths) - lengths
+        spans = np.stack([lo, lo + lengths], axis=1)
+        blocks = detection._blocks(spans)
+        np.testing.assert_array_equal(np.concatenate(blocks), spans)
+        for block in blocks:
+            held = int((block[:, 1] - block[:, 0]).sum())
+            assert held < 2 * 50 or len(block) == 1
+        # A cell of a block's worth of entries or more is a block of its own.
+        alone = {tuple(block[0]) for block in blocks if len(block) == 1}
+        assert {tuple(spans[k]) for k in (7, 8, 100, 299)} <= alone
+        assert len(detection._blocks(np.empty((0, 2), dtype=np.int64))) == 1
+
+    def test_transient_peak_bounded_by_block(self, monkeypatch):
+        # tracemalloc sees numpy's buffers. Each block's transient peak, net
+        # of what was live when the block began, is bounded by the block,
+        # so a pair four times larger walks more blocks, no larger ones.
+        monkeypatch.setattr(detection, "_BLOCK_ENTRIES", 1 << 12)
+        descend = detection._descend
+        peaks = []
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = descend(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(detection, "_descend", measured)
+        params = ChangeParams(start_depth=4, max_depth=6, thresholds=1.0, component_min_size=1)
+
+        def walk(n):
+            pts = np.random.default_rng(5).uniform(0.0, 10.0, (n, 3))
+            removed = ((pts >= 2.0) & (pts <= 4.5)).all(axis=1)
+            peaks.clear()
+            result = hierarchical_detect(PointCloud(pts), PointCloud(pts[~removed]), params)
+            assert result.n_voxels > 0
+            return max(peaks), len(peaks)
+
+        tracemalloc.start()
+        try:
+            small, small_blocks = walk(20_000)
+            large, large_blocks = walk(80_000)
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.25 * small
+        assert small_blocks >= 5
+        assert large_blocks >= 3 * small_blocks
 
 
 class TestThresholdDefault:

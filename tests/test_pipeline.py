@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
 
 from cloudchange import detection, pipeline, registration
@@ -87,6 +88,30 @@ class TestOneLatticePerRun:
             np.testing.assert_array_equal(codes, changes.voxel_codes)
             assert meta["min_corner"] == changes.cube.min_corner.tolist()
             assert meta["root_edge_m"] == changes.cube.edge
+
+
+def coincident_epochs(tmp_path):
+    """Two one-point epochs at the origin: no lattice spans them."""
+    epochs = []
+    for k in range(2):
+        path = tmp_path / f"epoch_{k}.ply"
+        save_cloud(str(path), PointCloud(np.zeros((1, 3))))
+        epochs.append(EpochInput(str(path), float(k)))
+    return tuple(epochs)
+
+
+class TestLatticeStage:
+    def test_coincident_points_fail_the_lattice_stage(self, tmp_path):
+        out = tmp_path / "out"
+        config = PipelineConfig(epochs=coincident_epochs(tmp_path), output_dir=str(out))
+        with pytest.raises(pipeline.StageError, match="coincides") as failure:
+            pipeline.run_pipeline(config)
+        assert failure.value.stage == "lattice"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == "lattice"
+        assert manifest["error"].startswith("lattice: every point of every cloud coincides")
+        assert not (out / "report.json").exists()
 
 
 class TestWorkerCount:
