@@ -42,6 +42,7 @@ belongs to the caller.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -935,17 +936,10 @@ class Scenario:
 
 
 def _epoch_to_dict(epoch: EpochCameras, fixed: bool) -> dict:
-    sc = epoch.calibration
     return {
         "epoch": epoch.epoch,
         "fixed": fixed,
-        "calibration": {
-            "focal_length": sc.focal_length,
-            "cx": sc.cx,
-            "cy": sc.cy,
-            "k1": sc.k1,
-            "k2": sc.k2,
-        },
+        "calibration": dataclasses.asdict(epoch.calibration),
         "cameras": [
             {
                 "id": cam_id,
@@ -964,16 +958,41 @@ def _points_to_list(points: Mapping[int, ObjectPoint]) -> List[dict]:
     ]
 
 
-def _epoch_from_dict(entry: dict) -> EpochCameras:
-    sc = SelfCalibration(**entry["calibration"])
+def _object(value, where: str, required, optional=()) -> dict:
+    """A scenario JSON object holding every key of `required`, any of
+    `optional` and nothing else; anything else is a ValueError naming
+    `where`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return value
+
+
+def _objects(value, where: str, required, optional=()) -> List[dict]:
+    """A scenario JSON list whose every item passes _object."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a JSON list, got {type(value).__name__}")
+    return [_object(item, f"{where}[{i}]", required, optional) for i, item in enumerate(value)]
+
+
+def _epoch_from_dict(entry: dict, where: str) -> EpochCameras:
+    keys = [f.name for f in dataclasses.fields(SelfCalibration)]
+    calibration = _object(entry["calibration"], f"{where}.calibration", keys[:1], keys[1:])
     cameras = {
         cam["id"]: ExteriorOrientation(
             center=np.array(cam["center"], dtype=np.float64),
             rotation=np.array(cam["rotation"], dtype=np.float64),
         )
-        for cam in entry["cameras"]
+        for cam in _objects(entry["cameras"], f"{where}.cameras", ("id", "center", "rotation"))
     }
-    return EpochCameras(epoch=entry["epoch"], calibration=sc, cameras=cameras)
+    return EpochCameras(
+        epoch=entry["epoch"], calibration=SelfCalibration(**calibration), cameras=cameras
+    )
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -1008,17 +1027,22 @@ def load_scenario(path) -> Scenario:
     Exactly one epoch must carry `fixed: false`.
     """
     payload = json.loads(Path(path).read_text())
-    fixed_epochs = [_epoch_from_dict(e) for e in payload["epochs"] if e["fixed"]]
-    new_entries = [e for e in payload["epochs"] if not e["fixed"]]
-    if len(new_entries) != 1:
+    payload = _object(payload, "scenario", ("epochs", "points", "observations"), ("truth",))
+    entries = _objects(
+        payload["epochs"], "scenario.epochs", ("epoch", "fixed", "calibration", "cameras")
+    )
+    epochs = [_epoch_from_dict(e, f"scenario.epochs[{i}]") for i, e in enumerate(entries)]
+    fixed_epochs = [epoch for epoch, e in zip(epochs, entries) if e["fixed"]]
+    new_epochs = [epoch for epoch, e in zip(epochs, entries) if not e["fixed"]]
+    if len(new_epochs) != 1:
         raise ValueError(
-            f"scenario must contain exactly one non-fixed epoch, found {len(new_entries)}"
+            f"scenario must contain exactly one non-fixed epoch, found {len(new_epochs)}"
         )
     points = {
         p["track"]: ObjectPoint(
             position=np.array(p["position"], dtype=np.float64), track_id=p["track"]
         )
-        for p in payload["points"]
+        for p in _objects(payload["points"], "scenario.points", ("track", "position"))
     }
     observations = [
         ImageObservation(
@@ -1028,11 +1052,16 @@ def load_scenario(path) -> Scenario:
             y=float(o["y"]),
             weight=float(o.get("weight", 1.0)),
         )
-        for o in payload["observations"]
+        for o in _objects(
+            payload["observations"],
+            "scenario.observations",
+            ("camera", "track", "x", "y"),
+            ("weight",),
+        )
     ]
     return Scenario(
         fixed_epochs=fixed_epochs,
-        new_epoch=_epoch_from_dict(new_entries[0]),
+        new_epoch=new_epochs[0],
         points=points,
         observations=observations,
         truth=payload.get("truth"),

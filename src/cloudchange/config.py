@@ -3,17 +3,23 @@
 Unknown keys are errors (named by their dotted path), defaults are resolved
 at parse time so a serialized config is complete provenance, and
 parse -> serialize -> parse is the identity.
+
+Parsing and serializing both walk `dataclasses.fields` of PipelineConfig
+and the dataclasses it nests, so a field added to PipelineConfig, IcpParams
+or ChangeParams needs no edit here as long as its type has a converter in
+`_CONVERTERS`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -41,7 +47,8 @@ class EpochInput:
 
     Attributes:
         path: cloud file readable by the cloud loaders.
-        timestamp: either a number (days) or a calendar date.
+        timestamp: a number (days), a calendar date or a datetime, naive or
+            timezone-aware.
     """
 
     path: str
@@ -111,12 +118,6 @@ def _timestamp_kind(timestamp) -> str:
     return "date" if isinstance(timestamp, datetime.date) else "number"
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ValueError(f"missing config key: {_join(path, key)}")
-    return mapping[key]
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -129,66 +130,13 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
             raise ValueError(f"unknown config key: {_join(path, key)}")
 
 
-def _parse_timestamp(value, path: str):
-    if isinstance(value, bool) or value is None:
-        raise ValueError(f"{path}: expected a number or ISO date")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, datetime.datetime):
-        return value
-    if isinstance(value, datetime.date):
-        return value
-    if isinstance(value, str):
-        try:
-            return datetime.date.fromisoformat(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not an ISO date: {value!r}") from exc
-    raise ValueError(f"{path}: expected a number or ISO date, got {type(value).__name__}")
-
-
-def _parse_epochs(raw, path: str) -> Tuple[EpochInput, ...]:
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a list of epochs")
-    epochs = []
-    for i, entry in enumerate(raw):
-        entry_path = f"{path}[{i}]"
-        _check_keys(entry, {"path", "timestamp"}, entry_path)
-        _require(entry, "path", entry_path)
-        epochs.append(
-            EpochInput(
-                path=_convert(entry, {"path": _string}, entry_path)["path"],
-                timestamp=_parse_timestamp(
-                    _require(entry, "timestamp", entry_path), _join(entry_path, "timestamp")
-                ),
-            )
-        )
-    return tuple(epochs)
-
-
-def _parse_section(raw, path: str, factory, fields: dict):
-    """Build a params dataclass from a config section, reporting offending
-    keys by their dotted path."""
-    if raw is None:
-        raw = {}
-    _check_keys(raw, set(fields), path)
-    kwargs = _convert(raw, fields, path)
+def _convert(value, convert, path: str):
+    """`value` through `convert`; a bad value is reported under its dotted
+    path."""
     try:
-        return factory(**kwargs)
-    except ValueError as exc:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _convert(raw: dict, fields: dict, path: str) -> dict:
-    """Every key of `fields` present in `raw`, through its converter; a bad
-    value is reported under its dotted path."""
-    kwargs = {}
-    for key, convert in fields.items():
-        if key in raw:
-            try:
-                kwargs[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{_join(path, key)}: {exc}") from exc
-    return kwargs
 
 
 def _is_integer(value) -> bool:
@@ -216,6 +164,26 @@ def _float(value) -> float:
     return float(value)
 
 
+def _timestamp(value):
+    """A number (days), or a date or datetime as YAML reads it or as an ISO
+    string, which is how the echo writes it."""
+    if isinstance(value, bool) or value is None:
+        raise TypeError("expected a number or ISO date")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, datetime.date):
+        return value
+    if isinstance(value, str):
+        # A date first: datetime.fromisoformat reads "2026-01-01" too.
+        for kind in (datetime.date, datetime.datetime):
+            try:
+                return kind.fromisoformat(value)
+            except ValueError:
+                pass
+        raise ValueError(f"not an ISO date: {value!r}")
+    raise TypeError(f"expected a number or ISO date, got {type(value).__name__}")
+
+
 def _report_version(value) -> int:
     """The report format a config was written with: a serialized config
     records it, but only the format this library writes parses."""
@@ -235,9 +203,8 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-# Converter from a parsed YAML value for each field type of the params
-# dataclasses and the config's own scalars; serializing a params dataclass
-# applies the same converter.
+# Converter from a parsed YAML value for each leaf field type of the config
+# dataclasses; the echo applies the same converter.
 _CONVERTERS = {
     int: _integer,
     float: _float,
@@ -245,15 +212,60 @@ _CONVERTERS = {
     Optional[int]: _optional(_integer),
     Optional[float]: _optional(_float),
     Union[float, Sequence[float]]: _thresholds,
+    Union[float, datetime.date]: _timestamp,
 }
 
 
-def _section_fields(cls, skip=()) -> dict:
-    """Field name -> converter for every field of a dataclass but `skip`."""
-    hints = get_type_hints(cls)
-    return {
-        f.name: _CONVERTERS[hints[f.name]] for f in dataclasses.fields(cls) if f.name not in skip
-    }
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> dict:
+    """Field name -> resolved type of a config dataclass, in field order."""
+    return get_type_hints(cls)
+
+
+def _load(cls, raw, path: str):
+    """Build dataclass `cls` from a parsed YAML mapping. A nested dataclass
+    recurses (a null section takes every default), a Tuple[X, ...] reads a
+    list of X mappings and any other field goes through its converter;
+    every error names its dotted path."""
+    hints = _hints(cls)
+    _check_keys(raw, hints, path)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key, hint, value = _join(path, f.name), hints[f.name], raw.get(f.name)
+        if f.name not in raw:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"missing config key: {key}")
+        elif dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _load(hint, {} if value is None else value, key)
+        elif get_origin(hint) is tuple:
+            if not isinstance(value, list):
+                raise ValueError(f"{key}: expected a list of {f.name}")
+            kwargs[f.name] = tuple(
+                _load(get_args(hint)[0], entry, f"{key}[{i}]") for i, entry in enumerate(value)
+            )
+        else:
+            kwargs[f.name] = _convert(value, _CONVERTERS[hint], key)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # The top level's own checks already name their keys.
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _plain(value, hint):
+    """`value` of type `hint` as plain YAML data: a dataclass as a mapping,
+    a tuple as a list, a date as its ISO string and anything else through
+    its converter."""
+    if dataclasses.is_dataclass(hint):
+        return {name: _plain(getattr(value, name), h) for name, h in _hints(hint).items()}
+    if get_origin(hint) is tuple:
+        return [_plain(item, get_args(hint)[0]) for item in value]
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    value = _CONVERTERS[hint](value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 class _Loader(yaml.SafeLoader):
@@ -271,28 +283,18 @@ for _cls in (_Loader, _Dumper):
     _cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789."))
 
 
-_ICP_FIELDS = _section_fields(IcpParams)
-_DETECTION_FIELDS = _section_fields(ChangeParams)
-_NESTED_KEYS = ("epochs", "icp", "detection")
-_SCALAR_FIELDS = _section_fields(PipelineConfig, skip=_NESTED_KEYS)
-
-
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse a config document from a string; see parse_config."""
-    raw = yaml.load(text, Loader=_Loader)
+    try:
+        raw = yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"config: not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
-    _check_keys(raw, {*_NESTED_KEYS, *_SCALAR_FIELDS, "report_version"}, "")
-    _convert(raw, {"report_version": _report_version}, "")
-    epochs = _parse_epochs(_require(raw, "epochs", ""), "epochs")
-    return PipelineConfig(
-        epochs=epochs,
-        icp=_parse_section(raw.get("icp"), "icp", IcpParams, _ICP_FIELDS),
-        detection=_parse_section(
-            raw.get("detection"), "detection", ChangeParams, _DETECTION_FIELDS
-        ),
-        **_convert(raw, _SCALAR_FIELDS, ""),
-    )
+    # Recorded by the echo, but no setting.
+    if isinstance(raw, dict) and "report_version" in raw:
+        _convert(raw.pop("report_version"), _report_version, "report_version")
+    return _load(PipelineConfig, raw, "")
 
 
 def parse_config(path) -> PipelineConfig:
@@ -306,38 +308,9 @@ def parse_config(path) -> PipelineConfig:
         return parse_config_text(handle.read())
 
 
-def _timestamp_value(timestamp):
-    if isinstance(timestamp, (datetime.date, datetime.datetime)):
-        return timestamp.isoformat()
-    return timestamp
-
-
-def _section_to_dict(params, fields: dict) -> dict:
-    """A params dataclass as plain YAML values: every field through its
-    converter, tuples as lists."""
-    out = {}
-    for key, convert in fields.items():
-        value = convert(getattr(params, key))
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def config_to_dict(config: PipelineConfig) -> dict:
     """Full-provenance mapping: every field present, defaults included."""
-    return {
-        "epochs": [
-            {"path": e.path, "timestamp": _timestamp_value(e.timestamp)}
-            for e in config.epochs
-        ],
-        "registration": config.registration,
-        "icp": _section_to_dict(config.icp, _ICP_FIELDS),
-        "detection": _section_to_dict(config.detection, _DETECTION_FIELDS),
-        "grid_size": config.grid_size,
-        "output_dir": config.output_dir,
-        "report_version": REPORT_VERSION,
-        "seed": config.seed,
-        "threads": config.threads,
-    }
+    return {**_plain(config, PipelineConfig), "report_version": REPORT_VERSION}
 
 
 def serialize_config(config: PipelineConfig) -> str:

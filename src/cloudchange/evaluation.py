@@ -6,6 +6,7 @@ metrics, with explicit handling of undefined cases.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,13 +48,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "unknown": self.unknown,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,12 +69,7 @@ class ChangeMetrics:
     iou: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "iou": self.iou,
-        }
+        return dataclasses.asdict(self)
 
 
 def _as_labels(values, name: str, allowed) -> np.ndarray:

@@ -769,6 +769,20 @@ class TestSolverOracles:
         )
 
 
+def _without_fixed(payload):
+    del payload["epochs"][0]["fixed"]
+    return payload
+
+
+def _with_skew(payload):
+    payload["epochs"][1]["calibration"]["skew"] = 0.0
+    return payload
+
+
+def _as_list(payload):
+    return payload["epochs"]
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12)
@@ -800,6 +814,20 @@ class TestScenarioFiles:
         broken.write_text(text)
         with pytest.raises(ValueError, match="exactly one non-fixed epoch"):
             load_scenario(broken)
+
+    @pytest.mark.parametrize("damage,message", [
+        (_without_fixed, r"^scenario\.epochs\[0\]: missing key 'fixed'$"),
+        (_with_skew, r"^scenario\.epochs\[1\]\.calibration: unknown key 'skew'$"),
+        (_as_list, r"^scenario: expected a JSON object, got list$"),
+    ])
+    def test_malformed_scenario_names_its_fault(self, tmp_path, damage, message):
+        # A missing key, an unknown key or a wrong shape is a ValueError
+        # naming it, not a KeyError or TypeError from deep inside the reader.
+        path = tmp_path / "scenario.json"
+        save_scenario(small_scenario().to_scenario(), path)
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_scenario(path)
 
     def test_save_is_deterministic(self, tmp_path):
         packed = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12).to_scenario()

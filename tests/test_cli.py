@@ -382,6 +382,12 @@ class TestTimelineCommand:
         assert capsys.readouterr().out == ""
 
 
+def _one_epoch_scenario(**epoch):
+    """A pose scenario document of one epoch without cameras; `epoch` adds
+    that epoch's other keys."""
+    return {"epochs": [{"epoch": 0, "cameras": [], **epoch}], "points": [], "observations": []}
+
+
 class TestFailureModes:
     def test_missing_input_fails_with_manifest(self, tmp_path):
         config = tmp_path / "config.yaml"
@@ -423,6 +429,36 @@ class TestFailureModes:
             "detection: {max_depht: 9}\n"
         )
         assert main(["run", "--config", str(config)]) == 1
+
+    def test_malformed_yaml_fails_without_traceback(self, tmp_path, caplog, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("epochs: [\n  - {path: a.ply\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert "config: not valid YAML" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document,message", [
+        # An epoch without its "fixed" flag.
+        (
+            _one_epoch_scenario(calibration={"focal_length": 1e3}),
+            "scenario.epochs[0]: missing key 'fixed'",
+        ),
+        # A calibration key SelfCalibration does not have.
+        (
+            _one_epoch_scenario(fixed=False, calibration={"focal_length": 1e3, "skew": 0.0}),
+            "scenario.epochs[0].calibration: unknown key 'skew'",
+        ),
+        ([], "scenario: expected a JSON object, got list"),
+    ])
+    def test_malformed_scenario_fails_without_traceback(
+        self, tmp_path, caplog, capsys, document, message
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        output = str(tmp_path / "result.json")
+        assert main(["refine-poses", "--scenario", str(scenario), "--output", output]) == 1
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_mixed_timestamp_kinds_fail(self, tmp_path, caplog):
         config = tmp_path / "config.yaml"

@@ -172,6 +172,13 @@ class TestStrictness:
         with pytest.raises(ValueError, match=rf"^{key}: must be finite|^{key} must be finite"):
             parse_config_text(MINIMAL + text + "\n")
 
+    def test_malformed_yaml_is_a_value_error(self):
+        # PyYAML's own error is no ValueError, which the CLI reports as a
+        # message rather than a traceback; the mark of the fault is kept.
+        with pytest.raises(ValueError, match="^config: not valid YAML: ") as excinfo:
+            parse_config_text("epochs: [\n  - {path: a.ply\n")
+        assert "line 2, column 3" in str(excinfo.value)
+
     def test_section_invariants_keep_section_prefix(self):
         with pytest.raises(ValueError, match="icp: max_iterations"):
             parse_config_text(MINIMAL + "icp: {max_iterations: 0}\n")
@@ -257,6 +264,13 @@ class TestSerialization:
             MINIMAL + 'output_dir: "1e5"\n',
             MINIMAL.replace("timestamp: 0", "timestamp: 2026-01-01").replace(
                 "timestamp: 10", "timestamp: 2026-01-31"
+            ),
+            # Naive and timezone-aware datetimes echo as ISO strings.
+            MINIMAL.replace("timestamp: 0", "timestamp: 2026-01-01T00:00:00").replace(
+                "timestamp: 10", "timestamp: 2026-01-01T06:30:15.25"
+            ),
+            MINIMAL.replace("timestamp: 0", "timestamp: 2026-01-01T00:00:00Z").replace(
+                "timestamp: 10", "timestamp: 2026-01-02T00:00:00+02:00"
             ),
         ):
             config = parse_config_text(text)
