@@ -47,6 +47,7 @@ import json
 import logging
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -958,37 +959,68 @@ def _points_to_list(points: Mapping[int, ObjectPoint]) -> List[dict]:
     ]
 
 
-def _object(value, where: str, required, optional=()) -> dict:
-    """A scenario JSON object holding every key of `required`, any of
-    `optional` and nothing else; anything else is a ValueError naming
-    `where`."""
+# Value kinds of scenario JSON fields: the types a scalar may have (the JSON
+# decoder makes exactly these, and True is a bool, not an int), _VECTOR for a
+# list of three numbers, and None for a value checked where it is read (a
+# nested object or list, or the opaque truth).
+_INTEGER = (int,)
+_NUMBER = (int, float)
+_BOOLEAN = (bool,)
+_VECTOR = "vector"
+_KIND_NAMES = {
+    _INTEGER: "an integer",
+    _NUMBER: "a number",
+    _BOOLEAN: "true or false",
+    _VECTOR: "a list of 3 numbers",
+}
+
+
+def _has_kind(value, kind) -> bool:
+    if kind is _VECTOR:
+        return type(value) is list and len(value) == 3 and all(type(v) in _NUMBER for v in value)
+    return kind is None or type(value) in kind
+
+
+def _object(value, where: str, fields: Mapping, optional=()) -> dict:
+    """A scenario JSON object holding every key of `fields` but those in
+    `optional`, and nothing else, each key's value of the kind `fields`
+    gives it; anything else is a ValueError naming `where`."""
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(value).__name__}")
-    for key in required:
-        if key not in value:
+    for key in fields:
+        if key not in value and key not in optional:
             raise ValueError(f"{where}: missing key {key!r}")
-    for key in value:
-        if key not in required and key not in optional:
+    for key, item in value.items():
+        if key not in fields:
             raise ValueError(f"{where}: unknown key {key!r}")
+        if not _has_kind(item, fields[key]):
+            got = reprlib.repr(item)
+            raise ValueError(f"{where}.{key}: expected {_KIND_NAMES[fields[key]]}, got {got}")
     return value
 
 
-def _objects(value, where: str, required, optional=()) -> List[dict]:
+def _objects(value, where: str, fields: Mapping, optional=()) -> List[dict]:
     """A scenario JSON list whose every item passes _object."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a JSON list, got {type(value).__name__}")
-    return [_object(item, f"{where}[{i}]", required, optional) for i, item in enumerate(value)]
+    return [_object(item, f"{where}[{i}]", fields, optional) for i, item in enumerate(value)]
 
 
 def _epoch_from_dict(entry: dict, where: str) -> EpochCameras:
     keys = [f.name for f in dataclasses.fields(SelfCalibration)]
-    calibration = _object(entry["calibration"], f"{where}.calibration", keys[:1], keys[1:])
+    calibration = _object(
+        entry["calibration"], f"{where}.calibration", dict.fromkeys(keys, _NUMBER), keys[1:]
+    )
     cameras = {
         cam["id"]: ExteriorOrientation(
             center=np.array(cam["center"], dtype=np.float64),
             rotation=np.array(cam["rotation"], dtype=np.float64),
         )
-        for cam in _objects(entry["cameras"], f"{where}.cameras", ("id", "center", "rotation"))
+        for cam in _objects(
+            entry["cameras"],
+            f"{where}.cameras",
+            {"id": _INTEGER, "center": _VECTOR, "rotation": _VECTOR},
+        )
     }
     return EpochCameras(
         epoch=entry["epoch"], calibration=SelfCalibration(**calibration), cameras=cameras
@@ -1027,9 +1059,12 @@ def load_scenario(path) -> Scenario:
     Exactly one epoch must carry `fixed: false`.
     """
     payload = json.loads(Path(path).read_text())
-    payload = _object(payload, "scenario", ("epochs", "points", "observations"), ("truth",))
+    keys = ("epochs", "points", "observations", "truth")
+    payload = _object(payload, "scenario", dict.fromkeys(keys), ("truth",))
     entries = _objects(
-        payload["epochs"], "scenario.epochs", ("epoch", "fixed", "calibration", "cameras")
+        payload["epochs"],
+        "scenario.epochs",
+        {"epoch": _INTEGER, "fixed": _BOOLEAN, "calibration": None, "cameras": None},
     )
     epochs = [_epoch_from_dict(e, f"scenario.epochs[{i}]") for i, e in enumerate(entries)]
     fixed_epochs = [epoch for epoch, e in zip(epochs, entries) if e["fixed"]]
@@ -1042,7 +1077,9 @@ def load_scenario(path) -> Scenario:
         p["track"]: ObjectPoint(
             position=np.array(p["position"], dtype=np.float64), track_id=p["track"]
         )
-        for p in _objects(payload["points"], "scenario.points", ("track", "position"))
+        for p in _objects(
+            payload["points"], "scenario.points", {"track": _INTEGER, "position": _VECTOR}
+        )
     }
     observations = [
         ImageObservation(
@@ -1055,7 +1092,7 @@ def load_scenario(path) -> Scenario:
         for o in _objects(
             payload["observations"],
             "scenario.observations",
-            ("camera", "track", "x", "y"),
+            {"camera": _INTEGER, "track": _INTEGER, "x": _NUMBER, "y": _NUMBER, "weight": _NUMBER},
             ("weight",),
         )
     ]

@@ -4,6 +4,14 @@ The readers are strict: malformed input raises CloudFormatError carrying the
 line number (text formats) or byte offset (binary) of the first offence.
 Unknown vertex properties are preserved opaquely and written back on save;
 non-vertex elements are skipped with a warning.
+
+Vertex rows are a structured array with one field per PLY property, in
+file order, whatever the layout. A binary file is read straight into it
+(`readinto`, no intermediate bytes), and the coordinates are its x, y and
+z fields as float64: a view when they are adjacent doubles, as in an
+xyz-only file, one copy otherwise. An ASCII file is parsed into the same
+rows. On save, an xyz-only cloud's coordinate array is written as it is,
+since it already has the row layout; other clouds are packed into rows.
 """
 from __future__ import annotations
 
@@ -142,34 +150,73 @@ def _parse_ply_header(path, handle):
     return is_binary, elements, handle.tell(), line_no
 
 
+def _row_dtype(element: _PlyElement) -> np.dtype:
+    """Structured dtype of one binary row of the element, fields in file order."""
+    return np.dtype([(p.name, _PLY_TO_NUMPY[p.dtype]) for p in element.properties])
+
+
 def _require_xyz(path, names) -> None:
     for axis in ("x", "y", "z"):
         if axis not in names:
             _fail(path, "header", f"vertex element lacks required property '{axis}'")
 
 
-def _cloud_from_columns(path, xyz: np.ndarray, columns: dict) -> PointCloud:
-    """Cloud from its (n, 3) float64 coordinates and the other vertex
-    properties, one column each by name."""
-    if not np.isfinite(xyz).all():
-        bad = int(np.flatnonzero(~np.isfinite(xyz).all(axis=1))[0])
-        _fail(path, f"vertex {bad}", "non-finite coordinate")
+def _require_finite(path, xyz: np.ndarray) -> None:
+    finite = np.isfinite(xyz).all(axis=1)
+    if not finite.all():
+        _fail(path, f"vertex {int(np.flatnonzero(~finite)[0])}", "non-finite coordinate")
+
+
+def _coordinates(rows: np.ndarray) -> np.ndarray:
+    """The rows' x, y and z fields as an (n, 3) float64 array: a view of the
+    rows when they are adjacent native doubles, as in an xyz-only file, one
+    copy otherwise."""
+    fields = rows.dtype.fields
+    start = fields["x"][1]
+    if len(rows) and all(
+        fields[axis] == (np.dtype(np.float64), start + 8 * k) for k, axis in enumerate("xyz")
+    ):
+        return np.ndarray((len(rows), 3), np.float64, rows, start, (rows.dtype.itemsize, 8))
+    xyz = np.empty((len(rows), 3))
+    for k, axis in enumerate("xyz"):
+        xyz[:, k] = rows[axis]
+    return xyz
+
+
+def _cloud_from_rows(path, rows: np.ndarray) -> PointCloud:
+    """Cloud from the vertex rows, a structured array with one field per
+    PLY property.
+
+    The cloud's own construction is the only scan for non-finite
+    coordinates on the way to a loaded cloud; the offending vertex is
+    looked up only on a failure.
+    """
+    xyz = _coordinates(rows)
+    columns = {name: rows[name] for name in rows.dtype.names if name not in ("x", "y", "z")}
     colors = None
     if all(c in columns for c in ("red", "green", "blue")):
         colors = np.column_stack(
             [columns.pop("red"), columns.pop("green"), columns.pop("blue")]
         ).astype(np.uint8)
-    labels = None
-    if "change_label" in columns:
-        labels = np.asarray(columns.pop("change_label"))
+    labels = columns.pop("change_label", None)
+    if labels is not None:
         bad = np.flatnonzero((labels > 2) | (labels < 0))
         if bad.size:
+            _require_finite(path, xyz)
             _fail(path, f"vertex {int(bad[0])}", f"change_label {int(labels[bad[0]])} outside 0..2")
         labels = labels.astype(np.uint8)
-    epochs = None
-    if "epoch" in columns:
-        epochs = np.asarray(columns.pop("epoch")).astype(np.int32)
-    return PointCloud(xyz, colors=colors, labels=labels, epochs=epochs, extras=columns)
+    epochs = columns.pop("epoch", None)
+    try:
+        return PointCloud(
+            xyz,
+            colors=colors,
+            labels=labels,
+            epochs=None if epochs is None else epochs.astype(np.int32),
+            extras=columns,
+        )
+    except ValueError:
+        _require_finite(path, xyz)
+        raise
 
 
 def _load_ply(path, handle, declared_binary: Optional[bool]) -> PointCloud:
@@ -188,35 +235,25 @@ def _load_ply(path, handle, declared_binary: Optional[bool]) -> PointCloud:
         if el.name != "vertex":
             logger.warning("%s: skipping element '%s' (%d rows)", path, el.name, el.count)
     leading = elements[: elements.index(vertex)]
+    dtype = _row_dtype(vertex)
+    _require_xyz(path, dtype.names)
     if is_binary:
         if any(e.has_list for e in leading):
             _fail(path, "header", "cannot skip list-typed element preceding vertex data")
-        offset = data_start
-        for el in leading:
-            row = int(np.dtype([(p.name, _PLY_TO_NUMPY[p.dtype]) for p in el.properties]).itemsize)
-            offset += row * el.count
-        dtype = np.dtype([(p.name, _PLY_TO_NUMPY[p.dtype]) for p in vertex.properties])
-        handle.seek(offset)
-        buf = handle.read(dtype.itemsize * vertex.count)
-        if len(buf) < dtype.itemsize * vertex.count:
+        offset = data_start + sum(_row_dtype(el).itemsize * el.count for el in leading)
+        expected = dtype.itemsize * vertex.count
+        found = max(0, os.fstat(handle.fileno()).st_size - offset)
+        if found < expected:
             _fail(
                 path,
-                f"byte {offset + len(buf)}",
-                f"truncated vertex data: expected {dtype.itemsize * vertex.count} bytes "
-                f"at offset {offset}, found {len(buf)}",
+                f"byte {offset + found}",
+                f"truncated vertex data: expected {expected} bytes at offset {offset}, "
+                f"found {found}",
             )
-        rows = np.frombuffer(buf, dtype=dtype)
-        _require_xyz(path, dtype.names)
-        # One strided copy per axis straight into the coordinate array; only
-        # the other properties become columns.
-        xyz = np.empty((vertex.count, 3))
-        for j, axis in enumerate("xyz"):
-            xyz[:, j] = rows[axis]
-        columns = {
-            p.name: np.ascontiguousarray(rows[p.name])
-            for p in vertex.properties
-            if p.name not in ("x", "y", "z")
-        }
+        # The file's bytes land in the rows once, with no bytes object between.
+        rows = np.empty(vertex.count, dtype=dtype)
+        handle.seek(offset)
+        handle.readinto(rows.view(np.uint8))
     else:
         text = handle.read().decode("ascii", errors="replace").splitlines()
         row_at = 0
@@ -243,12 +280,10 @@ def _load_ply(path, handle, declared_binary: Optional[bool]) -> PointCloud:
                 values[i] = [float(t) for t in tokens]
             except ValueError:
                 _fail(path, f"line {header_lines + row_at + i + 1}", f"bad number in row: {tokens}")
-        columns = {}
-        for j, prop in enumerate(vertex.properties):
-            columns[prop.name] = values[:, j].astype(_PLY_TO_NUMPY[prop.dtype])
-        _require_xyz(path, columns)
-        xyz = np.column_stack([columns.pop("x"), columns.pop("y"), columns.pop("z")])
-    return _cloud_from_columns(path, xyz, columns)
+        rows = np.empty(vertex.count, dtype=dtype)
+        for j, name in enumerate(dtype.names):
+            rows[name] = values[:, j]
+    return _cloud_from_rows(path, rows)
 
 
 def _load_xyz(path, handle) -> PointCloud:
@@ -343,10 +378,13 @@ def save_cloud(path, cloud: PointCloud, format: str = FORMAT_PLY_BINARY) -> None
             if len(cloud):
                 np.savetxt(handle, np.column_stack([col for _, _, col in schema]), fmt=fmt)
     else:
-        dtype = np.dtype([(name, _PLY_TO_NUMPY[t]) for name, t, _ in schema])
-        rows = np.empty(len(cloud), dtype=dtype)
-        for name, _, col in schema:
-            rows[name] = col
+        if len(schema) == 3:
+            # x, y and z alone: the float64 coordinate array is the rows.
+            rows = cloud.xyz.astype("<f8", copy=False)
+        else:
+            rows = np.empty(len(cloud), dtype=[(name, _PLY_TO_NUMPY[t]) for name, t, _ in schema])
+            for name, _, col in schema:
+                rows[name] = col
         with open(path, "wb") as handle:
             handle.write(("\n".join(header) + "\n").encode("ascii"))
             rows.tofile(handle)

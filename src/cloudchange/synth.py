@@ -5,6 +5,12 @@ demolition that returns exact truth labels and closed-form removed volumes,
 isotropic measurement noise, and camera-network scenarios for the bundle
 adjustment solver. Every generator is a deterministic function of its
 parameters and a seed, which is what makes these scenes usable as oracles.
+
+Each epoch cloud is written once: a building's surface counts are known
+before sampling, so every surface's samples go straight into one (n, 3)
+array, and a demolition compacts the survivors and writes any rubble into
+the later epoch's one array. The draws and the per-element arithmetic are
+those of sampling each surface into its own array and stacking them.
 """
 
 from __future__ import annotations
@@ -215,46 +221,54 @@ class DemolitionScript:
         )
 
 
-def _sample_rectangle(rng, corner, edge_u, edge_v, density: float) -> np.ndarray:
-    """Stratified-jitter samples of a rectangle spanned by two edges: one
-    point per grid tile, so the count tracks density x area closely."""
-    corner = np.asarray(corner, dtype=np.float64)
-    edge_u = np.asarray(edge_u, dtype=np.float64)
-    edge_v = np.asarray(edge_v, dtype=np.float64)
-    len_u = float(np.linalg.norm(edge_u))
-    len_v = float(np.linalg.norm(edge_v))
-    n_u = max(1, round(len_u * math.sqrt(density)))
-    n_v = max(1, round(len_v * math.sqrt(density)))
-    iu, iv = np.meshgrid(np.arange(n_u), np.arange(n_v), indexing="ij")
-    u = (iu.ravel() + rng.random(n_u * n_v)) / n_u
-    v = (iv.ravel() + rng.random(n_u * n_v)) / n_v
-    return corner + u[:, None] * edge_u + v[:, None] * edge_v
+def _tiles(edge, density: float) -> int:
+    """Grid tiles along one rectangle edge at the given surface density."""
+    return max(1, round(float(np.linalg.norm(edge)) * math.sqrt(density)))
 
 
-def generate_building(spec: BuildingSpec, seed: int = 0) -> PointCloud:
-    """Sample a building's surfaces at the spec's density.
+def _sample_rectangle(rng, corner, edge_u, edge_v, n_u: int, n_v: int, out: np.ndarray) -> None:
+    """Stratified-jitter samples of a rectangle spanned by two edges, one
+    point per tile of an n_u x n_v grid, written into the (n_u * n_v, 3)
+    `out`.
 
-    Deterministic per (spec, seed). Surfaces: ground, roof, four walls,
-    interior floor slabs every story_height, optional interior columns.
+    Each coordinate is `corner + u * edge_u + v * edge_v` evaluated element
+    by element, with u drawn before v, one column of `out` at a time.
     """
-    rng = np.random.default_rng(seed)
+    u = rng.random(n_u * n_v).reshape(n_u, n_v)
+    u += np.arange(n_u)[:, None]
+    u /= n_u
+    v = rng.random(n_u * n_v).reshape(n_u, n_v)
+    v += np.arange(n_v)
+    v /= n_v
+    u, v = u.ravel(), v.ravel()
+    term = np.empty(n_u * n_v)
+    for k in range(3):
+        column = out[:, k]
+        np.multiply(u, edge_u[k], out=column)
+        column += corner[k]
+        np.multiply(v, edge_v[k], out=term)
+        column += term
+
+
+def _surfaces(spec: BuildingSpec) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(corner, edge_u, edge_v) of every sampled rectangle, in sampling
+    order: ground, roof, four walls, interior floor slabs, column faces."""
     w, l, h = spec.width, spec.length, spec.height
     ex = np.array([w, 0.0, 0.0])
     ey = np.array([0.0, l, 0.0])
     ez = np.array([0.0, 0.0, h])
-    parts = [
-        _sample_rectangle(rng, (0, 0, 0), ex, ey, spec.density),  # ground
-        _sample_rectangle(rng, (0, 0, h), ex, ey, spec.density),  # roof
-        _sample_rectangle(rng, (0, 0, 0), ey, ez, spec.density),  # wall x = 0
-        _sample_rectangle(rng, (w, 0, 0), ey, ez, spec.density),  # wall x = w
-        _sample_rectangle(rng, (0, 0, 0), ex, ez, spec.density),  # wall y = 0
-        _sample_rectangle(rng, (0, l, 0), ex, ez, spec.density),  # wall y = l
+    surfaces = [
+        ((0, 0, 0), ex, ey),  # ground
+        ((0, 0, h), ex, ey),  # roof
+        ((0, 0, 0), ey, ez),  # wall x = 0
+        ((w, 0, 0), ey, ez),  # wall x = w
+        ((0, 0, 0), ex, ez),  # wall y = 0
+        ((0, l, 0), ex, ez),  # wall y = l
     ]
     story = spec.story_height
     level = 1
     while level * story < h - 1e-9:
-        z = level * story
-        parts.append(_sample_rectangle(rng, (0, 0, z), ex, ey, spec.density))
+        surfaces.append(((0, 0, level * story), ex, ey))
         level += 1
     if spec.columns is not None:
         grid = spec.columns
@@ -265,26 +279,47 @@ def generate_building(spec: BuildingSpec, seed: int = 0) -> PointCloud:
             for j in range(grid.count_y):
                 cx = (i + 0.5) * w / grid.count_x
                 cy = (j + 0.5) * l / grid.count_y
-                parts.append(
-                    _sample_rectangle(rng, (cx - half, cy - half, 0), sv, ez, spec.density)
-                )
-                parts.append(
-                    _sample_rectangle(rng, (cx + half, cy - half, 0), sv, ez, spec.density)
-                )
-                parts.append(
-                    _sample_rectangle(rng, (cx - half, cy - half, 0), su, ez, spec.density)
-                )
-                parts.append(
-                    _sample_rectangle(rng, (cx - half, cy + half, 0), su, ez, spec.density)
-                )
-    return PointCloud(np.vstack(parts))
+                surfaces += [
+                    ((cx - half, cy - half, 0), sv, ez),
+                    ((cx + half, cy - half, 0), sv, ez),
+                    ((cx - half, cy - half, 0), su, ez),
+                    ((cx - half, cy + half, 0), su, ez),
+                ]
+    return [(np.asarray(c, dtype=np.float64), eu, ev) for c, eu, ev in surfaces]
+
+
+def generate_building(spec: BuildingSpec, seed: int = 0) -> PointCloud:
+    """Sample a building's surfaces at the spec's density.
+
+    Deterministic per (spec, seed). Surfaces: ground, roof, four walls,
+    interior floor slabs every story_height, optional interior columns.
+    Every surface's tile count is known up front, so the samples go
+    straight into one array.
+    """
+    rng = np.random.default_rng(seed)
+    surfaces = _surfaces(spec)
+    grids = [(_tiles(eu, spec.density), _tiles(ev, spec.density)) for _, eu, ev in surfaces]
+    xyz = np.empty((sum(n_u * n_v for n_u, n_v in grids), 3))
+    start = 0
+    for (corner, edge_u, edge_v), (n_u, n_v) in zip(surfaces, grids):
+        stop = start + n_u * n_v
+        _sample_rectangle(rng, corner, edge_u, edge_v, n_u, n_v, xyz[start:stop])
+        start = stop
+    return PointCloud(xyz)
 
 
 def _inside_boxes(points: np.ndarray, boxes, spec: BuildingSpec) -> np.ndarray:
+    """Mask of the points inside (or on) any of the boxes clipped to the
+    envelope, narrowed one coordinate bound at a time."""
     inside = np.zeros(len(points), dtype=bool)
     for box in boxes:
         lo, hi = _clipped_box(box.lo, box.hi, spec)
-        inside |= ((points >= lo) & (points <= hi)).all(axis=1)
+        in_box = np.ones(len(points), dtype=bool)
+        for k in range(3):
+            column = points[:, k]
+            in_box &= column >= lo[k]
+            in_box &= column <= hi[k]
+        inside |= in_box
     return inside
 
 
@@ -297,37 +332,39 @@ def apply_demolition(
     solid volume in cubic metres). Labels mark deleted points as CHANGED and
     everything else UNCHANGED. When the script carries a rubble spec, debris
     points are appended to the later cloud and labeled CHANGED there;
-    surviving points are labeled UNCHANGED.
+    surviving points are labeled UNCHANGED. Survivors and debris are written
+    straight into the later cloud's one array.
     """
     boxes = [box for box in script.boxes if box.epoch == epoch]
     if not boxes:
         raise ValueError(f"demolition script has no removal boxes for epoch {epoch}")
     inside = _inside_boxes(cloud.xyz, boxes, script.building)
-    labels = np.where(inside, ChangeLabel.CHANGED, ChangeLabel.UNCHANGED).astype(np.uint8)
-    survivors = cloud.xyz[~inside]
-    later_labels = np.full(len(survivors), ChangeLabel.UNCHANGED, dtype=np.uint8)
+    labels = inside.astype(np.uint8)  # CHANGED is 1, UNCHANGED 0
     volume = script.removed_volume(epoch)
 
-    pieces = [survivors]
-    label_pieces = [later_labels]
+    debris = []
     if script.rubble is not None:
-        rng = np.random.default_rng(script.rubble.seed + epoch)
         for box in boxes:
             lo, hi = _clipped_box(box.lo, box.hi, script.building)
             box_volume = float(np.prod(np.maximum(hi - lo, 0.0)))
             count = round(script.rubble.points_per_m3 * box_volume)
-            if count == 0:
-                continue
-            debris = np.column_stack(
-                [
-                    rng.uniform(lo[0], hi[0], count),
-                    rng.uniform(lo[1], hi[1], count),
-                    rng.uniform(0.0, script.rubble.height, count),
-                ]
-            )
-            pieces.append(debris)
-            label_pieces.append(np.full(count, ChangeLabel.CHANGED, dtype=np.uint8))
-    later = PointCloud(np.vstack(pieces), labels=np.concatenate(label_pieces))
+            if count:
+                debris.append((lo, hi, count))
+    survivors = len(inside) - int(np.count_nonzero(inside))
+    xyz = np.empty((survivors + sum(count for _, _, count in debris), 3))
+    np.compress(~inside, cloud.xyz, axis=0, out=xyz[:survivors])
+    later_labels = np.full(len(xyz), ChangeLabel.CHANGED, dtype=np.uint8)
+    later_labels[:survivors] = ChangeLabel.UNCHANGED
+    if debris:
+        rng = np.random.default_rng(script.rubble.seed + epoch)
+        start = survivors
+        for lo, hi, count in debris:
+            block = xyz[start : start + count]
+            block[:, 0] = rng.uniform(lo[0], hi[0], count)
+            block[:, 1] = rng.uniform(lo[1], hi[1], count)
+            block[:, 2] = rng.uniform(0.0, script.rubble.height, count)
+            start += count
+    later = PointCloud(xyz, labels=later_labels)
     return later, labels, volume
 
 
@@ -339,8 +376,10 @@ def add_noise(cloud: PointCloud, sigma: float, seed: int = 0) -> PointCloud:
     if sigma == 0:
         return cloud
     rng = np.random.default_rng(seed)
+    noisy = rng.normal(0.0, sigma, cloud.xyz.shape)
+    noisy += cloud.xyz  # float addition commutes: the bits of xyz + noise
     return PointCloud(
-        cloud.xyz + rng.normal(0.0, sigma, cloud.xyz.shape),
+        noisy,
         colors=cloud.colors,
         labels=cloud.labels,
         epochs=cloud.epochs,

@@ -783,6 +783,31 @@ def _as_list(payload):
     return payload["epochs"]
 
 
+def _text_focal_length(payload):
+    payload["epochs"][1]["calibration"]["focal_length"] = "x"
+    return payload
+
+
+def _text_image_coordinate(payload):
+    payload["observations"][3]["x"] = "1.5"
+    return payload
+
+
+def _short_center(payload):
+    payload["epochs"][0]["cameras"][2]["center"] = [1.0, 2.0]
+    return payload
+
+
+def _float_track(payload):
+    payload["points"][1]["track"] = 1.0
+    return payload
+
+
+def _text_fixed_flag(payload):
+    payload["epochs"][0]["fixed"] = "yes"
+    return payload
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12)
@@ -819,10 +844,23 @@ class TestScenarioFiles:
         (_without_fixed, r"^scenario\.epochs\[0\]: missing key 'fixed'$"),
         (_with_skew, r"^scenario\.epochs\[1\]\.calibration: unknown key 'skew'$"),
         (_as_list, r"^scenario: expected a JSON object, got list$"),
+        (
+            _text_focal_length,
+            r"^scenario\.epochs\[1\]\.calibration\.focal_length: expected a number, got 'x'$",
+        ),
+        (_text_image_coordinate, r"^scenario\.observations\[3\]\.x: expected a number, got '1\.5'$"),
+        (
+            _short_center,
+            r"^scenario\.epochs\[0\]\.cameras\[2\]\.center: expected a list of 3 numbers, "
+            r"got \[1\.0, 2\.0\]$",
+        ),
+        (_float_track, r"^scenario\.points\[1\]\.track: expected an integer, got 1\.0$"),
+        (_text_fixed_flag, r"^scenario\.epochs\[0\]\.fixed: expected true or false, got 'yes'$"),
     ])
     def test_malformed_scenario_names_its_fault(self, tmp_path, damage, message):
-        # A missing key, an unknown key or a wrong shape is a ValueError
-        # naming it, not a KeyError or TypeError from deep inside the reader.
+        # A missing key, an unknown key, a wrong shape or a value of the
+        # wrong type is a ValueError naming it, not a KeyError or TypeError
+        # from deep inside the reader, nor a string read as a number.
         path = tmp_path / "scenario.json"
         save_scenario(small_scenario().to_scenario(), path)
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))

@@ -449,6 +449,11 @@ class TestFailureModes:
             "scenario.epochs[0].calibration: unknown key 'skew'",
         ),
         ([], "scenario: expected a JSON object, got list"),
+        # A calibration value that is not a number.
+        (
+            _one_epoch_scenario(fixed=False, calibration={"focal_length": "x"}),
+            "scenario.epochs[0].calibration.focal_length: expected a number, got 'x'",
+        ),
     ])
     def test_malformed_scenario_fails_without_traceback(
         self, tmp_path, caplog, capsys, document, message

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,93 @@ class TestRoundTrip:
         assert len(cloud) == 1
 
 
+def write_binary_ply(path, rows, ply_types) -> int:
+    """Write structured `rows` as a binary PLY, one property per field with
+    the given PLY type names; returns the header length in bytes."""
+    header = (
+        f"ply\nformat binary_little_endian 1.0\nelement vertex {len(rows)}\n"
+        + "".join(f"property {t} {name}\n" for name, t in zip(rows.dtype.names, ply_types))
+        + "end_header\n"
+    ).encode("ascii")
+    path.write_bytes(header + rows.tobytes())
+    return len(header)
+
+
+# Binary vertex layouts: (field name, numpy code, PLY type) in file order.
+LAYOUTS = {
+    "xyz-double": [("x", "<f8", "double"), ("y", "<f8", "double"), ("z", "<f8", "double")],
+    "xyz-float": [("x", "<f4", "float"), ("y", "<f4", "float"), ("z", "<f4", "float")],
+    "reordered": [("z", "<f8", "double"), ("x", "<f8", "double"), ("y", "<f8", "double")],
+    "extras-before-x": [
+        ("intensity", "<u2", "ushort"), ("red", "u1", "uchar"), ("green", "u1", "uchar"),
+        ("blue", "u1", "uchar"), ("change_label", "u1", "uchar"), ("x", "<f8", "double"),
+        ("y", "<f8", "double"), ("z", "<f8", "double"), ("epoch", "<i4", "int"),
+    ],
+}
+
+
+class TestBinaryLayouts:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_round_trip(self, tmp_path, layout):
+        fields = LAYOUTS[layout]
+        rng = np.random.default_rng(len(layout))
+        rows = np.empty(53, dtype=[(name, code) for name, code, _ in fields])
+        for name in rows.dtype.names:
+            if rows.dtype[name].kind == "f":
+                rows[name] = rng.uniform(-5e3, 5e3, len(rows))
+            else:
+                rows[name] = rng.integers(0, 3, len(rows))
+        path = tmp_path / "in.ply"
+        write_binary_ply(path, rows, [t for _, _, t in fields])
+        cloud = load_cloud(path, "ply-binary-le")
+        want = np.column_stack([rows["x"], rows["y"], rows["z"]]).astype(np.float64)
+        assert cloud.xyz.dtype == np.float64 and cloud.xyz.flags.c_contiguous
+        assert cloud.xyz.tobytes() == want.tobytes()
+        names = rows.dtype.names
+        if "red" in names:
+            np.testing.assert_array_equal(
+                cloud.colors, np.column_stack([rows["red"], rows["green"], rows["blue"]])
+            )
+            np.testing.assert_array_equal(cloud.labels, rows["change_label"])
+            np.testing.assert_array_equal(cloud.epochs, rows["epoch"])
+            assert list(cloud.extras) == ["intensity"]
+            assert cloud.extras["intensity"].dtype == np.dtype("<u2")
+            np.testing.assert_array_equal(cloud.extras["intensity"], rows["intensity"])
+        else:
+            assert cloud.colors is None and cloud.labels is None and not cloud.extras
+        out = tmp_path / "out.ply"
+        save_cloud(out, cloud)
+        back = load_cloud(out, "ply-binary-le")
+        assert back.xyz.tobytes() == cloud.xyz.tobytes()
+        for name in ("colors", "labels", "epochs"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(cloud, name))
+        assert back.extras.keys() == cloud.extras.keys()
+
+    def test_xyz_only_file_is_header_and_coordinates(self, tmp_path):
+        xyz = np.random.default_rng(9).normal(0.0, 1e4, (31, 3))
+        path = tmp_path / "c.ply"
+        save_cloud(path, PointCloud(xyz))
+        data = path.read_bytes()
+        assert data.endswith(b"end_header\n" + xyz.astype("<f8").tobytes())
+        assert data.count(b"property") == 3
+
+    def test_xyz_only_load_holds_one_coordinate_array(self, tmp_path):
+        # The rows are read in place and x, y and z are a view of them, so
+        # the load peaks at the coordinates plus the cloud's finiteness
+        # mask (one byte per coordinate, an eighth of the array).
+        xyz = np.random.default_rng(10).uniform(-1e3, 1e3, (200_000, 3))
+        path = tmp_path / "big.ply"
+        save_cloud(path, PointCloud(xyz))
+        tracemalloc.start()
+        try:
+            cloud = load_cloud(path, "ply-binary-le")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cloud.xyz.tobytes() == xyz.tobytes()
+        assert peak <= 1.2 * xyz.nbytes
+
+
 class TestMalformedInputs:
     def test_truncated_binary_reports_byte_offset(self, tmp_path):
         cloud = sample_cloud(n=10, seed=4, attrs=False)
@@ -153,6 +242,40 @@ class TestMalformedInputs:
         path.write_bytes(data[:-13])
         with pytest.raises(CloudFormatError, match="byte"):
             load_cloud(path, "ply-binary-le")
+
+    def test_truncated_xyz_only_reports_where_data_ends(self, tmp_path):
+        rows = np.zeros(10, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8")])
+        path = tmp_path / "t.ply"
+        header = write_binary_ply(path, rows, ["double"] * 3)
+        path.write_bytes(path.read_bytes()[:-13])
+        with pytest.raises(
+            CloudFormatError,
+            match=rf": byte {header + 227}: truncated vertex data: expected 240 bytes at "
+            rf"offset {header}, found 227$",
+        ):
+            load_cloud(path, "ply-binary-le")
+
+    @pytest.mark.parametrize("layout", ["xyz-double", "extras-before-x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_named_by_index(self, tmp_path, layout, bad):
+        fields = LAYOUTS[layout]
+        rows = np.zeros(20, dtype=[(name, code) for name, code, _ in fields])
+        rows["y"][13] = bad
+        rows["z"][17] = bad
+        path = tmp_path / "nan.ply"
+        write_binary_ply(path, rows, [t for _, _, t in fields])
+        with pytest.raises(CloudFormatError, match=r": vertex 13: non-finite coordinate$"):
+            load_cloud(path)
+
+    def test_non_finite_vertex_reported_before_bad_label(self, tmp_path):
+        path = tmp_path / "both.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property uchar change_label\nend_header\n0 0 0 7\n0 nan 0 0\n"
+        )
+        with pytest.raises(CloudFormatError, match="vertex 1: non-finite"):
+            load_cloud(path)
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "bad.ply"

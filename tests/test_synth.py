@@ -18,6 +18,7 @@ from cloudchange.synth import (
     generate_demolition_series,
     generate_pose_scenario,
 )
+import synth_reference as ref
 from projection_reference import compute_residuals
 
 
@@ -256,6 +257,95 @@ class TestNoise:
         for sigma in (np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma must be finite"):
                 add_noise(cloud, sigma)
+
+
+def assert_clouds_identical(a, b):
+    """Equal bits, shapes and attributes; -0.0 and 0.0 count as different."""
+    assert a.xyz.shape == b.xyz.shape
+    assert a.xyz.tobytes() == b.xyz.tobytes()
+    for name in ("colors", "labels", "epochs"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestMatchesReference:
+    """The in-place synthesis equals the array-at-a-time reference bit for bit."""
+
+    SPECS = (
+        BuildingSpec(width=10.0, length=10.0, height=8.0, density=400.0),
+        BuildingSpec(width=7.3, length=4.9, height=6.1, story_height=2.5, density=37.0),
+        BuildingSpec(
+            width=12.0, length=9.0, height=7.0, density=60.0, columns=ColumnGrid(3, 2, 0.45)
+        ),
+    )
+    SEEDS = (0, 1, 7919, 2**40 + 3)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("spec", SPECS, ids=("bench", "odd", "columns"))
+    def test_building(self, spec, seed):
+        assert_clouds_identical(generate_building(spec, seed), ref.generate_building(spec, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_demolition_with_and_without_rubble(self, seed):
+        spec = self.SPECS[2]
+        cloud = generate_building(spec, seed)
+        boxes = (
+            RemovalBox(1, (1.0, -2.0, -1.0), (4.5, 5.0, 9.0)),
+            RemovalBox(1, (6.0, 6.0, 2.0), (13.0, 8.5, 5.5)),
+            RemovalBox(2, (8.0, 0.5, 0.0), (11.0, 4.0, 7.0)),
+        )
+        rubble = RubbleSpec(points_per_m3=3.0, height=0.4, seed=seed % 97)
+        for script in (
+            DemolitionScript(building=spec, boxes=boxes),
+            DemolitionScript(building=spec, boxes=boxes, rubble=rubble),
+        ):
+            earlier = cloud
+            for epoch in (1, 2):
+                later, labels, volume = apply_demolition(earlier, script, epoch)
+                want, want_labels, want_volume = ref.apply_demolition(earlier, script, epoch)
+                assert_clouds_identical(later, want)
+                assert labels.dtype == want_labels.dtype
+                np.testing.assert_array_equal(labels, want_labels)
+                assert volume == want_volume
+                earlier = later
+
+    def test_box_corners_on_samples(self):
+        # Two samples at opposite corners of the box lie on its faces: the
+        # bounds are inclusive on every axis, as in the reference.
+        spec = self.SPECS[1]
+        cloud = generate_building(spec, 3)
+        a = 5
+        b = int(np.flatnonzero((cloud.xyz != cloud.xyz[a]).all(axis=1))[-1])
+        lo = np.minimum(cloud.xyz[a], cloud.xyz[b])
+        hi = np.maximum(cloud.xyz[a], cloud.xyz[b])
+        script = DemolitionScript(building=spec, boxes=(RemovalBox(1, lo, hi),))
+        _, labels, _ = apply_demolition(cloud, script, 1)
+        _, want, _ = ref.apply_demolition(cloud, script, 1)
+        np.testing.assert_array_equal(labels, want)
+        assert labels[a] == labels[b] == ChangeLabel.CHANGED
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_noise(self, seed):
+        cloud = generate_building(self.SPECS[1], seed)
+        cloud = cloud.with_attributes(labels=np.arange(len(cloud)) % 3)
+        assert_clouds_identical(add_noise(cloud, 0.013, seed), ref.add_noise(cloud, 0.013, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_series(self, seed):
+        spec = self.SPECS[2]
+        rubble = RubbleSpec(points_per_m3=2.0, height=0.3, seed=5)
+        for kwargs in ({}, dict(noise_sigma=0.01, rubble=rubble, align=0.5)):
+            clouds, labels, script, volumes = generate_demolition_series(spec, 4, seed, **kwargs)
+            want = ref.generate_demolition_series(spec, 4, seed, **kwargs)
+            assert len(clouds) == len(want[0]) == 4
+            for a, b in zip(clouds, want[0]):
+                assert_clouds_identical(a, b)
+            for a, b in zip(labels, want[1]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert script == want[2]
+            assert volumes == want[3]
 
 
 class TestPoseScenario:
