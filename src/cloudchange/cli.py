@@ -61,7 +61,7 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
         dest="thresholds",
         help="change threshold; repeat for one value per depth",
     )
-    group.add_argument("--component-radius", type=float, help="cluster filter radius, metres")
+    group.add_argument("--component-radius", type=float, help="cluster filter grid cell edge, metres")
     group.add_argument("--component-min-size", type=int, help="minimum cluster size kept")
 
 

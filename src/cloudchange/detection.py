@@ -19,7 +19,8 @@ depth, so nothing is re-encoded or searched per cell. Below the start depth
 the walk takes one block of consecutive start cells at a time, about
 _BLOCK_ENTRIES index entries, so its working memory is bounded by the block
 rather than the interval. A connected-component pass then drops isolated
-flagged points.
+flagged points: it links the grid cells of edge `component_radius` that hold
+flagged points, each to its 26 neighbours, so it needs no point pairs.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import BoundingCube, PointCloud, bounding_cube
+from .geometry import BoundingCube, PointCloud, _as_points_array, bounding_cube
 from .neighbors import kdtree
 from .octree import (
     MAX_SUPPORTED_DEPTH,
@@ -55,7 +56,7 @@ DEFAULT_THRESHOLD = 3.0e5
 # (perfbench, seed 1, two runs each; 544,800 entries reach start_depth in its
 # first interval) read 115.3-115.6 / 115.1-115.3 / 116.8-117.9 /
 # 128.6-128.7 MiB at 2^14 / 2^16 / 2^18 entries and one block. From 2^16
-# down the component filter sets the peak, and each block costs a few numpy
+# down the walk no longer sets the peak, and each block costs a few numpy
 # calls.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -74,9 +75,12 @@ class ChangeParams:
             surviving cells at this depth form the changed-voxel set.
         thresholds: scalar tau applied at every depth, or one value per
             depth from start_depth to max_depth.
-        component_radius: single-linkage radius of the component filter in
-            metres; None picks max(1.5 * finest cell edge, 3 * median
-            nearest-neighbour spacing of the flagged points).
+        component_radius: cell edge in metres of the component filter's
+            grid, whose occupied cells are linked to their 26 neighbours:
+            points within this radius always share a cluster, and points in
+            linked cells are less than 2 * sqrt(3) times it apart. None picks
+            max(1.5 * finest cell edge, 3 * median nearest-neighbour
+            spacing of the flagged points).
         component_min_size: clusters smaller than this are discarded.
     """
 
@@ -401,12 +405,13 @@ def _descend(passed, spans: np.ndarray, depths: range) -> tuple:
     return cells, pos, scored, kept
 
 
-def _auto_radius(points: np.ndarray, tree, finest_edge: float) -> float:
-    """Component radius: no smaller than typical point spacing. `tree` is a
-    kd-tree on `points`."""
+def _auto_radius(points: np.ndarray, finest_edge: float) -> float:
+    """Component radius: no smaller than typical point spacing, sampled
+    with a kd-tree on `points`."""
     base = 1.5 * finest_edge
     if len(points) < 2:
         return base
+    tree = kdtree(points)
     sample = points
     if len(sample) > 5000:
         step = len(sample) // 5000
@@ -420,29 +425,35 @@ def _filter_epoch(points: np.ndarray, raw_indices: np.ndarray, finest_edge: floa
     if not len(raw_indices):
         return raw_indices.copy(), np.empty(0, dtype=np.int64)
     pts = points[raw_indices]
-    tree = kdtree(pts)
     radius = params.component_radius
     if radius is None:
-        radius = _auto_radius(pts, tree, finest_edge)
-    kept_local, labels = component_filter(pts, radius, params.component_min_size, tree=tree)
+        radius = _auto_radius(pts, finest_edge)
+    kept_local, labels = component_filter(pts, radius, params.component_min_size)
     return raw_indices[kept_local], labels
 
 
-def component_filter(points, radius: float, min_size: int, *, tree=None):
-    """Single-linkage clusters of `points`; drop clusters below `min_size`.
+def component_filter(points, radius: float, min_size: int):
+    """Clusters of `points` linked through a grid; drop clusters below `min_size`.
 
-    Points within `radius` (inclusive) are connected. Returns (indices of
-    surviving points, cluster label per surviving point). Labels number the
-    surviving clusters in the lexicographic (x, y, z) order of each
-    cluster's smallest point, so the result is invariant under input
-    ordering. That point is found without sorting the whole set: each
-    cluster's least x comes from np.minimum.at, and only the points lying at
-    it are sorted. No two clusters share a smallest point, since equal
-    points are 0 <= radius apart and so in one cluster. `tree`, a kd-tree
-    already built on exactly `points`, is queried instead of building a new
-    one.
+    The grid's cell edge is `radius` and it is anchored at the points' least
+    corner, so a point's cell is floor((p - least corner) / radius) on each
+    axis. Occupied cells that differ by at most one on every axis (the 26
+    neighbours) are linked, and a cluster is a connected set of cells with
+    the points in them (Hoshen & Kopelman's lattice labelling). Two points
+    within `radius` (inclusive) are in one cell or in linked cells, so each
+    single-linkage cluster at `radius` lies inside one cluster here; points
+    in linked cells are less than 2 * sqrt(3) * `radius` apart. At radius 0
+    only coincident points are linked.
+
+    Returns (indices of surviving points, cluster label per surviving
+    point). Labels number the surviving clusters in the lexicographic
+    (x, y, z) order of each cluster's smallest point, so the result is
+    invariant under input ordering. That point is found without sorting the
+    whole set: each cluster's least x comes from np.minimum.at, and only the
+    points lying at it are sorted. No two clusters share a smallest point,
+    since equal points share a cell. Non-finite coordinates are refused.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = _as_points_array(points)
     n = len(pts)
     if not np.isfinite(radius) or radius < 0:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
@@ -450,16 +461,10 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if tree is None:
-        tree = kdtree(pts)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    graph = sparse.coo_matrix(
-        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    # Each of these is the largest array of its step: freed once read.
-    del pairs
-    _, labels = connected_components(graph, directed=False)
-    del graph
+    if radius == 0:
+        _, labels = np.unique(pts, axis=0, return_inverse=True)
+    else:
+        labels = _cell_components(pts, radius)
     sizes = np.bincount(labels)
     keep = sizes[labels] >= min_size
     kept = np.flatnonzero(keep)
@@ -469,10 +474,9 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
     x = pts[kept, 0]
     low = np.full(len(sizes), np.inf)
     np.minimum.at(low, cluster_ids, x)
-    # Every point at its cluster's least x is a candidate (a NaN x, which
-    # never connects, is one too). Sorted, each cluster's first candidate is
-    # its smallest point.
-    cand = kept[~(x > low[cluster_ids])]
+    # Every point at its cluster's least x is a candidate. Sorted, each
+    # cluster's first candidate is its smallest point.
+    cand = kept[x == low[cluster_ids]]
     cand = cand[np.lexsort((pts[cand, 2], pts[cand, 1], pts[cand, 0]))]
     first = np.full(len(sizes), len(cand), dtype=np.int64)
     np.minimum.at(first, labels[cand], np.arange(len(cand)))
@@ -481,3 +485,81 @@ def component_filter(points, radius: float, min_size: int, *, tree=None):
     order = np.empty(len(sizes), dtype=np.int64)
     order[np.argsort(first)] = np.arange(len(sizes))
     return kept, order[cluster_ids]
+
+
+def _cell_components(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Component label of each point's grid cell, as component_filter
+    defines them for a radius above 0."""
+    # Column by column: numpy reduces an (n, 3) array over axis 0 several
+    # times slower.
+    lo = np.array([pts[:, axis].min() for axis in range(3)])
+    hi = np.array([pts[:, axis].max() for axis in range(3)])
+    cells = pts - lo
+    cells /= radius
+    np.floor(cells, out=cells)
+    spans = np.floor((hi - lo) / radius) + 1
+    if spans.max() > 2.0 ** 53:
+        # Past 2^53 a float64 no longer counts cells one by one.
+        raise ValueError(
+            f"radius {radius} is too small for the points' extent {(hi - lo).tolist()}: "
+            f"more than 2^53 cells along an axis"
+        )
+    if not _packs(spans):
+        cells = _close_gaps(cells)
+        spans = cells.max(axis=0) + 1
+        if not _packs(spans):
+            raise ValueError(f"too many occupied grid cells along every axis to pack: {spans.tolist()}")
+    # Cell (x, y, z) packs into x * sy + y * sz + z. The strides leave one
+    # empty slot past each row in y and z, so a neighbour one step outside
+    # the grid packs onto an empty slot, never onto another row's cell.
+    sz = int(spans[2]) + 1
+    sy = (int(spans[1]) + 1) * sz
+    keys = cells.astype(np.int64) @ np.array([sy, sz, 1])
+    del cells
+    # One sort: the runs of equal keys are the cells.
+    cell_keys, point_cell = np.unique(keys, return_inverse=True)
+    del keys
+
+    # Each cell is linked to its neighbours with larger keys: the next cell
+    # along z, and four runs of three keys along z (z - 1, z, z + 1), one
+    # step along y, or one step along x with y - 1, y or y + 1. The keys are
+    # unique and sorted, so a run's occupied cells follow where its least
+    # key would be inserted. The first two of them are linked; a third
+    # comes after the run's middle cell, which links to it along z.
+    m = len(cell_keys)
+    rows = [np.flatnonzero(np.diff(cell_keys) == 1)]
+    cols = [rows[0] + 1]
+    for offset in (sz, sy - sz, sy, sy + sz):
+        centre = cell_keys + offset
+        first = np.searchsorted(cell_keys, centre - 1)
+        for step in range(2):
+            # Clipped past the last cell, a run may find a cell twice; a
+            # repeated link changes no component.
+            pos = np.minimum(first + step, m - 1)
+            hit = np.flatnonzero(np.abs(cell_keys[pos] - centre) <= 1)
+            rows.append(hit)
+            cols.append(pos[hit])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = sparse.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
+    _, cell_labels = connected_components(graph, directed=False)
+    return cell_labels[point_cell]
+
+
+def _packs(spans: np.ndarray) -> bool:
+    """Whether every key of a grid with these cells per axis, and of the
+    neighbours one step past it, fits an int64."""
+    nx, ny, nz = (int(s) + 1 for s in spans)
+    return nx * ny * nz <= np.iinfo(np.int64).max
+
+
+def _close_gaps(cells: np.ndarray) -> np.ndarray:
+    """Renumber each axis's occupied cell indices so that every gap of more
+    than one cell becomes one empty cell. Which cells neighbour each other
+    is unchanged, and an axis then spans fewer than twice its occupied
+    indices."""
+    closed = np.empty(cells.shape, dtype=np.float64)
+    for axis in range(cells.shape[1]):
+        values, inverse = np.unique(cells[:, axis], return_inverse=True)
+        steps = np.minimum(np.diff(values), 2.0)
+        closed[:, axis] = np.concatenate(([0.0], np.cumsum(steps)))[inverse]
+    return closed

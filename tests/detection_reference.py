@@ -7,9 +7,10 @@ from them scores each cell on its own bounds, with no index. `contains`
 re-finds a change set's members by encoding points, where the library reads
 them off the survivors' spans. `cell_indices` quantises points to grid
 cells, the integer cells that `morton_codes` interleaves.
-`dense_component_filter` finds single-linkage clusters on a dense distance
-matrix and ranks them by one lexsort of every point, where the library uses
-a kd-tree and sorts only each cluster's least-x points.
+`dense_component_filter` links points whose grid cells neighbour each other
+on a dense (n, n) matrix, each point's cell found on its own, and ranks the
+clusters by one lexsort of every point, where the library sorts packed cell
+keys once, links cells and sorts only each cluster's least-x points.
 """
 from dataclasses import dataclass
 
@@ -108,10 +109,17 @@ def cell_indices(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarr
 
 def dense_component_filter(points, radius: float, min_size: int):
     """(kept indices, labels) as `component_filter` defines them, from an
-    (n, n) distance matrix: for small inputs only."""
+    (n, n) link matrix: for small inputs only. A point's cell is
+    floor((p - least corner) / radius) on each axis, and two points are
+    linked when their cells differ by at most one on every axis; at radius
+    0, when they coincide."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(pts)
-    near = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)) <= radius
+    cells = pts if radius == 0 else np.floor((pts - pts.min(axis=0)) / radius)
+    reach = 0 if radius == 0 else 1
+    near = np.ones((n, n), dtype=bool)
+    for axis in range(3):
+        near &= np.abs(cells[:, None, axis] - cells[None, :, axis]) <= reach
     _, components = connected_components(sparse.csr_matrix(near), directed=False)
     sizes = np.bincount(components)
     kept = np.flatnonzero(sizes[components] >= min_size)

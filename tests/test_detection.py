@@ -1,10 +1,10 @@
 """Tests for coarse-to-fine change detection."""
+import itertools
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from cloudchange import detection
 from cloudchange.detection import (
@@ -158,7 +158,9 @@ class TestChangeParams:
 
 
 def brute_force_components(points, radius, min_size):
-    """Union-find single linkage; same canonical labelling as the library."""
+    """Union-find single linkage at `radius`, labelled as the library
+    labels its clusters. Each of these clusters lies inside one cluster of
+    the library's grid rule."""
     n = len(points)
     parent = list(range(n))
 
@@ -203,19 +205,57 @@ def lattice_clusters(rng):
     return pts[rng.permutation(len(pts))]
 
 
+def assert_contains_single_linkage(pts, radius, min_size, kept, labels):
+    """Every point single linkage keeps is kept, and none of its clusters
+    is split."""
+    kept_bf, labels_bf = brute_force_components(pts, radius, min_size)
+    assert np.isin(kept_bf, kept).all()
+    label_of = dict(zip(kept.tolist(), labels.tolist()))
+    for cluster in np.unique(labels_bf):
+        assert len({label_of[i] for i in kept_bf[labels_bf == cluster].tolist()}) == 1
+
+
 class TestComponentFilter:
     def test_matches_brute_force(self):
+        # Gaussian blobs, then uniform points spaced near the radius, where
+        # the grid rule links more than single linkage does: it may merge
+        # single-linkage clusters but never split one.
         rng = np.random.default_rng(11)
-        for trial in range(5):
-            centers = rng.uniform(0.0, 10.0, (4, 3))
-            pts = np.vstack([c + rng.normal(0.0, 0.2, (rng.integers(3, 40), 3)) for c in centers])
-            radius = float(rng.uniform(0.3, 1.5))
+        for trial in range(9):
+            if trial < 5:
+                centers = rng.uniform(0.0, 10.0, (4, 3))
+                pts = np.vstack([c + rng.normal(0.0, 0.2, (rng.integers(3, 40), 3)) for c in centers])
+                radius = float(rng.uniform(0.3, 1.5))
+            else:
+                pts = rng.uniform(0.0, 4.0, (150, 3))
+                radius = float(rng.uniform(0.3, 0.8))
             min_size = int(rng.integers(1, 10))
-            kept_bf, labels_bf = brute_force_components(pts, radius, min_size)
-            for tree in (None, kdtree(pts)):
-                kept, labels = component_filter(pts, radius, min_size, tree=tree)
-                np.testing.assert_array_equal(kept, kept_bf)
-                np.testing.assert_array_equal(labels, labels_bf)
+            kept, labels = component_filter(pts, radius, min_size)
+            expected = dense_component_filter(pts, radius, min_size)
+            np.testing.assert_array_equal(kept, expected[0])
+            np.testing.assert_array_equal(labels, expected[1])
+            assert_contains_single_linkage(pts, radius, min_size, kept, labels)
+
+    def test_links_span_at_most_two_sqrt3_radius(self):
+        # Two points are one cluster when within the radius and never when
+        # more than 2 * sqrt(3) * radius apart, whatever the grid's anchor.
+        rng = np.random.default_rng(17)
+        radius = 0.25
+        limit = 2.0 * np.sqrt(3.0) * radius
+        directions = rng.normal(size=(400, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        directions[:8] = np.array(list(itertools.product((-1.0, 1.0), repeat=3))) / np.sqrt(3.0)
+        for direction in directions:
+            start = rng.uniform(-5.0, 5.0, 3)
+            near = np.vstack([start, start + direction * rng.uniform(0.0, radius)])
+            assert len(component_filter(near, radius, 2)[0]) == 2
+            far = np.vstack([start, start + direction * limit * (1.0 + 1e-9) * rng.uniform(1.0, 1.5)])
+            assert len(component_filter(far, radius, 2)[0]) == 0
+        # Cells that touch only at a corner are linked, so the bound is
+        # approached.
+        corner = np.array([[0.0, 0.0, 0.0], [2 * radius - 1e-9] * 3])
+        assert np.linalg.norm(corner[1] - corner[0]) > 0.99 * limit
+        assert len(component_filter(corner, radius, 2)[0]) == 2
 
     def test_small_cluster_dropped(self):
         rng = np.random.default_rng(12)
@@ -246,6 +286,18 @@ class TestComponentFilter:
         kept, _ = component_filter(pts, 0.0, 2)
         assert len(kept) == 0
 
+    def test_zero_radius_links_coincident_points(self):
+        rng = np.random.default_rng(18)
+        pts = rng.integers(0, 3, (60, 3)).astype(np.float64)
+        pts[0] = [-0.0, 0.0, 0.0]
+        for min_size in (1, 2, 3):
+            kept, labels = component_filter(pts, 0.0, min_size)
+            expected = dense_component_filter(pts, 0.0, min_size)
+            np.testing.assert_array_equal(kept, expected[0])
+            np.testing.assert_array_equal(labels, expected[1])
+            for label in np.unique(labels):
+                assert len(np.unique(pts[kept[labels == label]], axis=0)) == 1
+
     def test_empty_input(self):
         kept, labels = component_filter(np.empty((0, 3)), 1.0, 1)
         assert len(kept) == 0 and len(labels) == 0
@@ -264,9 +316,7 @@ class TestComponentFilter:
                 np.testing.assert_array_equal(kept, expected[0])
                 np.testing.assert_array_equal(labels, expected[1])
                 if trial < 2:
-                    kept_bf, labels_bf = brute_force_components(pts, 1.0, min_size)
-                    np.testing.assert_array_equal(kept, kept_bf)
-                    np.testing.assert_array_equal(labels, labels_bf)
+                    assert_contains_single_linkage(pts, 1.0, min_size, kept, labels)
 
     def test_smallest_point_found_among_tied_least_x(self):
         # Cluster A's first point at its least x is not its smallest point:
@@ -282,16 +332,54 @@ class TestComponentFilter:
         np.testing.assert_array_equal(labels, expected[1])
 
     @pytest.mark.parametrize("case", ["lattice", "surface"])
-    def test_independent_of_tree_construction(self, case):
+    def test_scene_matches_dense_oracle(self, case):
         rng = np.random.default_rng(15)
         if case == "lattice":
             pts, radius, min_size = lattice_clusters(rng), 1.0, 3
         else:
-            pts, radius, min_size = hollow_box(rng, w=4.0, l=3.0, h=2.0, density=100.0), 0.12, 5
-        kept, labels = component_filter(pts, radius, min_size, tree=kdtree(pts))
-        kept_median, labels_median = component_filter(pts, radius, min_size, tree=cKDTree(pts))
-        np.testing.assert_array_equal(kept, kept_median)
-        np.testing.assert_array_equal(labels, labels_median)
+            pts, radius, min_size = hollow_box(rng, w=2.0, l=1.5, h=1.0, density=100.0), 0.12, 5
+        kept, labels = component_filter(pts, radius, min_size)
+        expected = dense_component_filter(pts, radius, min_size)
+        np.testing.assert_array_equal(kept, expected[0])
+        np.testing.assert_array_equal(labels, expected[1])
+
+    def test_wide_extent_does_not_alias(self):
+        # 1e7 m at a radius of 1e-3 is 1e10 cells per axis, and 1e30 cells
+        # do not pack into an int64 key. Each axis's occupied cells are
+        # renumbered instead, so neighbouring cells stay linked and far
+        # ones unlinked.
+        rng = np.random.default_rng(19)
+        radius = 1e-3
+        anchors = rng.uniform(0.0, 1e7, (6, 3))
+        anchors[1] = anchors[0] + [1.5e-3, -0.5e-3, 0.0]
+        pts = np.vstack([a + rng.uniform(0.0, 2e-3, (5, 3)) for a in anchors])
+        pts = np.vstack([pts, [[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]]])
+        for min_size in (1, 5, 6):
+            kept, labels = component_filter(pts, radius, min_size)
+            expected = dense_component_filter(pts, radius, min_size)
+            np.testing.assert_array_equal(kept, expected[0])
+            np.testing.assert_array_equal(labels, expected[1])
+            assert_contains_single_linkage(pts, radius, min_size, kept, labels)
+        kept, _ = component_filter(np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]]), radius, 2)
+        assert len(kept) == 0
+        # Cells (0, 0, 0) and (2^20, 0, 1) of a 2^21 x (2^22 - 1)^2 grid:
+        # packed with strides 2^44 and 2^22, the second key is 2^64 + 1,
+        # which an int64 wraps onto the first cell's neighbour along z.
+        aliased = np.array(
+            [[0.5, 0.5, 0.5], [2.0 ** 20 + 0.5, 0.5, 1.5], [2.0 ** 21 - 0.5, 2.0 ** 22 - 1.5, 2.0 ** 22 - 1.5]]
+        )
+        assert len(component_filter(aliased, 1.0, 2)[0]) == 0
+        with pytest.raises(ValueError, match="too small for the points' extent"):
+            component_filter(np.array([[0.0, 0.0, 0.0], [1e7, 0.0, 0.0]]), 1e-12, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((5, 3))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="points contains non-finite coordinates"):
+            component_filter(pts, 1.0, 1)
+        with pytest.raises(ValueError, match="points contains non-finite coordinates"):
+            component_filter(pts, 0.0, 1)
 
     def test_bad_args_rejected(self):
         pts = np.zeros((2, 3))
@@ -302,6 +390,8 @@ class TestComponentFilter:
                 component_filter(pts, radius, 5)
         with pytest.raises(ValueError, match="min_size"):
             component_filter(pts, 1.0, 0)
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 3\)"):
+            component_filter(np.zeros((2, 2)), 1.0, 1)
 
 
 class TestHierarchicalDetect:
@@ -328,8 +418,9 @@ class TestHierarchicalDetect:
 
     @pytest.mark.parametrize("radius", [None, 0.3])
     def test_one_kdtree_per_filtered_epoch(self, monkeypatch, radius):
-        # The spacing sample of the automatic radius and the component
-        # filter query the same tree.
+        # Only the spacing sample of the automatic radius builds a kd-tree,
+        # on all of an epoch's flagged points; the component filter builds
+        # none.
         built = []
 
         def counting_kdtree(points):
@@ -341,7 +432,8 @@ class TestHierarchicalDetect:
         ref, oth, _ = removal_scene(rng, density=400.0)
         result = hierarchical_detect(ref, oth, ChangeParams(component_radius=radius))
         raw = [len(result.raw_changed_reference), len(result.raw_changed_other)]
-        assert built == [n for n in raw if n]
+        assert any(raw)
+        assert built == ([n for n in raw if n] if radius is None else [])
 
     def test_default_params_on_removal_scene(self):
         rng = np.random.default_rng(23)
