@@ -6,7 +6,9 @@ oracles that the span walk and the Morton encoding are tested against.
 from them scores each cell on its own bounds, with no index. `contains`
 re-finds a change set's members by encoding points, where the library reads
 them off the survivors' spans. `cell_indices` quantises points to grid
-cells, the integer cells that `morton_codes` interleaves.
+cells, the integer cells that `morton_codes` interleaves, and
+`unblocked_morton_codes` interleaves them in one full-length pass per axis,
+where the library encodes the points one cache-sized block at a time.
 `dense_component_filter` links points whose grid cells neighbour each other
 on a dense (n, n) matrix, each point's cell found on its own, and ranks the
 clusters by one lexsort of every point, where the library sorts packed cell
@@ -105,6 +107,26 @@ def cell_indices(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarr
     idx = np.floor(scaled).astype(np.int64)
     np.clip(idx, 0, n_cells - 1, out=idx)
     return idx
+
+
+def unblocked_morton_codes(points: np.ndarray, cube: BoundingCube, depth: int) -> np.ndarray:
+    """Morton codes of the `cell_indices` cells at `depth`, each axis's bits
+    spread to every third bit of the code over the whole array at once:
+    bit b of x, y and z lands at bit 3b + 2, 3b + 1 and 3b."""
+    cells = cell_indices(points, cube, depth).astype(np.uint64)
+    codes = np.zeros(len(cells), dtype=np.uint64)
+    for axis in range(3):
+        v = cells[:, axis] & np.uint64(0x1FFFFF)
+        for shift, mask in (
+            (32, 0x1F00000000FFFF),
+            (16, 0x1F0000FF0000FF),
+            (8, 0x100F00F00F00F00F),
+            (4, 0x10C30C30C30C30C3),
+            (2, 0x1249249249249249),
+        ):
+            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+        codes |= v << np.uint64(2 - axis)
+    return codes
 
 
 def dense_component_filter(points, radius: float, min_size: int):

@@ -1001,6 +1001,42 @@ class TestBlockedWalk:
         assert large_blocks >= 3 * small_blocks
 
 
+class TestSquareSums:
+    """A cell's score sums its 8 squared octant densities column by column;
+    each sum equals numpy's row sum bit for bit."""
+
+    @staticmethod
+    def in_turn(diff):
+        """Each row's squares added left to right: an order that rounds
+        differently from the pairwise one on these inputs."""
+        sq = np.square(diff)
+        total = sq[:, 0].copy()
+        for k in range(1, 8):
+            total += sq[:, k]
+        return total
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e144])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 30_001])
+    def test_matches_row_sum_bit_for_bit(self, n, scale):
+        # 1e-150 pushes the squares into the subnormals, and 1e144 the sums
+        # of the largest to within a decade of the largest double.
+        rng = np.random.default_rng(200 + n)
+        for _ in range(5):
+            # Magnitudes 16 decades apart in one row, exact zeros for empty
+            # octants and count differences over an octant's volume.
+            mags = 10.0 ** rng.integers(-8, 9, (n, 8))
+            diff = rng.normal(size=(n, 8)) * mags * scale
+            diff[rng.random((n, 8)) < 0.2] = 0.0
+            counts = rng.random(n) < 0.3
+            diff[counts] = rng.integers(-300, 301, (counts.sum(), 8)) / 0.37 ** 3
+            want = np.square(diff).sum(axis=1)
+            got = detection._square_sums(diff.copy())
+            assert got.dtype == np.float64 and got.shape == (n,)
+            np.testing.assert_array_equal(got, want)
+            if n >= 1000 and scale == 1.0:
+                assert (self.in_turn(diff) != want).any()
+
+
 class TestThresholdDefault:
     """Empirical placement of DEFAULT_THRESHOLD.
 

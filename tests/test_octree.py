@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cloudchange.geometry import BoundingCube, PointCloud, bounding_cube
 from cloudchange.octree import (
+    _BLOCK,
     MAX_SUPPORTED_DEPTH,
     Octree,
     _position_bits,
@@ -12,7 +15,7 @@ from cloudchange.octree import (
     parent_cells,
     span_positions,
 )
-from detection_reference import cell_indices
+from detection_reference import cell_indices, unblocked_morton_codes
 
 
 def octant_corners():
@@ -493,3 +496,152 @@ class TestMorton:
         assert codes.dtype == np.uint64
         assert [int(c) for c in codes] == expected
         assert codes[100] == 0 and codes[101] == 8 ** depth - 1
+
+
+class TestBlockedEncoder:
+    """Encoding in blocks changes no bit: every code equals the unblocked
+    formula's, on both sides of every block edge."""
+
+    CUBE = BoundingCube(np.array([-3.0, 1.0, 0.5]), 7.5)
+
+    def points(self, rng, n):
+        pts = rng.uniform(self.CUBE.min_corner, self.CUBE.max_corner, (n, 3))
+        # Points on the max and min faces, among them the rows at the block
+        # edges and the cube's corners.
+        rows = np.concatenate([np.arange(0, n, 97), [_BLOCK - 1, _BLOCK, _BLOCK + 1]])
+        rows = rows[rows < n]
+        axes = rng.integers(0, 3, len(rows))
+        pts[rows, axes] = np.where(rows % 2, self.CUBE.max_corner[axes], self.CUBE.min_corner[axes])
+        pts[n // 2:n // 2 + 1] = self.CUBE.max_corner
+        pts[n - 1:] = self.CUBE.min_corner
+        return pts
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("depth", [0, MAX_SUPPORTED_DEPTH])
+    def test_matches_unblocked_formula(self, n, depth):
+        pts = self.points(np.random.default_rng(n + depth), n)
+        codes = morton_codes(pts, self.CUBE, depth)
+        assert codes.dtype == np.uint64 and codes.shape == (n,)
+        np.testing.assert_array_equal(codes, unblocked_morton_codes(pts, self.CUBE, depth))
+        if n > 1 and depth:
+            assert codes.max() == 8 ** depth - 1  # the max corner's last cell
+
+    @pytest.mark.parametrize("depth", [0, 12, MAX_SUPPORTED_DEPTH])
+    def test_non_contiguous_input(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        n = 2 * _BLOCK + 3
+        wide = np.zeros((2 * n, 6))
+        wide[::2, ::2] = self.points(rng, n)
+        for pts in (wide[::2, ::2], np.asfortranarray(wide[::2, ::2])):
+            assert not pts.flags.c_contiguous
+            codes = morton_codes(pts, self.CUBE, depth)
+            np.testing.assert_array_equal(codes, unblocked_morton_codes(pts, self.CUBE, depth))
+            np.testing.assert_array_equal(codes, morton_codes(np.ascontiguousarray(pts), self.CUBE, depth))
+
+    @pytest.mark.parametrize("depth", [3, MAX_SUPPORTED_DEPTH])
+    def test_far_outside_points_land_in_edge_cells(self, depth):
+        # Past 2^63 cells a coordinate no longer casts to int64; clipped
+        # after the cast, such a point wrapped to cell 0 with only a
+        # RuntimeWarning.
+        unit = BoundingCube(np.zeros(3), 1.0)
+        far = np.array([5.0, 1e19, 1e30, -5.0, -1e19, -1e30])
+        last = (1 << depth) - 1
+        for axis in range(3):
+            pts = np.full((len(far), 3), 0.5)
+            pts[:, axis] = far
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cells = decode_cell(morton_codes(pts, unit, depth), depth)
+            np.testing.assert_array_equal(cells[:, axis], [last] * 3 + [0] * 3)
+            np.testing.assert_array_equal(np.delete(cells, axis, axis=1), 1 << (depth - 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, _BLOCK + 5])
+    def test_non_finite_refused(self, bad, row):
+        pts = np.full((_BLOCK + 9, 3), 0.5)
+        pts[row, row % 3] = bad
+        unit = BoundingCube(np.zeros(3), 1.0)
+        # Refused before any cast, so no RuntimeWarning escapes either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points contains non-finite coordinates"):
+                morton_codes(pts, unit, 3)
+            with pytest.raises(ValueError, match="non-finite"):
+                morton_codes([[np.nan, 0.5, 0.5]], unit, 3)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (2, 2, 3), (0,)])
+    def test_wrong_shape_refused(self, shape):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 3\)"):
+            morton_codes(np.zeros(shape), BoundingCube(np.zeros(3), 1.0), 3)
+        # One point may be given as its 3 coordinates.
+        np.testing.assert_array_equal(
+            morton_codes([0.9, 0.1, 0.9], BoundingCube(np.zeros(3), 1.0), 1), [0b101]
+        )
+
+
+class TestParts:
+    """An index built from parts equals the index of their concatenation."""
+
+    @pytest.mark.parametrize("lengths", [
+        (0,), (5,), (0, 0), (3, 0), (0, 7, 0),
+        (_BLOCK + 3, _BLOCK - 1), (1, 2 * _BLOCK + 1), (_BLOCK, _BLOCK, 2),
+    ])
+    @pytest.mark.parametrize("code_depth", [7, MAX_SUPPORTED_DEPTH])
+    def test_parts_equal_concatenation(self, lengths, code_depth):
+        rng = np.random.default_rng(sum(lengths) + code_depth)
+        top = 8 ** code_depth - 1
+        # Few distinct codes, the extremes among them: ties within and
+        # across parts.
+        choices = np.array([0, 1, top // 3, top - 1, top], dtype=np.uint64)
+        parts = [rng.choice(choices, size=n) for n in lengths]
+        given = [part.copy() for part in parts]
+        joint = Octree(parts, code_depth)
+        whole = Octree(np.concatenate(parts), code_depth)
+        for part, before in zip(parts, given):
+            np.testing.assert_array_equal(part, before)  # the caller's codes are untouched
+        assert joint.sorted_codes.dtype == np.uint64 and joint.order.dtype == np.intp
+        np.testing.assert_array_equal(joint.sorted_codes, whole.sorted_codes)
+        np.testing.assert_array_equal(joint.order, whole.order)
+        for d in (0, code_depth // 2, code_depth):
+            for got, want in zip(joint.cells(d), whole.cells(d)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_array_is_one_part(self):
+        codes = np.array([5, 1, 5, 0, 3], dtype=np.uint64)
+        for given in (codes, [codes], (codes[:2], codes[2:]), [5, 1, 5, 0, 3]):
+            index = Octree(given, 1)
+            np.testing.assert_array_equal(index.sorted_codes, [0, 1, 3, 5, 5])
+            np.testing.assert_array_equal(index.order, [3, 1, 4, 0, 2])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Octree(codes.reshape(5, 1), 1)
+        with pytest.raises(ValueError, match="exceed"):
+            Octree((np.array([0], dtype=np.uint64), np.array([8], dtype=np.uint64)), 1)
+
+
+class TestCellsAcrossBlocks:
+    """Runs read block by block equal the runs of the whole index, when a
+    run crosses a block edge, starts on one or covers several blocks."""
+
+    @pytest.mark.parametrize("bounds", [
+        # Run boundaries inside [0, n): a run across the first edge, one
+        # starting on the second edge, one crossing the third.
+        (10, _BLOCK - 2, 2 * _BLOCK, 3 * _BLOCK - 1),
+        (_BLOCK - 1, _BLOCK, _BLOCK + 1),
+        (),
+    ])
+    def test_runs_across_block_edges(self, bounds):
+        n = 3 * _BLOCK + 5
+        code_depth = 6
+        rng = np.random.default_rng(len(bounds))
+        # Run r holds code 9 * r, so neighbouring runs share a parent at some
+        # depths and not at others.
+        run = np.zeros(n, dtype=np.uint64)
+        run[list(bounds)] = 1
+        codes = np.cumsum(run, dtype=np.uint64) * np.uint64(9)
+        index = Octree(rng.permutation(codes), code_depth)
+        for d in range(code_depth + 1):
+            cells, spans = index.cells(d)
+            assert cells.dtype == np.uint64
+            np.testing.assert_array_equal(cells, occupied(index, d))
+            np.testing.assert_array_equal(spans, reference_spans(index, cells, d))
+        assert len(index.cells(code_depth)[0]) == len(bounds) + 1
