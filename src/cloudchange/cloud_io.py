@@ -11,7 +11,8 @@ file order, whatever the layout. A binary file is read straight into it
 z fields as float64: a view when they are adjacent doubles, as in an
 xyz-only file, one copy otherwise. An ASCII file is parsed into the same
 rows. On save, an xyz-only cloud's coordinate array is written as it is,
-since it already has the row layout; other clouds are packed into rows.
+since it already has the row layout; other clouds are packed into rows one
+fixed-size chunk at a time.
 """
 from __future__ import annotations
 
@@ -60,6 +61,12 @@ _NUMPY_TO_PLY = {
     "f4": "float",
     "f8": "double",
 }
+
+
+# Rows that save_cloud packs and writes at a time, for clouds with more
+# columns than x, y and z: 1.6 MB of rows with a change label, where one
+# full-size copy of a 1.34M-point epoch's rows took 33.6 MB.
+_CHUNK_ROWS = 1 << 16
 
 
 class CloudFormatError(ValueError):
@@ -378,13 +385,24 @@ def save_cloud(path, cloud: PointCloud, format: str = FORMAT_PLY_BINARY) -> None
             if len(cloud):
                 np.savetxt(handle, np.column_stack([col for _, _, col in schema]), fmt=fmt)
     else:
-        if len(schema) == 3:
-            # x, y and z alone: the float64 coordinate array is the rows.
-            rows = cloud.xyz.astype("<f8", copy=False)
-        else:
-            rows = np.empty(len(cloud), dtype=[(name, _PLY_TO_NUMPY[t]) for name, t, _ in schema])
-            for name, _, col in schema:
-                rows[name] = col
         with open(path, "wb") as handle:
             handle.write(("\n".join(header) + "\n").encode("ascii"))
-            rows.tofile(handle)
+            _write_rows(handle, cloud, schema)
+
+
+def _write_rows(handle, cloud: PointCloud, schema) -> None:
+    """Write the cloud's binary vertex rows. An xyz-only cloud's float64
+    coordinate array already has the row layout and is written as it is;
+    other clouds are packed into one buffer of _CHUNK_ROWS rows and written
+    a chunk at a time, so the writer's memory does not grow with the cloud.
+    """
+    if len(schema) == 3:
+        cloud.xyz.astype("<f8", copy=False).tofile(handle)
+        return
+    n = len(cloud)
+    rows = np.empty(min(n, _CHUNK_ROWS), dtype=[(name, _PLY_TO_NUMPY[t]) for name, t, _ in schema])
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = rows[:min(n - lo, _CHUNK_ROWS)]
+        for name, _, col in schema:
+            chunk[name] = col[lo:lo + len(chunk)]
+        chunk.tofile(handle)

@@ -21,9 +21,13 @@ the reference's size, read as int8, doubled and less 1. A cell's score adds
 its 8 squared octant densities column by column, ((s0 + s1) + (s2 + s3)) +
 ((s4 + s5) + (s6 + s7)): the pairwise order in which numpy sums a contiguous
 row of 8, so every score is bit-equal to a row sum without numpy's slow
-reduction over a short axis. Below the start depth the walk takes one block
-of consecutive start cells at a time, about _BLOCK_ENTRIES index entries, so
-its working memory is bounded by the block rather than the interval. A
+reduction over a short axis. The start cells in play are scored one block
+of consecutive cells at a time, about _BLOCK_ENTRIES index entries, read as
+one slice of the index when their spans tile a range and gathered where
+they leave gaps. Below the start depth the survivors of consecutive blocks
+are walked as one group, flushed once it holds _BLOCK_ENTRIES entries, so
+the walk's working memory is bounded by _BLOCK_ENTRIES rather than the
+interval, and the few survivors of the deeper depths take few calls. A
 connected-component pass then drops isolated flagged points: it links the
 grid cells of edge `component_radius` that hold flagged points, each to its
 26 neighbours, so it needs no point pairs.
@@ -39,7 +43,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import BoundingCube, PointCloud, _as_points_array, bounding_cube
+from .geometry import BoundingCube, PointCloud, _as_points_array, axis_bounds, bounding_cube
 from .neighbors import kdtree
 from .octree import (
     MAX_SUPPORTED_DEPTH,
@@ -56,14 +60,17 @@ from .octree import (
 # below the score of genuinely emptied cells.
 DEFAULT_THRESHOLD = 3.0e5
 
-# Index entries per block of the walk below start_depth, which descends one
-# block of consecutive start_depth cells at a time so that its temporaries
-# stop growing with the interval. Peak RSS of the `demolition` benchmark
+# Index entries per block of start_depth cells and per group of the walk
+# below it, which bound the walk's temporaries: a block holds fewer than
+# 2 * _BLOCK_ENTRIES entries and a group fewer than 3 * _BLOCK_ENTRIES,
+# unless one start cell holds more. Peak RSS of the `demolition` benchmark
 # (perfbench, seed 1, two runs each; 544,800 entries reach start_depth in its
-# first interval) read 115.3-115.6 / 115.1-115.3 / 116.8-117.9 /
-# 128.6-128.7 MiB at 2^14 / 2^16 / 2^18 entries and one block. From 2^16
-# down the walk no longer sets the peak, and each block costs a few numpy
-# calls.
+# first interval), with each block walked down on its own, read
+# 115.3-115.6 / 115.1-115.3 / 116.8-117.9 / 128.6-128.7 MiB at 2^14 / 2^16 /
+# 2^18 entries and one block. From 2^16 down the walk no longer sets the
+# peak. Each block and each group costs a few numpy calls per depth, so the
+# deeper depths, where a few percent of the entries survive, are walked in
+# groups rather than per block.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -258,24 +265,30 @@ def hierarchical_detect(
     start_depth are not walked: there only the cells the reference leaves
     empty are scored, each if its parent is reference-occupied or passed,
     and a start_depth cell enters the frontier only under such a parent.
-    From start_depth on, the frontier is the sorted index positions of the
-    points in the cells still in play, converted from the spans once
-    (`span_positions`). Each depth gathers their codes once: the runs of
-    equal prefixes are the cells, and the code bits one level below a cell
-    are each point's octant. A cell's other-minus-reference octant counts
-    are one bincount of those points, each weighted by its epoch's sign;
-    the points of the cells that pass are the next frontier, so no depth
-    searches the index. Cells empty in both epochs score exactly 0, below
+    From start_depth on, the frontier is the index entries of the points in
+    the cells still in play: a slice of the index or sorted positions at
+    start_depth, and below it the positions of the survivors. Each depth
+    reads their codes once: the runs of equal prefixes are the cells, and
+    the code bits one level below a cell are each point's octant. A cell's
+    other-minus-reference octant counts are one bincount of those points,
+    each weighted by its epoch's sign; the points of the cells that pass
+    are the next frontier, so no depth searches the index. Cells empty in both epochs score exactly 0, below
     every threshold, so they never enter the frontier. The changed points
     are the frontier left after max_depth.
 
-    The start_depth cells in play are walked down to max_depth one block
-    at a time (`_blocks`: consecutive cells holding about _BLOCK_ENTRIES
-    index entries), so the walk's temporaries are bounded by the block, not
-    by the interval. A cell's descendants lie in its block and the blocks
-    are in Morton order, so the finest cells and the changed points are
-    the blocks' concatenated, and each depth's funnel counts are the sums
-    of the blocks', exactly as one walk over every cell would give them.
+    The start_depth cells in play are scored one block at a time (`_blocks`:
+    consecutive cells holding about _BLOCK_ENTRIES index entries). A block
+    whose spans tile one range of the index is read as a slice of it, and
+    one with gaps, left by cells that did not enter, through its positions
+    (`_enter`). The survivors of consecutive blocks are then walked down to
+    max_depth as one group (`_groups`, flushed once it holds _BLOCK_ENTRIES
+    entries; `_descend`). So the walk's temporaries are bounded by
+    _BLOCK_ENTRIES, not by the interval. A cell's descendants lie in its
+    block and group, and both are in Morton order, so the finest cells and
+    the changed points are the groups' concatenated, and each depth's funnel
+    counts are the sums of the blocks' or groups', exactly as one walk over
+    every cell would give them. The index is freed before the component
+    filter runs.
     """
     params = params or ChangeParams()
     if len(reference) == 0 or len(other) == 0:
@@ -294,15 +307,20 @@ def hierarchical_detect(
     sign <<= 1
     sign -= 1
 
-    def passed(pos, depth):
-        """(cells, row, hit) of the cells at `depth` holding the sorted index
-        positions `pos`: their codes, each entry's row and whether each
-        cell's score reaches the threshold. One gather of the codes gives
-        the cells, as runs of equal prefixes, and each entry's octant."""
-        # In place, and each buffer freed once read: at start_depth `pos`
-        # may cover the whole index, and these temporaries set peak memory.
-        code = index.sorted_codes[pos]
-        code >>= np.uint64(3 * (code_depth - depth - 1))
+    def passed(at, depth):
+        """(cells, row, hit) of the cells at `depth` holding the index entries
+        `at`, a slice of the index or its sorted positions: their codes, each
+        entry's row and whether each cell's score reaches the threshold. One
+        read of the codes gives the cells, as runs of equal prefixes, and
+        each entry's octant."""
+        # In place, and each buffer freed once read: these temporaries set
+        # the walk's memory.
+        shift = np.uint64(3 * (code_depth - depth - 1))
+        if isinstance(at, slice):
+            code = np.right_shift(index.sorted_codes[at], shift)
+        else:
+            code = index.sorted_codes[at]
+            code >>= shift
         octant = code & np.uint64(7)
         code >>= np.uint64(3)
         starts, counts = _runs(code)
@@ -315,7 +333,7 @@ def hierarchical_detect(
         row += octant.view(np.intp)
         del octant
         # A weighted bincount of no entries is int64, not float64.
-        diff = np.bincount(row, weights=sign[pos], minlength=len(cells) * 8)
+        diff = np.bincount(row, weights=sign[at], minlength=len(cells) * 8)
         diff = diff.astype(np.float64, copy=False).reshape(len(cells), 8)
         diff /= (cube.edge / float(1 << depth) / 2) ** 3
         score = _square_sums(diff)
@@ -346,17 +364,23 @@ def hierarchical_detect(
         open_[hits] = True
         scored.append(len(rows))
         kept.append(len(hits))
+    # Every start cell in play holds an entry, so each is scored.
+    scored.append(len(rows))
     blocks = _blocks(spans[rows])
     del levels, open_, cells, spans, rows
-    depths = range(start, params.max_depth + 1)
-    finest, survivors, block_scored, block_kept = zip(
-        *(_descend(passed, block, depths) for block in blocks)
+    entered = (_enter(passed, block, start) for block in blocks)
+    depths = range(start + 1, params.max_depth + 1)
+    finest, survivors, group_scored, group_kept = zip(
+        *(_descend(passed, group, depths) for group in _groups(entered))
     )
     cells, pos = np.concatenate(finest), np.concatenate(survivors)
-    scored += [sum(counts) for counts in zip(*block_scored)]
-    kept += [sum(counts) for counts in zip(*block_kept)]
+    scored += [sum(counts) for counts in zip(*group_scored)]
+    kept += [sum(counts) for counts in zip(*group_kept)]
 
     members = index.order[pos]
+    # The index is not read again: free it before the component filter,
+    # whose own buffers then set the interval's peak.
+    del index, sign, passed, entered, blocks, survivors, pos
     members.sort()
     split = np.searchsorted(members, n_ref)
     raw_ref, raw_oth = members[:split], members[split:] - n_ref
@@ -412,13 +436,67 @@ def _blocks(spans: np.ndarray) -> list:
     return np.split(spans, cuts + 1)
 
 
-def _descend(passed, spans: np.ndarray, depths: range) -> tuple:
-    """Walk the start cells with the given spans down `depths`, scoring
-    with `passed`: (finest surviving cells, their points' index positions,
-    cells scored and cells kept at each depth). Every frontier cell is
-    scored, and only survivors' points go on to the next depth."""
-    pos = span_positions(spans)
-    scored, kept = [], []
+def _span_entries(spans: np.ndarray) -> Union[slice, np.ndarray]:
+    """The index entries of sorted, disjoint [lo, hi) spans: one slice when
+    the spans tile one range, otherwise every position in them."""
+    if not len(spans):
+        return slice(0, 0)
+    lo, hi = int(spans[0, 0]), int(spans[-1, 1])
+    if hi - lo == int((spans[:, 1] - spans[:, 0]).sum()):
+        return slice(lo, hi)
+    return span_positions(spans)
+
+
+def _enter(passed, spans: np.ndarray, depth: int) -> tuple:
+    """Score one block of start cells, with the given spans, at `depth`:
+    (the codes of the cells that pass, their entries' sorted index
+    positions). Spans that tile one range are read as a slice of the index;
+    others are gathered."""
+    at = _span_entries(spans)
+    cells, row, hit = passed(at, depth)
+    keep = hit[row]
+    del row
+    if isinstance(at, slice):
+        pos = np.flatnonzero(keep)
+        pos += at.start
+    else:
+        pos = at[keep]
+    return cells[hit], pos
+
+
+def _groups(entries):
+    """The (cells, positions) pairs of consecutive start blocks, at least
+    one, collected into lists, each yielded once it holds _BLOCK_ENTRIES
+    positions; the last holds the rest, if any positions are left or no
+    list was yielded, so at least one is. Nothing else holds a yielded
+    list's pairs, so a consumer that empties it frees them."""
+    group, held, flushed = [], 0, False
+    for cells, pos in entries:
+        group.append((cells, pos))
+        held += len(pos)
+        del cells, pos
+        if held >= _BLOCK_ENTRIES:
+            yield group
+            group, held, flushed = [], 0, True
+    if held or not flushed:
+        yield group
+
+
+def _descend(passed, group: list, depths: range) -> tuple:
+    """Walk one group of start-depth survivors down `depths`, scoring with
+    `passed`: (finest surviving cells, their points' index positions, cells
+    scored at each of `depths`, cells kept at the start depth and at each of
+    `depths`). `group` holds the (cells, sorted index positions) pairs of
+    consecutive start blocks; they are joined and the list is emptied, so
+    each depth's positions are freed once the next depth's are taken. Every
+    frontier cell is scored, and only survivors' points go on to the next
+    depth."""
+    if len(group) == 1:
+        cells, pos = group[0]
+    else:
+        cells, pos = map(np.concatenate, zip(*group))
+    group.clear()
+    scored, kept = [], [len(cells)]
     for depth in depths:
         cells, row, hit = passed(pos, depth)
         pos = pos[hit[row]]
@@ -514,10 +592,7 @@ def component_filter(points, radius: float, min_size: int):
 def _cell_components(pts: np.ndarray, radius: float) -> np.ndarray:
     """Component label of each point's grid cell, as component_filter
     defines them for a radius above 0."""
-    # Column by column: numpy reduces an (n, 3) array over axis 0 several
-    # times slower.
-    lo = np.array([pts[:, axis].min() for axis in range(3)])
-    hi = np.array([pts[:, axis].max() for axis in range(3)])
+    lo, hi = axis_bounds(pts)
     cells = pts - lo
     cells /= radius
     np.floor(cells, out=cells)

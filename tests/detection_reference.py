@@ -7,8 +7,9 @@ from them scores each cell on its own bounds, with no index. `contains`
 re-finds a change set's members by encoding points, where the library reads
 them off the survivors' spans. `cell_indices` quantises points to grid
 cells, the integer cells that `morton_codes` interleaves, and
-`unblocked_morton_codes` interleaves them in one full-length pass per axis,
-where the library encodes the points one cache-sized block at a time.
+`unblocked_morton_codes` interleaves them by shifts and masks in one
+full-length pass per axis, where the library looks each index's spread bits
+up in a table, one cache-sized block of points at a time.
 `dense_component_filter` links points whose grid cells neighbour each other
 on a dense (n, n) matrix, each point's cell found on its own, and ranks the
 clusters by one lexsort of every point, where the library sorts packed cell

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cloudchange import cloud_io
 from cloudchange.cloud_io import CloudFormatError, load_cloud, save_cloud
 from cloudchange.geometry import PointCloud
 
@@ -231,6 +232,57 @@ class TestBinaryLayouts:
             tracemalloc.stop()
         assert cloud.xyz.tobytes() == xyz.tobytes()
         assert peak <= 1.2 * xyz.nbytes
+
+
+CHUNK = cloud_io._CHUNK_ROWS
+
+
+class TestChunkedRows:
+    """A cloud with more columns than x, y and z is written a chunk of rows
+    at a time: the bytes equal one write of all its rows, and the writer's
+    memory does not grow with the cloud."""
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_bytes_equal_one_shot_write(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        fields = [
+            ("x", "<f8", "double"), ("y", "<f8", "double"), ("z", "<f8", "double"),
+            ("red", "u1", "uchar"), ("green", "u1", "uchar"), ("blue", "u1", "uchar"),
+            ("change_label", "u1", "uchar"), ("epoch", "<i4", "int"), ("intensity", "<u2", "ushort"),
+        ]
+        rows = np.empty(n, dtype=[(name, code) for name, code, _ in fields])
+        for name in rows.dtype.names:
+            kind = rows.dtype[name]
+            rows[name] = rng.uniform(-1e4, 1e4, n) if kind.kind == "f" else rng.integers(0, 3, n)
+        whole = tmp_path / "whole.ply"
+        write_binary_ply(whole, rows, [t for _, _, t in fields])
+        cloud = PointCloud(
+            np.column_stack([rows["x"], rows["y"], rows["z"]]),
+            colors=np.column_stack([rows["red"], rows["green"], rows["blue"]]),
+            labels=rows["change_label"],
+            epochs=rows["epoch"],
+            extras={"intensity": rows["intensity"]},
+        )
+        chunked = tmp_path / "chunked.ply"
+        save_cloud(chunked, cloud)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_writer_memory_does_not_grow_with_cloud(self, tmp_path):
+        # tracemalloc sees numpy's buffers: the rows buffer is one chunk of
+        # 25-byte rows (x, y, z and a change label), at any cloud size.
+        peaks = []
+        for n in (2 * CHUNK, 8 * CHUNK):
+            rng = np.random.default_rng(n)
+            cloud = PointCloud(rng.uniform(-1e3, 1e3, (n, 3)), labels=rng.integers(0, 3, n))
+            tracemalloc.start()
+            try:
+                save_cloud(tmp_path / f"{n}.ply", cloud)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 1.25 * 25 * CHUNK
 
 
 class TestMalformedInputs:

@@ -905,9 +905,54 @@ BLOCKED_FIELDS = (
 )
 
 
+def record_walk(monkeypatch):
+    """Wrap the walk's start pass and group walk: the returned dict lists,
+    per call, each start block's spans ("blocks") and each group's count
+    of index positions ("groups")."""
+    calls = {"blocks": [], "groups": []}
+    enter, descend = detection._enter, detection._descend
+
+    def entering(passed, spans, depth):
+        calls["blocks"].append(spans.copy())
+        return enter(passed, spans, depth)
+
+    def descending(passed, group, depths):
+        calls["groups"].append(sum(len(pos) for _, pos in group))
+        return descend(passed, group, depths)
+
+    monkeypatch.setattr(detection, "_enter", entering)
+    monkeypatch.setattr(detection, "_descend", descending)
+    return calls
+
+
+def tiled(spans):
+    """Whether the spans of a start block tile one range of the index."""
+    return bool((spans[1:, 0] == spans[:-1, 1]).all())
+
+
 class TestBlockedWalk:
-    """The walk below start_depth, one block of start cells at a time,
-    gives what one walk over every cell gives."""
+    """The start pass, one block of start cells at a time, and the walk
+    below start_depth, one group of start blocks' survivors at a time, give
+    what one walk over every cell gives."""
+
+    def walk_at(self, monkeypatch, ref, oth, params, sizes):
+        """hierarchical_detect at each _BLOCK_ENTRIES of `sizes`, with the
+        start blocks and groups of each run."""
+        calls = record_walk(monkeypatch)
+        results, walks = [], []
+        for entries in sizes:
+            monkeypatch.setattr(detection, "_BLOCK_ENTRIES", entries)
+            calls["blocks"].clear()
+            calls["groups"].clear()
+            results.append(hierarchical_detect(ref, oth, params))
+            walks.append({key: list(value) for key, value in calls.items()})
+        return results, walks
+
+    @staticmethod
+    def assert_same(result, whole):
+        for name in BLOCKED_FIELDS:
+            np.testing.assert_array_equal(getattr(result, name), getattr(whole, name), err_msg=name)
+        assert result.stats == whole.stats
 
     @pytest.mark.parametrize("draw", DRAWS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -918,33 +963,91 @@ class TestBlockedWalk:
             start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
         )
         expected, _, scored, kept = walk_funnel(ref, oth, params)
-        descend = detection._descend
-        calls = []
-
-        def counting(*args):
-            calls.append(len(args[1]))
-            return descend(*args)
-
-        monkeypatch.setattr(detection, "_descend", counting)
-        results, blocks = [], []
-        # The whole frontier in one block, a few cells per block, one cell
-        # per block.
-        for entries in (1 << 62, 100, 1):
-            monkeypatch.setattr(detection, "_BLOCK_ENTRIES", entries)
-            calls.clear()
-            results.append(hierarchical_detect(ref, oth, params))
-            blocks.append(list(calls))
-        whole, *blocked = results
-        assert len(blocks[0]) == 1
+        # The whole frontier in one block and one group, a few cells per
+        # block, one cell per block.
+        (whole, *blocked), walks = self.walk_at(monkeypatch, ref, oth, params, (1 << 62, 100, 1))
+        blocks = [[len(spans) for spans in walk["blocks"]] for walk in walks]
+        groups = [walk["groups"] for walk in walks]
+        assert len(blocks[0]) == 1 and len(groups[0]) == 1
         # One cell per block: as many blocks as start cells in play.
         assert set(blocks[2]) == {1} and len(blocks[2]) == blocks[0][0]
         assert len(blocks[0]) <= len(blocks[1]) <= len(blocks[2])
+        # Every group but the last is flushed at _BLOCK_ENTRIES positions,
+        # and all of them hold the start depth's survivors.
+        for entries, held in zip((100, 1), groups[1:]):
+            assert all(count >= entries for count in held[:-1])
+            assert len(held) <= len(blocks[2])
+        assert len({sum(held) for held in groups}) == 1
         np.testing.assert_array_equal(whole.voxel_codes, expected)
         assert whole.stats == DetectionStats(tuple(scored), tuple(kept))
         for result in blocked:
-            for name in BLOCKED_FIELDS:
-                np.testing.assert_array_equal(getattr(result, name), getattr(whole, name), err_msg=name)
-            assert result.stats == whole.stats
+            self.assert_same(result, whole)
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_gapped_start_blocks_gathered(self, draw, monkeypatch):
+        # A start cell under a failed reference-empty ancestor is never
+        # entered, so the start cells in play leave gaps in the index: one
+        # block of them all is gathered, one cell per block is a slice.
+        scene, start, stop, taus = ORACLE_CASES["sparse-cluster-above-start"]
+        ref, oth = scene(np.random.default_rng(50 + draw))
+        params = ChangeParams(
+            start_depth=start, max_depth=stop, thresholds=taus, component_min_size=1
+        )
+        expected, _, scored, kept = walk_funnel(ref, oth, params)
+        (whole, single), walks = self.walk_at(monkeypatch, ref, oth, params, (1 << 62, 1))
+        (gapped,) = walks[0]["blocks"]
+        assert not tiled(gapped)
+        assert all(tiled(spans) for spans in walks[1]["blocks"])
+        np.testing.assert_array_equal(whole.voxel_codes, expected)
+        assert whole.stats == DetectionStats(tuple(scored), tuple(kept))
+        self.assert_same(single, whole)
+
+    def test_span_entries_are_a_slice_or_gathered(self):
+        spans = np.array([[3, 5], [5, 9], [9, 10]])
+        assert detection._span_entries(spans) == slice(3, 10)
+        assert detection._span_entries(spans[:1]) == slice(3, 5)
+        assert detection._span_entries(np.empty((0, 2), dtype=np.int64)) == slice(0, 0)
+        gapped = np.array([[3, 5], [6, 9]])
+        np.testing.assert_array_equal(detection._span_entries(gapped), [3, 4, 6, 7, 8])
+
+    def test_groups_flush_at_block_entries(self, monkeypatch):
+        monkeypatch.setattr(detection, "_BLOCK_ENTRIES", 10)
+        sizes = [4, 0, 7, 12, 3, 3, 0]
+        entries = [
+            (np.arange(k, dtype=np.uint64), np.arange(sum(sizes[:k]), sum(sizes[:k + 1])))
+            for k, size in enumerate(sizes)
+        ]
+
+        def held(pairs):
+            return [[len(pos) for _, pos in group] for group in detection._groups(iter(pairs))]
+
+        # 4 + 0 + 7 reach 10, 12 does alone, and the rest is the last group.
+        assert held(entries) == [[4, 0, 7], [12], [3, 3, 0]]
+        # Blocks with no survivors after the last flush make no group of
+        # their own, but no entries at all still make one (empty) group.
+        empty = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp))
+        assert held(entries[:4] + [empty]) == [[4, 0, 7], [12]]
+        assert held([empty, empty]) == [[0, 0]]
+
+    def test_descend_joins_and_empties_its_group(self):
+        # Every cell passes, so the walk keeps every entry: the joined
+        # group's cells and positions come back in order.
+        def passed(pos, depth):
+            return np.arange(len(pos), dtype=np.uint64), np.arange(len(pos)), np.ones(len(pos), dtype=bool)
+
+        group = [
+            (np.array([5], dtype=np.uint64), np.array([0, 1])),
+            (np.array([6], dtype=np.uint64), np.array([4])),
+        ]
+        cells, pos, scored, kept = detection._descend(passed, group, range(0))
+        assert group == []
+        np.testing.assert_array_equal(cells, [5, 6])
+        np.testing.assert_array_equal(pos, [0, 1, 4])
+        assert scored == [] and kept == [2]
+        one = [(np.array([5], dtype=np.uint64), np.arange(3))]
+        cells, pos, scored, kept = detection._descend(passed, one, range(2))
+        np.testing.assert_array_equal(pos, [0, 1, 2])
+        assert scored == [3, 3] and kept == [1, 3, 3]
 
     def test_blocks_tile_the_cells(self, monkeypatch):
         monkeypatch.setattr(detection, "_BLOCK_ENTRIES", 50)
@@ -965,40 +1068,58 @@ class TestBlockedWalk:
         assert len(detection._blocks(np.empty((0, 2), dtype=np.int64))) == 1
 
     def test_transient_peak_bounded_by_block(self, monkeypatch):
-        # tracemalloc sees numpy's buffers. Each block's transient peak, net
-        # of what was live when the block began, is bounded by the block,
-        # so a pair four times larger walks more blocks, no larger ones.
-        monkeypatch.setattr(detection, "_BLOCK_ENTRIES", 1 << 12)
-        descend = detection._descend
-        peaks = []
+        # tracemalloc sees numpy's buffers. A start block holds fewer than
+        # 2 * _BLOCK_ENTRIES index entries and a group fewer than
+        # 3 * _BLOCK_ENTRIES (no start cell here holds more). Each entry's
+        # temporaries, with its cell's 8 octant sums where every entry is a
+        # cell of its own, peaked at about 103 bytes on these scenes; 160 is
+        # allowed. So each call's transient peak, net of what was live when
+        # it began, is bounded by 480 bytes per _BLOCK_ENTRIES, not by the
+        # interval: the larger pair's survivors walked as one group peak at
+        # about twice the bound.
+        entries = 1 << 12
+        bound = 480 * entries
+        monkeypatch.setattr(detection, "_BLOCK_ENTRIES", entries)
+        peaks = {"_enter": [], "_descend": []}
 
-        def measured(*args):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = descend(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return out
+        def measured(name):
+            original = getattr(detection, name)
 
-        monkeypatch.setattr(detection, "_descend", measured)
+            def call(*args):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = original(*args)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
+                return out
+
+            monkeypatch.setattr(detection, name, call)
+
+        measured("_enter")
+        measured("_descend")
         params = ChangeParams(start_depth=4, max_depth=6, thresholds=1.0, component_min_size=1)
 
         def walk(n):
+            # Half the cube is removed, so half the points go on below the
+            # start depth, in several groups.
             pts = np.random.default_rng(5).uniform(0.0, 10.0, (n, 3))
-            removed = ((pts >= 2.0) & (pts <= 4.5)).all(axis=1)
-            peaks.clear()
+            removed = pts[:, 0] < 5.0
+            for values in peaks.values():
+                values.clear()
             result = hierarchical_detect(PointCloud(pts), PointCloud(pts[~removed]), params)
             assert result.n_voxels > 0
-            return max(peaks), len(peaks)
+            return {name: (max(values), len(values)) for name, values in peaks.items()}
 
         tracemalloc.start()
         try:
-            small, small_blocks = walk(20_000)
-            large, large_blocks = walk(80_000)
+            small = walk(20_000)
+            large = walk(80_000)
         finally:
             tracemalloc.stop()
-        assert large <= 1.25 * small
-        assert small_blocks >= 5
-        assert large_blocks >= 3 * small_blocks
+        for name in peaks:
+            assert large[name][0] <= bound and small[name][0] <= bound, name
+        assert large["_enter"][0] <= 1.25 * small["_enter"][0]
+        assert small["_enter"][1] >= 5 and large["_enter"][1] >= 3 * small["_enter"][1]
+        assert small["_descend"][1] >= 2 and large["_descend"][1] >= 2 * small["_descend"][1]
 
 
 class TestSquareSums:

@@ -7,6 +7,7 @@ from cloudchange.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
+    axis_bounds,
     bounding_box,
     bounding_cube,
 )
@@ -157,3 +158,71 @@ class TestBoundingCube:
             bounding_cube(empty, empty)
         with pytest.raises(ValueError, match="empty"):
             bounding_cube()
+
+
+def column_bounds(xyz):
+    """Each axis's minimum and maximum, one column reduction each."""
+    return (
+        np.array([xyz[:, k].min() for k in range(3)]),
+        np.array([xyz[:, k].max() for k in range(3)]),
+    )
+
+
+class TestAxisBounds:
+    """Lines of 256 rows reduced in one contiguous pass, then folded with
+    the leftover rows, give each axis's minimum and maximum bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 511, 512, 513, 767, 768, 769, 5389])
+    def test_matches_column_reductions(self, n):
+        rng = np.random.default_rng(n)
+        xyz = rng.normal(rng.uniform(-1e3, 1e3, 3), rng.uniform(0.1, 50.0, 3), (n, 3))
+        full = n - n % 256
+        # The extremes in turn at the first row, at either side of the edge
+        # between the lines and the leftover rows, and at the last row.
+        for row in sorted({0, full - 1, full, n - 1} & set(range(n))):
+            trial = xyz.copy()
+            trial[row] = [-1e6, 1e6, -1e6]
+            trial[(row + 1) % n, 2] = 1e6
+            lo, hi = axis_bounds(trial)
+            want_lo, want_hi = column_bounds(trial)
+            assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 1000])
+    def test_signed_zero_and_subnormals(self, n):
+        rng = np.random.default_rng(n)
+        tiny = np.nextafter(0.0, 1.0)
+        xyz = np.empty((n, 3))
+        # x: positive subnormals above a single -0.0; y: negative subnormals
+        # below a single -0.0; z: subnormals of both signs.
+        xyz[:, 0] = tiny * rng.integers(1, 1 << 40, n)
+        xyz[:, 1] = -tiny * rng.integers(1, 1 << 40, n)
+        xyz[:, 2] = tiny * rng.integers(-(1 << 40), 1 << 40, n)
+        xyz[rng.integers(n), 0] = -0.0
+        xyz[rng.integers(n), 1] = -0.0
+        lo, hi = axis_bounds(xyz)
+        want_lo, want_hi = column_bounds(xyz)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+        assert np.signbit(lo[0]) and np.signbit(hi[1])
+        assert 0 < hi[0] < np.finfo(np.float64).tiny
+        # Ties of -0.0 with 0.0 are equal values, whichever sign is kept.
+        zeros = np.zeros((n, 3))
+        zeros[rng.integers(n, size=n // 2)] = -0.0
+        lo, hi = axis_bounds(zeros)
+        assert (lo == 0.0).all() and (hi == 0.0).all()
+
+    def test_unequal_clouds_match_stacked(self):
+        rng = np.random.default_rng(12)
+        for lengths in [(1, 255, 256, 257), (513, 2), (767, 769, 1)]:
+            clouds = [PointCloud(rng.uniform(-10.0, 10.0, (n, 3)) * rng.uniform(0.5, 3.0)) for n in lengths]
+            lo, hi = bounding_box(*clouds)
+            want_lo, want_hi = column_bounds(np.vstack([cloud.xyz for cloud in clouds]))
+            assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+    def test_non_contiguous_and_empty(self):
+        wide = np.random.default_rng(13).normal(size=(1030, 6))
+        view = wide[::2, ::2]
+        lo, hi = axis_bounds(view)
+        want_lo, want_hi = column_bounds(view)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+        with pytest.raises(ValueError, match="empty"):
+            axis_bounds(np.empty((0, 3)))

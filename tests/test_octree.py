@@ -526,6 +526,23 @@ class TestBlockedEncoder:
         if n > 1 and depth:
             assert codes.max() == 8 ** depth - 1  # the max corner's last cell
 
+    @pytest.mark.parametrize("depth", range(MAX_SUPPORTED_DEPTH + 1))
+    def test_table_matches_unblocked_formula_at_every_depth(self, depth):
+        # The table spreads 12 bits: depths 0-12 take one lookup per axis,
+        # 13-21 a second one of the high bits. Rows on both sides of the
+        # block edge sit in cells 2^12 - 1 and 2^12, either side of the
+        # lookups' boundary, and in the last cell, on every axis.
+        n = _BLOCK + 5
+        pts = self.points(np.random.default_rng(100 + depth), n)
+        probe = [c for c in ((1 << 12) - 1, 1 << 12, (1 << depth) - 1) if c < 1 << depth]
+        rows = _BLOCK - 2 + np.arange(len(probe))
+        edge = self.CUBE.edge / (1 << depth)
+        pts[rows] = self.CUBE.min_corner + (np.array(probe, dtype=np.float64)[:, None] + 0.5) * edge
+        codes = morton_codes(pts, self.CUBE, depth)
+        np.testing.assert_array_equal(codes, unblocked_morton_codes(pts, self.CUBE, depth))
+        np.testing.assert_array_equal(decode_cell(codes[rows], depth), np.repeat(np.array(probe)[:, None], 3, axis=1))
+        assert codes.max() == 8 ** depth - 1
+
     @pytest.mark.parametrize("depth", [0, 12, MAX_SUPPORTED_DEPTH])
     def test_non_contiguous_input(self, depth):
         rng = np.random.default_rng(40 + depth)
