@@ -33,9 +33,9 @@ from .registration import (
     point_to_plane_distances,
 )
 from .cameras import (
+    OBSERVATION_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ImageObservation,
     ObjectPoint,
     SelfCalibration,
     project_points,
@@ -100,8 +100,8 @@ __all__ = [
     "GroundGrid",
     "IcpParams",
     "IcpResult",
-    "ImageObservation",
     "Lattice",
+    "OBSERVATION_DTYPE",
     "ObjectPoint",
     "Octree",
     "PipelineConfig",

@@ -3,7 +3,10 @@
 Given camera poses and self-calibration for one or more earlier (reference)
 epochs, initial values for the newest epoch, and tie-point observations
 spanning all of them, the solver estimates the newest epoch's exterior
-orientations, its self-calibration, and the shared object points. Reference
+orientations, its self-calibration, and the shared object points. The
+observations are one table of OBSERVATION_DTYPE rows (camera, track, x, y,
+weight) from the scenario file to the solver, which reads its columns as
+camera and track indices, pixels and weights. Reference
 parameters stay exactly at their inputs: by default they are excluded from
 the parameter vector, which is the exact limit of giving them infinite prior
 weight; a `prior_weight` mode that instead keeps them as parameters under a
@@ -42,6 +45,7 @@ belongs to the caller.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import logging
@@ -56,9 +60,9 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .cameras import (
+    OBSERVATION_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ImageObservation,
     ObjectPoint,
     SelfCalibration,
     _JAC_CAL,
@@ -68,6 +72,7 @@ from .cameras import (
     _UNIT_CAL,
     _projection,
     _require_in_front,
+    observation_table,
 )
 
 __all__ = [
@@ -389,6 +394,17 @@ class AdjustmentResult:
     converged: bool = True
 
 
+def _rows_of(ids: Sequence[int], refs: np.ndarray, what: str) -> np.ndarray:
+    """Where each id of `refs` stands in `ids`; an id that `ids` lacks is a
+    ValueError naming the first reference to it."""
+    ids = np.asarray(ids, dtype=np.int64)
+    unknown = ~np.isin(refs, ids)
+    if unknown.any():
+        raise ValueError(f"observation references unknown {what} {refs[np.argmax(unknown)]}")
+    order = np.argsort(ids)
+    return order[np.searchsorted(ids, refs, sorter=order)]
+
+
 class _Problem:
     """Flattened arrays and column layout for one adjustment instance."""
 
@@ -397,53 +413,37 @@ class _Problem:
         fixed_epochs: Sequence[EpochCameras],
         new_epoch: EpochCameras,
         points: Mapping[int, ObjectPoint],
-        observations: Sequence[ImageObservation],
+        observations: np.ndarray,
         include_fixed: bool,
     ) -> None:
         # Camera/calibration tables. Slot 0 is the new epoch's calibration;
         # fixed epochs follow in the given order.
-        self.new_ids = sorted(new_epoch.cameras)
-        self.cam_ids: List = list(self.new_ids)
-        cam_rot = [new_epoch.cameras[c].rotation for c in self.new_ids]
-        cam_cen = [new_epoch.cameras[c].center for c in self.new_ids]
-        cam_cal = [0] * len(self.new_ids)
-        cal_values = [new_epoch.calibration.as_array()]
-        seen = set(self.cam_ids)
-        for slot, epoch in enumerate(fixed_epochs, start=1):
-            for cam_id in sorted(epoch.cameras):
-                if cam_id in seen:
-                    raise ValueError(f"camera id {cam_id} appears in more than one epoch")
-                seen.add(cam_id)
-                self.cam_ids.append(cam_id)
-                cam_rot.append(epoch.cameras[cam_id].rotation)
-                cam_cen.append(epoch.cameras[cam_id].center)
-                cam_cal.append(slot)
-            cal_values.append(epoch.calibration.as_array())
-        self.cam_rot = np.array(cam_rot, dtype=np.float64).reshape(-1, 3)
-        self.cam_cen = np.array(cam_cen, dtype=np.float64).reshape(-1, 3)
-        self.cam_cal = np.array(cam_cal, dtype=np.intp)
-        self.cal_values = np.array(cal_values, dtype=np.float64)
-        self.n_new_cams = len(self.new_ids)
+        epochs = [new_epoch, *fixed_epochs]
+        slots = [(k, cam_id) for k, epoch in enumerate(epochs) for cam_id in sorted(epoch.cameras)]
+        self.cam_ids: List = [cam_id for _, cam_id in slots]
+        repeated = [cam_id for cam_id, n in collections.Counter(self.cam_ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"camera id {repeated[0]} appears in more than one epoch")
+        poses = [epochs[k].cameras[cam_id] for k, cam_id in slots]
+        self.cam_rot = np.array([eo.rotation for eo in poses], dtype=np.float64).reshape(-1, 3)
+        self.cam_cen = np.array([eo.center for eo in poses], dtype=np.float64).reshape(-1, 3)
+        self.cam_cal = np.array([k for k, _ in slots], dtype=np.intp)
+        self.cal_values = np.array([epoch.calibration.as_array() for epoch in epochs])
+        self.n_new_cams = n_new = len(new_epoch.cameras)
 
         # Column layout: new cameras, new calibration, then (prior mode
         # only) each fixed epoch's cameras and calibration.
-        n_cams = len(self.cam_ids)
-        n_cals = len(cal_values)
-        self.cam_col = np.full(n_cams, -1, dtype=np.intp)
-        self.cal_col = np.full(n_cals, -1, dtype=np.intp)
-        for i in range(self.n_new_cams):
-            self.cam_col[i] = _CAM_PARAMS * i
-        self.new_width = _CAM_PARAMS * self.n_new_cams + _CAL_PARAMS
-        self.cal_col[0] = _CAM_PARAMS * self.n_new_cams
-        offset = self.new_width
+        self.cam_col = np.full(len(self.cam_ids), -1, dtype=np.intp)
+        self.cal_col = np.full(len(epochs), -1, dtype=np.intp)
+        self.cam_col[:n_new] = _CAM_PARAMS * np.arange(n_new)
+        self.cal_col[0] = _CAM_PARAMS * n_new
+        self.new_width = self.n_cam_cal_cols = _CAM_PARAMS * n_new + _CAL_PARAMS
         if include_fixed:
-            for i in range(self.n_new_cams, n_cams):
-                self.cam_col[i] = offset
-                offset += _CAM_PARAMS
-            for slot in range(1, n_cals):
-                self.cal_col[slot] = offset
-                offset += _CAL_PARAMS
-        self.n_cam_cal_cols = offset
+            n_fixed = len(self.cam_ids) - n_new
+            self.cam_col[n_new:] = self.new_width + _CAM_PARAMS * np.arange(n_fixed)
+            fixed_cals = self.new_width + _CAM_PARAMS * n_fixed
+            self.cal_col[1:] = fixed_cals + _CAL_PARAMS * np.arange(len(fixed_epochs))
+            self.n_cam_cal_cols = fixed_cals + _CAL_PARAMS * len(fixed_epochs)
         self.include_fixed = include_fixed
         self.input_rot = self.cam_rot.copy()
         self.input_cen = self.cam_cen.copy()
@@ -451,17 +451,14 @@ class _Problem:
 
         # Track table and observation arrays.
         self.track_ids = sorted(points)
-        track_index = {t: j for j, t in enumerate(self.track_ids)}
         self.positions = np.array(
             [points[t].position for t in self.track_ids], dtype=np.float64
         ).reshape(-1, 3)
-        cam_index = {c: i for i, c in enumerate(self.cam_ids)}
-        self.obs_cam = np.array([cam_index[o.camera_id] for o in observations], dtype=np.intp)
-        self.obs_track = np.array([track_index[o.track_id] for o in observations], dtype=np.intp)
-        self.measured = np.array([(o.x, o.y) for o in observations], dtype=np.float64).reshape(
-            -1, 2
-        )
-        self.obs_weight = np.array([o.weight for o in observations], dtype=np.float64)
+        observations = observation_table(observations)
+        self.obs_cam = _rows_of(self.cam_ids, observations["camera"], "camera")
+        self.obs_track = _rows_of(self.track_ids, observations["track"], "track")
+        self.measured = np.column_stack([observations["x"], observations["y"]])
+        self.obs_weight = np.ascontiguousarray(observations["weight"])
         self._layout: Optional[_BlockLayout] = None
 
     def snapshot(self) -> tuple:
@@ -760,66 +757,47 @@ def _levenberg_marquardt(
     return False
 
 
-def _normalize_fixed(fixed) -> List[EpochCameras]:
-    if isinstance(fixed, EpochCameras):
-        return [fixed]
-    return list(fixed)
-
-
 def _normalize_points(points) -> Dict[int, ObjectPoint]:
-    if isinstance(points, Mapping):
-        items = points.items()
-        out = {}
-        for track, value in items:
-            out[track] = value if isinstance(value, ObjectPoint) else ObjectPoint(
-                position=np.asarray(value, dtype=np.float64), track_id=track
-            )
-        return out
-    return {p.track_id: p for p in points}
+    if not isinstance(points, Mapping):
+        return {p.track_id: p for p in points}
+    return {
+        track: p if isinstance(p, ObjectPoint) else ObjectPoint(position=p, track_id=track)
+        for track, p in points.items()
+    }
 
 
 def refine_progressive(
     fixed: Union[EpochCameras, Sequence[EpochCameras]],
     new: EpochCameras,
     points: Union[Mapping[int, ObjectPoint], Sequence[ObjectPoint]],
-    observations: Sequence[ImageObservation],
+    observations: np.ndarray,
     options: Optional[AdjustmentOptions] = None,
 ) -> AdjustmentResult:
     """Estimate new-epoch poses, self-calibration, and object points.
 
     Reference-epoch parameters never move; see the module docstring for the
-    two ways that is enforced. Observations may reference cameras of any
-    epoch. Tracks observed fewer than `options.min_track_length` times are
-    dropped with a warning and their observations reported as rejected.
+    two ways that is enforced. `observations` is a table that
+    `cameras.observation_table` accepts; its rows may reference cameras of
+    any epoch, and residuals and rejected observations are given by row.
+    Tracks observed fewer than `options.min_track_length` times are dropped
+    with a warning and their observations reported as rejected.
 
-    Raises ValueError for dangling camera/track references, duplicate camera
-    ids across epochs, a new camera with no observations, initial values
-    that place observations behind a camera, or rank-deficient normal
-    equations. Non-convergence within the iteration budget is reported via
-    `converged=False` on the result instead.
+    Raises ValueError for a malformed table, dangling camera/track
+    references, duplicate camera ids across epochs, a new camera with no
+    observations, initial values that place observations behind a camera,
+    or rank-deficient normal equations. Non-convergence within the
+    iteration budget is reported via `converged=False` on the result instead.
     """
     options = options or AdjustmentOptions()
-    fixed_epochs = _normalize_fixed(fixed)
-    point_map = _normalize_points(points)
-    observations = list(observations)
-
-    known_cams = set(new.cameras)
-    for epoch in fixed_epochs:
-        known_cams |= set(epoch.cameras)
-    for obs in observations:
-        if obs.camera_id not in known_cams:
-            raise ValueError(f"observation references unknown camera {obs.camera_id}")
-        if obs.track_id not in point_map:
-            raise ValueError(f"observation references unknown track {obs.track_id}")
-
+    fixed_epochs = [fixed] if isinstance(fixed, EpochCameras) else list(fixed)
     problem = _Problem(
         fixed_epochs,
         new,
-        point_map,
+        _normalize_points(points),
         observations,
         include_fixed=options.fixed_handling == "prior_weight",
     )
-    m = len(observations)
+    m = len(problem.obs_cam)
     mask = np.ones(m, dtype=bool)
     track_active = np.ones(len(problem.track_ids), dtype=bool)
     rejected: List[int] = []
@@ -845,18 +823,15 @@ def refine_progressive(
                     options.min_track_length,
                 )
 
-    never_observed = set(problem.track_ids) - {o.track_id for o in observations}
-    for track in sorted(never_observed):
+    unobserved = np.bincount(problem.obs_track, minlength=len(problem.track_ids)) == 0
+    for track in np.asarray(problem.track_ids)[unobserved].tolist():
         logger.warning("track %s has no observations; carried through unchanged", track)
     enforce_track_support()
 
     def check_camera_support() -> None:
         counts = np.bincount(problem.obs_cam[mask], minlength=len(problem.cam_ids))
-        for i in range(problem.n_new_cams):
-            if counts[i] == 0:
-                raise ValueError(
-                    f"new camera {problem.cam_ids[i]} has no retained observations"
-                )
+        for i in np.flatnonzero(counts[: problem.n_new_cams] == 0):
+            raise ValueError(f"new camera {problem.cam_ids[i]} has no retained observations")
 
     check_camera_support()
 
@@ -887,8 +862,7 @@ def refine_progressive(
         check_camera_support()
 
     final_res, _ = problem.residuals(np.ones(m, dtype=bool))
-    kept = mask
-    rms = float(np.sqrt((final_res[kept] ** 2).sum() / (2 * int(kept.sum()))))
+    rms = float(np.sqrt((final_res[mask] ** 2).sum() / (2 * int(mask.sum()))))
 
     new_cams = {
         problem.cam_ids[i]: ExteriorOrientation(
@@ -924,7 +898,8 @@ class Scenario:
         fixed_epochs: reference epochs whose parameters stay at their inputs.
         new_epoch: the epoch whose parameters are to be estimated.
         points: initial object points by track id.
-        observations: tie-point measurements across all epochs.
+        observations: tie-point measurements across all epochs, made one
+            table by `cameras.observation_table` (an empty list included).
         truth: optional ground-truth block (same layout as the estimate
             fields) carried for evaluation; never read by the solver.
     """
@@ -932,8 +907,11 @@ class Scenario:
     fixed_epochs: List[EpochCameras]
     new_epoch: EpochCameras
     points: Dict[int, ObjectPoint]
-    observations: List[ImageObservation]
+    observations: np.ndarray
     truth: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        self.observations = observation_table(self.observations)
 
 
 def _epoch_to_dict(epoch: EpochCameras, fixed: bool) -> dict:
@@ -973,12 +951,15 @@ _KIND_NAMES = {
     _BOOLEAN: "true or false",
     _VECTOR: "a list of 3 numbers",
 }
+_OBSERVATION_FIELDS = dict(camera=_INTEGER, track=_INTEGER, x=_NUMBER, y=_NUMBER, weight=_NUMBER)
+_ABSENT = object()  # a required key's value in a column where its object lacks it
 
 
-def _has_kind(value, kind) -> bool:
+def _of_kind(values: list, kind) -> bool:
+    """Whether every one of `values` is of `kind`, checked by their types."""
     if kind is _VECTOR:
-        return type(value) is list and len(value) == 3 and all(type(v) in _NUMBER for v in value)
-    return kind is None or type(value) in kind
+        return all(type(v) is list and len(v) == 3 and _of_kind(v, _NUMBER) for v in values)
+    return kind is None or set(map(type, values)) <= set(kind)
 
 
 def _object(value, where: str, fields: Mapping, optional=()) -> dict:
@@ -993,37 +974,58 @@ def _object(value, where: str, fields: Mapping, optional=()) -> dict:
     for key, item in value.items():
         if key not in fields:
             raise ValueError(f"{where}: unknown key {key!r}")
-        if not _has_kind(item, fields[key]):
+        if not _of_kind([item], fields[key]):
             got = reprlib.repr(item)
             raise ValueError(f"{where}.{key}: expected {_KIND_NAMES[fields[key]]}, got {got}")
     return value
 
 
-def _objects(value, where: str, fields: Mapping, optional=()) -> List[dict]:
-    """A scenario JSON list whose every item passes _object."""
+def _columns(items: list, fields: Mapping, defaults: Mapping) -> Optional[Dict[str, list]]:
+    """`items` as one list of values per key of `fields`, an absent key's
+    value its default, if every item passes _object with `defaults` as the
+    optional keys; None otherwise. The checks run a column at a time."""
+    if set(map(type, items)) - {dict} or set().union(*items) - fields.keys():
+        return None
+    columns = {}
+    for key, kind in fields.items():
+        default = defaults.get(key, _ABSENT)
+        column = columns[key] = [item.get(key, default) for item in items]
+        if _ABSENT in column or not _of_kind(column, kind):
+            return None
+    return columns
+
+
+def _records(value, where: str, fields: Mapping, defaults: Mapping = {}, unique="") -> dict:
+    """A scenario JSON list of objects, read by _columns. A list that fails
+    is walked an object at a time, so that _object names the first fault.
+    With `unique`, the name of what the first key of `fields` holds, no two
+    objects share it."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a JSON list, got {type(value).__name__}")
-    return [_object(item, f"{where}[{i}]", fields, optional) for i, item in enumerate(value)]
+    columns = _columns(value, fields, defaults)
+    if columns is None:
+        for i, item in enumerate(value):
+            _object(item, f"{where}[{i}]", fields, defaults)
+    key = next(iter(fields))
+    if unique and len(set(columns[key])) < len(value):
+        seen: set = set()
+        i = next(i for i, item in enumerate(columns[key]) if item in seen or seen.add(item))
+        raise ValueError(f"{where}[{i}].{key}: duplicate {unique} {columns[key][i]}")
+    return columns
 
 
-def _epoch_from_dict(entry: dict, where: str) -> EpochCameras:
+def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
+    """Epoch i of the scenario's epoch columns."""
+    where = f"scenario.epochs[{i}]"
     keys = [f.name for f in dataclasses.fields(SelfCalibration)]
     calibration = _object(
-        entry["calibration"], f"{where}.calibration", dict.fromkeys(keys, _NUMBER), keys[1:]
+        entries["calibration"][i], f"{where}.calibration", dict.fromkeys(keys, _NUMBER), keys[1:]
     )
-    cameras = {
-        cam["id"]: ExteriorOrientation(
-            center=np.array(cam["center"], dtype=np.float64),
-            rotation=np.array(cam["rotation"], dtype=np.float64),
-        )
-        for cam in _objects(
-            entry["cameras"],
-            f"{where}.cameras",
-            {"id": _INTEGER, "center": _VECTOR, "rotation": _VECTOR},
-        )
-    }
+    fields = {"id": _INTEGER, "center": _VECTOR, "rotation": _VECTOR}
+    poses = _records(entries["cameras"][i], f"{where}.cameras", fields, unique="camera id")
+    cameras = {cam_id: ExteriorOrientation(*pose) for cam_id, *pose in zip(*poses.values())}
     return EpochCameras(
-        epoch=entry["epoch"], calibration=SelfCalibration(**calibration), cameras=cameras
+        epoch=entries["epoch"][i], calibration=SelfCalibration(**calibration), cameras=cameras
     )
 
 
@@ -1033,19 +1035,14 @@ def save_scenario(scenario: Scenario, path) -> None:
     No indentation, so the C encoder writes it; load_scenario reads this
     layout and the older indented one alike.
     """
+    columns = [scenario.observations[key].tolist() for key in _OBSERVATION_FIELDS]
     payload = {
         "epochs": [_epoch_to_dict(e, True) for e in scenario.fixed_epochs]
         + [_epoch_to_dict(scenario.new_epoch, False)],
         "points": _points_to_list(scenario.points),
         "observations": [
-            {
-                "camera": o.camera_id,
-                "track": o.track_id,
-                "x": o.x,
-                "y": o.y,
-                "weight": o.weight,
-            }
-            for o in scenario.observations
+            {"camera": camera, "track": track, "x": x, "y": y, "weight": weight}
+            for camera, track, x, y, weight in zip(*columns)
         ],
     }
     if scenario.truth is not None:
@@ -1056,50 +1053,36 @@ def save_scenario(scenario: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     """Read a scenario written by save_scenario.
 
-    Exactly one epoch must carry `fixed: false`.
+    Exactly one epoch must carry `fixed: false`, camera ids must be unique
+    within an epoch and tracks among the points. An observation without a
+    weight has weight 1.
     """
     payload = json.loads(Path(path).read_text())
     keys = ("epochs", "points", "observations", "truth")
     payload = _object(payload, "scenario", dict.fromkeys(keys), ("truth",))
-    entries = _objects(
+    entries = _records(
         payload["epochs"],
         "scenario.epochs",
         {"epoch": _INTEGER, "fixed": _BOOLEAN, "calibration": None, "cameras": None},
     )
-    epochs = [_epoch_from_dict(e, f"scenario.epochs[{i}]") for i, e in enumerate(entries)]
-    fixed_epochs = [epoch for epoch, e in zip(epochs, entries) if e["fixed"]]
-    new_epochs = [epoch for epoch, e in zip(epochs, entries) if not e["fixed"]]
+    epochs = [_epoch_from_dict(entries, i) for i in range(len(entries["epoch"]))]
+    fixed_epochs = [epoch for epoch, fixed in zip(epochs, entries["fixed"]) if fixed]
+    new_epochs = [epoch for epoch, fixed in zip(epochs, entries["fixed"]) if not fixed]
     if len(new_epochs) != 1:
         raise ValueError(
             f"scenario must contain exactly one non-fixed epoch, found {len(new_epochs)}"
         )
-    points = {
-        p["track"]: ObjectPoint(
-            position=np.array(p["position"], dtype=np.float64), track_id=p["track"]
-        )
-        for p in _objects(
-            payload["points"], "scenario.points", {"track": _INTEGER, "position": _VECTOR}
-        )
-    }
-    observations = [
-        ImageObservation(
-            camera_id=o["camera"],
-            track_id=o["track"],
-            x=float(o["x"]),
-            y=float(o["y"]),
-            weight=float(o.get("weight", 1.0)),
-        )
-        for o in _objects(
-            payload["observations"],
-            "scenario.observations",
-            {"camera": _INTEGER, "track": _INTEGER, "x": _NUMBER, "y": _NUMBER, "weight": _NUMBER},
-            ("weight",),
-        )
-    ]
+    fields = {"track": _INTEGER, "position": _VECTOR}
+    points = _records(payload["points"], "scenario.points", fields, unique="track")
+    where = "scenario.observations"
+    columns = _records(payload["observations"], where, _OBSERVATION_FIELDS, {"weight": 1.0})
+    observations = np.empty(len(payload["observations"]), OBSERVATION_DTYPE)
+    for key, column in columns.items():
+        observations[key] = column
     return Scenario(
         fixed_epochs=fixed_epochs,
         new_epoch=new_epochs[0],
-        points=points,
-        observations=observations,
+        points={track: ObjectPoint(p, track) for track, p in zip(*points.values())},
+        observations=observation_table(observations, where),
         truth=payload.get("truth"),
     )

@@ -1,4 +1,4 @@
-"""Photogrammetric camera model: pose/calibration types and projection.
+"""Photogrammetric camera model: pose/calibration types, observation table, projection.
 
 The projection is a pinhole with polynomial radial distortion applied to
 normalized image coordinates: p = R (X - C); (u, v) = (p_x/p_z, p_y/p_z);
@@ -20,8 +20,6 @@ them, valid only until its next kernel call on that layout. Called without
 own, and the caller owns the results.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -121,23 +119,45 @@ class ObjectPoint:
         object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class ImageObservation:
-    """One measured image point of a track in a camera."""
+# One row per measured image point of a track in a camera, with its weight in
+# the adjustment; the field names are a scenario file's observation keys.
+OBSERVATION_DTYPE = np.dtype(
+    [("camera", np.int64), ("track", np.int64)]
+    + [(name, np.float64) for name in ("x", "y", "weight")]
+)
 
-    camera_id: int
-    track_id: int
-    x: float
-    y: float
-    weight: float = 1.0
 
-    def __post_init__(self) -> None:
-        # Scalar math: np.isfinite on a Python float costs twice as much,
-        # and a scenario builds tens of thousands of observations.
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("image coordinates must be finite")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
+def observation_table(observations, where: str = "observations") -> np.ndarray:
+    """`observations` as a checked table of OBSERVATION_DTYPE rows.
+
+    `observations` is a 1-D structured array with the table's fields, in its
+    order, or an empty sequence; a table of OBSERVATION_DTYPE comes back as
+    it is. Camera and track ids of a bool or float type are refused, not
+    truncated; x and y must be finite, and each weight finite and > 0. A
+    fault is a ValueError naming `where` and the first faulty row and field,
+    e.g. "observations[3].x: expected a finite number, got nan".
+    """
+    if not isinstance(observations, np.ndarray):
+        if len(observations):
+            raise ValueError(f"{where}: expected a table, got {type(observations).__name__}")
+        return np.empty(0, OBSERVATION_DTYPE)
+    if observations.ndim != 1 or observations.dtype.names != OBSERVATION_DTYPE.names:
+        raise ValueError(f"{where}: expected a 1-D table of the fields {OBSERVATION_DTYPE.names}")
+    for name in OBSERVATION_DTYPE.names:
+        column = observations[name]
+        kind = column.dtype.kind
+        if name in ("camera", "track"):
+            expected, bad = "an integer", np.full(len(column), kind not in "iu")
+        elif kind not in "iuf":
+            expected, bad = "a number", np.full(len(column), True)
+        elif name == "weight":
+            expected, bad = "a finite number > 0", ~(np.isfinite(column) & (column > 0))
+        else:
+            expected, bad = "a finite number", ~np.isfinite(column)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where}[{i}].{name}: expected {expected}, got {column[i].item()!r}")
+    return observations.astype(OBSERVATION_DTYPE, copy=False)
 
 
 @dataclass

@@ -15,7 +15,6 @@ those of sampling each surface into its own array and stacking them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -23,9 +22,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .cameras import (
+    OBSERVATION_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ImageObservation,
     ObjectPoint,
     SelfCalibration,
     project_points,
@@ -536,8 +535,9 @@ class PoseScenario:
         new_truth: true new-epoch cameras and calibration.
         new_initial: perturbed starting values handed to the solver.
         points_truth / points_initial: object points, true and perturbed.
-        observations: measurements including noise and injected outliers.
-        outlier_indices: positions in `observations` that were injected as
+        observations: measurements including noise and injected outliers,
+            one OBSERVATION_DTYPE table, camera-major, each of weight 1.
+        outlier_indices: rows of `observations` that were injected as
             gross outliers.
     """
 
@@ -546,7 +546,7 @@ class PoseScenario:
     new_initial: EpochCameras
     points_truth: Dict[int, ObjectPoint]
     points_initial: Dict[int, ObjectPoint]
-    observations: List[ImageObservation]
+    observations: np.ndarray
     outlier_indices: List[int]
 
     def to_scenario(self):
@@ -563,7 +563,7 @@ class PoseScenario:
             fixed_epochs=[self.fixed],
             new_epoch=self.new_initial,
             points=dict(self.points_initial),
-            observations=list(self.observations),
+            observations=self.observations.copy(),
             truth=truth,
         )
 
@@ -648,8 +648,7 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
     )
 
     # One (x, y) row per observation, camera-major in ascending camera id;
-    # noise and outliers go onto these rows, then each observation is built
-    # once from its final pixel.
+    # noise and outliers go onto these rows, which then fill the table.
     cameras = [(c, fixed_cams[c], config.fixed_calibration) for c in sorted(fixed_cams)] + [
         (c, new_truth_cams[c], config.new_calibration) for c in sorted(new_truth_cams)
     ]
@@ -667,21 +666,17 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
     if config.noise_sigma > 0:
         pixels += rng.normal(0.0, config.noise_sigma, (m, 2))
     n_outliers = math.floor(config.outlier_fraction * m)
-    outlier_indices = sorted(
-        int(i) for i in rng.choice(m, size=n_outliers, replace=False)
-    )
+    outlier_indices = sorted(rng.choice(m, size=n_outliers, replace=False).tolist())
     for i in outlier_indices:
         magnitude = rng.uniform(config.outlier_shift, 2.0 * config.outlier_shift)
         angle = rng.uniform(0.0, 2.0 * np.pi)
         pixels[i, 0] += magnitude * np.cos(angle)
         pixels[i, 1] += magnitude * np.sin(angle)
-    observations = [
-        ImageObservation(camera_id=cam_id, track_id=t, x=x, y=y)
-        for (cam_id, t), (x, y) in zip(
-            itertools.product([c for c, _, _ in cameras], range(config.n_points)),
-            pixels.tolist(),
-        )
-    ]
+    observations = np.empty(m, OBSERVATION_DTYPE)
+    observations["camera"] = np.repeat([c for c, _, _ in cameras], config.n_points)
+    observations["track"] = np.tile(np.arange(config.n_points), len(cameras))
+    observations["x"], observations["y"] = pixels.T
+    observations["weight"] = 1.0
 
     def unit(vec: np.ndarray) -> np.ndarray:
         return vec / np.linalg.norm(vec)

@@ -11,13 +11,18 @@ and J^T W r computed from them share no code with the library's kernel or
 assembly.
 """
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial.transform import Rotation
 
-from cloudchange.cameras import ExteriorOrientation, ImageObservation, ObjectPoint, SelfCalibration
+from cloudchange.cameras import (
+    OBSERVATION_DTYPE,
+    ExteriorOrientation,
+    ObjectPoint,
+    SelfCalibration,
+)
 
 _CAM_PARAMS = 6
 _CAL_PARAMS = 5
@@ -86,40 +91,42 @@ def project_rows(pts, rot, center, cal, jacobians: bool = False) -> tuple:
 
 
 def compute_residuals(
-    observations: Sequence[ImageObservation],
+    observations: np.ndarray,
     cameras: Mapping[int, ExteriorOrientation],
     calibrations: Mapping[int, SelfCalibration],
     points: Mapping[int, Union[ObjectPoint, np.ndarray]],
 ) -> Tuple[np.ndarray, float]:
     """Reprojection residuals (measured - projected) and their RMS, one
-    `project_rows` row per observation.
+    `project_rows` row per row of the observation table (an empty list is
+    an empty table).
 
     Residuals come back flat, two entries (x, y) per observation in input
     order; RMS is over all 2m entries, pixels. Raises on an unknown camera
     or track, or a point at or behind its camera plane.
     """
-    for obs in observations:
-        if obs.camera_id not in cameras:
-            raise ValueError(f"observation references unknown camera {obs.camera_id}")
-        if obs.track_id not in points:
-            raise ValueError(f"observation references unknown track {obs.track_id}")
-    if not observations:
+    rows = np.asarray(observations, dtype=OBSERVATION_DTYPE).tolist()
+    for camera, track, *_ in rows:
+        if camera not in cameras:
+            raise ValueError(f"observation references unknown camera {camera}")
+        if track not in points:
+            raise ValueError(f"observation references unknown track {track}")
+    if not rows:
         return np.empty(0), 0.0
 
     def position_of(track_id):
         point = points[track_id]
         return point.position if isinstance(point, ObjectPoint) else point
 
-    matrices = {cam_id: cameras[cam_id].matrix for cam_id in {obs.camera_id for obs in observations}}
+    matrices = {camera: cameras[camera].matrix for camera, *_ in rows}
     pixels, depth = project_rows(
-        np.array([position_of(obs.track_id) for obs in observations], dtype=np.float64),
-        np.array([matrices[obs.camera_id] for obs in observations]),
-        np.array([cameras[obs.camera_id].center for obs in observations]),
-        np.array([calibrations[obs.camera_id].as_array() for obs in observations]),
+        np.array([position_of(track) for _, track, *_ in rows], dtype=np.float64),
+        np.array([matrices[camera] for camera, *_ in rows]),
+        np.array([cameras[camera].center for camera, *_ in rows]),
+        np.array([calibrations[camera].as_array() for camera, *_ in rows]),
     )
     if (depth <= 0).any():
         raise ValueError("points at or behind the camera plane")
-    measured = np.array([(obs.x, obs.y) for obs in observations])
+    measured = np.array([(x, y) for _, _, x, y, _ in rows])
     flat = (measured - pixels).ravel()
     return flat, float(np.sqrt((flat**2).mean()))
 

@@ -1,5 +1,4 @@
 """Tests for progressive constrained bundle adjustment."""
-import dataclasses
 import json
 import logging
 
@@ -21,9 +20,9 @@ from cloudchange.adjustment import (
     save_scenario,
 )
 from cloudchange.cameras import (
+    OBSERVATION_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ImageObservation,
     ObjectPoint,
     SelfCalibration,
     project_points,
@@ -63,34 +62,37 @@ def split_fixed_epoch(scenario):
     ]
 
 
+def observation_rows(*rows):
+    """An observation table of (camera, track, x, y) rows of weight 1."""
+    return np.array([row + (1.0,) for row in rows], dtype=OBSERVATION_DTYPE)
+
+
+def camera_rank(observations):
+    """Each observation's camera's rank among the observed camera ids."""
+    return np.unique(observations["camera"], return_inverse=True)[1]
+
+
 def skewed_visibility(scenario, n_points):
     """Which of the scenario's observations to keep: two cameras (one new,
     one reference) see every track; each other camera sees a window of a
     fifth of them, so the cameras' row counts differ fivefold."""
-    wide = {min(scenario.new_initial.cameras), min(scenario.fixed.cameras)}
-    narrow = sorted({o.camera_id for o in scenario.observations} - wide)
-    rank = {c: k for k, c in enumerate(narrow)}
-    return np.array(
-        [
-            o.camera_id in wide or (o.track_id + 5 * rank[o.camera_id]) % n_points < n_points // 5
-            for o in scenario.observations
-        ]
-    )
+    cams, tracks = scenario.observations["camera"], scenario.observations["track"]
+    wide = [min(scenario.new_initial.cameras), min(scenario.fixed.cameras)]
+    rank = np.searchsorted(np.setdiff1d(cams, wide), cams)
+    return np.isin(cams, wide) | ((tracks + 5 * rank) % n_points < n_points // 5)
 
 
 def weighted_observations(scenario):
     """The scenario's observations with weights that vary per observation."""
-    return [
-        dataclasses.replace(o, weight=0.5 + 0.25 * (i % 5))
-        for i, o in enumerate(scenario.observations)
-    ]
+    observations = scenario.observations.copy()
+    observations["weight"] = 0.5 + 0.25 * (np.arange(len(observations)) % 5)
+    return observations
 
 
 def skewed_observations(scenario, n_points):
     """The observations skewed_visibility keeps, weighted as in
     weighted_observations."""
-    keep = skewed_visibility(scenario, n_points)
-    return [o for o, kept in zip(weighted_observations(scenario), keep) if kept]
+    return weighted_observations(scenario)[skewed_visibility(scenario, n_points)]
 
 
 def poison(work, keep=None):
@@ -214,16 +216,15 @@ class TestTrackSupport:
         position = np.array([0.3, -0.2, 1.0])
         points = dict(scenario.points_initial)
         points[track_id] = ObjectPoint(position=position, track_id=track_id)
-        observations = list(scenario.observations)
+        extra = []
         for cam_id in sorted(scenario.fixed.cameras)[:n_observations]:
             pixel = project_points(
                 position[None, :],
                 scenario.fixed.cameras[cam_id],
                 scenario.fixed.calibration,
             )[0]
-            observations.append(
-                ImageObservation(cam_id, track_id, float(pixel[0]), float(pixel[1]))
-            )
+            extra.append((cam_id, track_id, float(pixel[0]), float(pixel[1])))
+        observations = np.concatenate([scenario.observations, observation_rows(*extra)])
         return scenario, points, observations, track_id, position
 
     def test_short_track_dropped_with_warning(self, caplog):
@@ -269,15 +270,11 @@ class TestObservationOrder:
         )
         # Partial visibility: the k-th camera misses tracks 4k..5k-1, so the
         # cameras' groups have different lengths.
-        camera_ids = sorted({o.camera_id for o in scenario.observations})
-        rank = {c: k for k, c in enumerate(camera_ids)}
-        observations = [
-            o
-            for o in scenario.observations
-            if not 4 * rank[o.camera_id] <= o.track_id < 5 * rank[o.camera_id]
-        ]
+        rank = camera_rank(scenario.observations)
+        tracks = scenario.observations["track"]
+        observations = scenario.observations[~((4 * rank <= tracks) & (tracks < 5 * rank))]
         perm = np.random.default_rng(3).permutation(len(observations))
-        shuffled = [observations[i] for i in perm]
+        shuffled = observations[perm]
         args = (scenario.fixed, scenario.new_initial, scenario.points_initial)
         plain = refine_progressive(*args, observations)
         mixed = refine_progressive(*args, shuffled)
@@ -332,7 +329,7 @@ class TestGroupLayout:
         scenario = small_scenario(n_fixed_cameras=6, n_new_cameras=5, n_points=40, seed=8)
         observations = skewed_observations(scenario, 40)
         perm = np.random.default_rng(2).permutation(len(observations))
-        observations = [observations[i] for i in perm]
+        observations = observations[perm]
         problem = _Problem(
             [scenario.fixed],
             scenario.new_initial,
@@ -362,14 +359,17 @@ class TestGroupLayout:
 class TestValidation:
     def test_dangling_references(self):
         scenario = small_scenario()
-        bad_camera = scenario.observations + [ImageObservation(999, 0, 0.0, 0.0)]
+        bad_camera = np.concatenate([scenario.observations, observation_rows((999, 0, 0.0, 0.0))])
         with pytest.raises(ValueError, match="unknown camera 999"):
             refine_progressive(
                 scenario.fixed, scenario.new_initial, scenario.points_initial, bad_camera
             )
-        bad_track = scenario.observations + [
-            ImageObservation(next(iter(scenario.fixed.cameras)), 777, 0.0, 0.0)
-        ]
+        bad_track = np.concatenate(
+            [
+                scenario.observations,
+                observation_rows((next(iter(scenario.fixed.cameras)), 777, 0.0, 0.0)),
+            ]
+        )
         with pytest.raises(ValueError, match="unknown track 777"):
             refine_progressive(
                 scenario.fixed, scenario.new_initial, scenario.points_initial, bad_track
@@ -382,7 +382,7 @@ class TestValidation:
             calibration=scenario.new_initial.calibration,
             cameras={0: next(iter(scenario.new_initial.cameras.values()))},
         )
-        observations = [o for o in scenario.observations if o.camera_id == 0]
+        observations = scenario.observations[scenario.observations["camera"] == 0]
         with pytest.raises(ValueError, match="more than one epoch"):
             refine_progressive(
                 scenario.fixed, clashing, scenario.points_initial, observations
@@ -391,7 +391,7 @@ class TestValidation:
     def test_new_camera_without_observations(self):
         scenario = small_scenario()
         victim = sorted(scenario.new_initial.cameras)[0]
-        observations = [o for o in scenario.observations if o.camera_id != victim]
+        observations = scenario.observations[scenario.observations["camera"] != victim]
         with pytest.raises(ValueError, match="no retained observations"):
             refine_progressive(
                 scenario.fixed, scenario.new_initial, scenario.points_initial, observations
@@ -431,15 +431,13 @@ class TestValidation:
             2: ObjectPoint(np.array([0.0, 1.0, 5.0]), 2),
             3: ObjectPoint(np.array([1.0, 1.0, 6.0]), 3),
         }
-        observations = []
+        rows = []
         for cam_id, eo, tracks in ((100, fixed_eo, (0, 0, 1, 2, 3)), (0, new_eo, (1, 2, 3))):
             for t in tracks:
                 pixel = project_points(points[t].position[None, :], eo, cal)[0]
-                observations.append(
-                    ImageObservation(cam_id, t, float(pixel[0]), float(pixel[1]))
-                )
+                rows.append((cam_id, t, float(pixel[0]), float(pixel[1])))
         with pytest.raises(ValueError, match="rank-deficient"):
-            refine_progressive(fixed, new, points, observations)
+            refine_progressive(fixed, new, points, observation_rows(*rows))
 
     def test_options_validation(self):
         with pytest.raises(ValueError, match="fixed_handling"):
@@ -590,16 +588,17 @@ class TestSolverOracles:
         # every camera has its own observation count. Weights vary per
         # observation. One new and one reference camera observe a track a
         # second time.
-        camera_ids = sorted({o.camera_id for o in scenario.observations})
-        rank = {c: k for k, c in enumerate(camera_ids)}
-        observations = [
-            dataclasses.replace(o, weight=0.5 + 0.25 * (i % 5))
-            for i, o in enumerate(scenario.observations)
-            if not 3 * rank[o.camera_id] <= o.track_id < 4 * rank[o.camera_id]
-        ]
+        rank = camera_rank(scenario.observations)
+        tracks = scenario.observations["track"]
+        missed = (3 * rank <= tracks) & (tracks < 4 * rank)
+        observations = weighted_observations(scenario)[~missed]
+        again = []
         for camera_id in (min(scenario.new_initial.cameras), max(scenario.fixed.cameras)):
-            first = next(o for o in observations if o.camera_id == camera_id)
-            observations.append(dataclasses.replace(first, x=first.x + 0.3, weight=2.0))
+            first = observations[observations["camera"] == camera_id][:1].copy()
+            first["x"] += 0.3
+            first["weight"] = 2.0
+            again.append(first)
+        observations = np.concatenate([observations, *again])
         fixed_epochs = split_fixed_epoch(scenario)
         include_fixed = fixed_handling == "prior_weight"
         problem = _Problem(
@@ -808,6 +807,36 @@ def _text_fixed_flag(payload):
     return payload
 
 
+def _duplicate_camera_id(payload):
+    payload["epochs"][0]["cameras"][3]["id"] = 0
+    return payload
+
+
+def _duplicate_track(payload):
+    payload["points"][2]["track"] = 0
+    return payload
+
+
+def _bool_camera(payload):
+    payload["observations"][2]["camera"] = True
+    return payload
+
+
+def _nan_image_coordinate(payload):
+    payload["observations"][3]["x"] = float("nan")
+    return payload
+
+
+def _infinite_image_coordinate(payload):
+    payload["observations"][4]["y"] = float("inf")
+    return payload
+
+
+def _zero_weight(payload):
+    payload["observations"][5]["weight"] = 0.0
+    return payload
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12)
@@ -823,9 +852,7 @@ class TestScenarioFiles:
         assert loaded.new_epoch.calibration == packed.new_epoch.calibration
         for track, point in packed.points.items():
             np.testing.assert_array_equal(loaded.points[track].position, point.position)
-        assert [(o.camera_id, o.track_id, o.x, o.y) for o in loaded.observations] == [
-            (o.camera_id, o.track_id, o.x, o.y) for o in packed.observations
-        ]
+        assert loaded.observations.tobytes() == packed.observations.tobytes()
         assert loaded.truth["outlier_observations"] == scenario.outlier_indices
 
     def test_exactly_one_new_epoch_required(self, tmp_path):
@@ -856,11 +883,32 @@ class TestScenarioFiles:
         ),
         (_float_track, r"^scenario\.points\[1\]\.track: expected an integer, got 1\.0$"),
         (_text_fixed_flag, r"^scenario\.epochs\[0\]\.fixed: expected true or false, got 'yes'$"),
+        (
+            _duplicate_camera_id,
+            r"^scenario\.epochs\[0\]\.cameras\[3\]\.id: duplicate camera id 0$",
+        ),
+        (_duplicate_track, r"^scenario\.points\[2\]\.track: duplicate track 0$"),
+        (_bool_camera, r"^scenario\.observations\[2\]\.camera: expected an integer, got True$"),
+        (
+            _nan_image_coordinate,
+            r"^scenario\.observations\[3\]\.x: expected a finite number, got nan$",
+        ),
+        (
+            _infinite_image_coordinate,
+            r"^scenario\.observations\[4\]\.y: expected a finite number, got inf$",
+        ),
+        (
+            _zero_weight,
+            r"^scenario\.observations\[5\]\.weight: expected a finite number > 0, got 0\.0$",
+        ),
     ])
     def test_malformed_scenario_names_its_fault(self, tmp_path, damage, message):
-        # A missing key, an unknown key, a wrong shape or a value of the
-        # wrong type is a ValueError naming it, not a KeyError or TypeError
-        # from deep inside the reader, nor a string read as a number.
+        # A missing key, an unknown key, a wrong shape, a value of the wrong
+        # type, a repeated id or a value out of range (a NaN or infinite
+        # pixel, which Python's json reads, or a zero weight) is a
+        # ValueError naming it, not a KeyError or TypeError from deep inside
+        # the reader, nor a string read as a number, nor a repeat that
+        # silently replaces the first.
         path = tmp_path / "scenario.json"
         save_scenario(small_scenario().to_scenario(), path)
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
@@ -883,9 +931,7 @@ class TestScenarioFiles:
         indented = tmp_path / "indented.json"
         indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         new, old = load_scenario(path), load_scenario(indented)
-        assert [dataclasses.astuple(o) for o in old.observations] == [
-            dataclasses.astuple(o) for o in new.observations
-        ]
+        assert old.observations.tobytes() == new.observations.tobytes()
         for got, want in [(old.new_epoch, new.new_epoch), *zip(old.fixed_epochs, new.fixed_epochs)]:
             assert (got.epoch, got.calibration) == (want.epoch, want.calibration)
             assert got.cameras.keys() == want.cameras.keys()

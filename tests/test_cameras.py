@@ -5,10 +5,11 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from cloudchange.cameras import (
+    OBSERVATION_DTYPE,
     ExteriorOrientation,
-    ImageObservation,
     ObjectPoint,
     SelfCalibration,
+    observation_table,
     project_points,
     _projection,
     projection_jacobians,
@@ -133,21 +134,26 @@ class TestProjection:
         assert again == sc
 
     def test_observation_validated(self):
-        with pytest.raises(ValueError, match="finite"):
-            ImageObservation(camera_id=0, track_id=0, x=np.nan, y=0.0)
-        with pytest.raises(ValueError, match="weight"):
-            ImageObservation(camera_id=0, track_id=0, x=0.0, y=0.0, weight=0.0)
+        nan_pixel = np.array([(0, 0, np.nan, 0.0, 1.0)], dtype=OBSERVATION_DTYPE)
+        message = r"^observations\[0\]\.x: expected a finite number, got nan$"
+        with pytest.raises(ValueError, match=message):
+            observation_table(nan_pixel)
+        zero_weight = np.array([(0, 0, 0.0, 0.0, 0.0)], dtype=OBSERVATION_DTYPE)
+        message = r"^observations\[0\]\.weight: expected a finite number > 0, got 0\.0$"
+        with pytest.raises(ValueError, match=message):
+            observation_table(zero_weight)
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["x", "y", "weight"])
     def test_observation_refuses_non_finite(self, name, value, kind):
-        fields = dict(camera_id=0, track_id=0, x=1.5, y=-2.5, weight=2.0)
+        fields = dict(camera=0, track=0, x=1.5, y=-2.5, weight=2.0)
         fields[name] = kind(value)
-        with pytest.raises(ValueError, match="finite"):
-            ImageObservation(**fields)
-        fields[name] = kind(0.5)
-        assert getattr(ImageObservation(**fields), name) == 0.5
+        table = np.array([(4, 1, 0.0, 0.0, 1.0), tuple(fields.values())], dtype=OBSERVATION_DTYPE)
+        with pytest.raises(ValueError, match=rf"^observations\[1\]\.{name}: expected a finite"):
+            observation_table(table)
+        table[1][name] = kind(0.5)
+        assert observation_table(table)[1][name] == 0.5
 
     def test_object_point_validated(self):
         with pytest.raises(ValueError, match="finite"):
@@ -354,7 +360,7 @@ class TestComputeResiduals:
             cameras[cam_id] = eo
             calibrations[cam_id] = sc
         points = {}
-        observations = []
+        rows = []
         for track in range(n_points):
             cam_id = int(rng.integers(n_cameras))
             eo = cameras[cam_id]
@@ -364,8 +370,8 @@ class TestComputeResiduals:
             position = eo.matrix.T @ cam_pt + eo.center
             points[track] = ObjectPoint(position=position, track_id=track)
             x, y = project_points(position, eo, calibrations[cam_id])[0]
-            observations.append(ImageObservation(camera_id=cam_id, track_id=track, x=x, y=y))
-        return observations, cameras, calibrations, points
+            rows.append((cam_id, track, x, y, 1.0))
+        return np.array(rows, dtype=OBSERVATION_DTYPE), cameras, calibrations, points
 
     def test_exact_observations_give_zero(self):
         rng = np.random.default_rng(60)
@@ -379,10 +385,8 @@ class TestComputeResiduals:
         rng = np.random.default_rng(61)
         observations, cameras, calibrations, points = self._scene(rng)
         m = len(observations)
-        bumped = observations[5]
-        observations[5] = ImageObservation(
-            camera_id=bumped.camera_id, track_id=bumped.track_id, x=bumped.x + 3.0, y=bumped.y - 4.0
-        )
+        observations["x"][5] += 3.0
+        observations["y"][5] -= 4.0
         residuals, rms = compute_residuals(observations, cameras, calibrations, points)
         np.testing.assert_allclose(residuals[10:12], [3.0, -4.0], atol=1e-9)
         np.testing.assert_allclose(rms, 5.0 / np.sqrt(2.0 * m), rtol=1e-9)
@@ -390,52 +394,44 @@ class TestComputeResiduals:
     def test_residual_order_follows_observations(self):
         rng = np.random.default_rng(62)
         observations, cameras, calibrations, points = self._scene(rng, n_points=20)
-        noisy = [
-            ImageObservation(
-                camera_id=obs.camera_id,
-                track_id=obs.track_id,
-                x=obs.x + rng.normal(),
-                y=obs.y + rng.normal(),
-            )
-            for obs in observations
-        ]
+        noisy = observations.copy()
+        for obs in noisy:
+            obs["x"] += rng.normal()
+            obs["y"] += rng.normal()
         rng.shuffle(noisy)
         residuals, _ = compute_residuals(noisy, cameras, calibrations, points)
-        for i, obs in enumerate(noisy):
+        for i, (cam_id, track, x, y, _) in enumerate(noisy.tolist()):
             projected = project_points(
-                points[obs.track_id].position, cameras[obs.camera_id], calibrations[obs.camera_id]
+                points[track].position, cameras[cam_id], calibrations[cam_id]
             )[0]
             np.testing.assert_allclose(
-                residuals[2 * i : 2 * i + 2], [obs.x - projected[0], obs.y - projected[1]], atol=1e-9
+                residuals[2 * i : 2 * i + 2], [x - projected[0], y - projected[1]], atol=1e-9
             )
 
     def test_noise_rms_matches_sigma(self):
         rng = np.random.default_rng(63)
         sigma = 0.5
         observations, cameras, calibrations, points = self._scene(rng, n_points=2000)
-        noisy = [
-            ImageObservation(
-                camera_id=obs.camera_id,
-                track_id=obs.track_id,
-                x=obs.x + rng.normal(0.0, sigma),
-                y=obs.y + rng.normal(0.0, sigma),
-            )
-            for obs in observations
-        ]
+        noisy = observations.copy()
+        for obs in noisy:
+            obs["x"] += rng.normal(0.0, sigma)
+            obs["y"] += rng.normal(0.0, sigma)
         _, rms = compute_residuals(noisy, cameras, calibrations, points)
         assert abs(rms - sigma) < 0.1 * sigma
 
     def test_unknown_camera_raises(self):
         rng = np.random.default_rng(64)
         observations, cameras, calibrations, points = self._scene(rng, n_points=5)
-        observations.append(ImageObservation(camera_id=99, track_id=0, x=0.0, y=0.0))
+        observations = np.append(observations, observations[:1])
+        observations[-1]["camera"] = 99
         with pytest.raises(ValueError, match="camera 99"):
             compute_residuals(observations, cameras, calibrations, points)
 
     def test_unknown_track_raises(self):
         rng = np.random.default_rng(65)
         observations, cameras, calibrations, points = self._scene(rng, n_points=5)
-        observations.append(ImageObservation(camera_id=0, track_id=777, x=0.0, y=0.0))
+        observations = np.append(observations, observations[:1])
+        observations[-1]["track"] = 777
         with pytest.raises(ValueError, match="track 777"):
             compute_residuals(observations, cameras, calibrations, points)
 
@@ -451,3 +447,80 @@ class TestComputeResiduals:
         residuals, rms = compute_residuals([], {}, {}, {})
         assert residuals.shape == (0,)
         assert rms == 0.0
+
+
+class TestObservationTable:
+    @staticmethod
+    def _table(**columns):
+        names = list(columns)
+        dtype = [(name, np.asarray(columns[name]).dtype) for name in names]
+        table = np.empty(len(columns[names[0]]), dtype=dtype)
+        for name in names:
+            table[name] = columns[name]
+        return table
+
+    def test_table_of_the_dtype_passes_as_it_is(self):
+        table = np.array([(0, 1, 2.0, 3.0, 0.5)], dtype=OBSERVATION_DTYPE)
+        assert observation_table(table) is table
+
+    def test_empty_sequence_is_an_empty_table(self):
+        table = observation_table([])
+        assert table.dtype == OBSERVATION_DTYPE and table.shape == (0,)
+
+    def test_other_column_types_convert(self):
+        table = observation_table(
+            self._table(
+                camera=np.array([3, 4], dtype=np.int32),
+                track=np.array([7, 8], dtype=np.uint16),
+                x=np.array([1.5, 2.0], dtype=np.float32),
+                y=np.array([-1, 2]),
+                weight=np.array([0.25, 2.0]),
+            )
+        )
+        assert table.dtype == OBSERVATION_DTYPE
+        assert table.tolist() == [(3, 7, 1.5, -1.0, 0.25), (4, 8, 2.0, 2.0, 2.0)]
+
+    @pytest.mark.parametrize("name", ["camera", "track"])
+    @pytest.mark.parametrize(
+        "ids,shown", [([False, True], "False"), ([2.0, 1.5], "2.0"), ([3.0, 4.0], "3.0")]
+    )
+    def test_bool_or_float_ids_refused_not_truncated(self, name, ids, shown):
+        # A float id column is refused even where every id is whole, as a
+        # scenario file refuses 1.0 for an id.
+        columns = dict(camera=[0, 1], track=[5, 6], x=[0.0, 1.0], y=[0.0, 1.0], weight=[1.0, 1.0])
+        columns[name] = np.array(ids)
+        with pytest.raises(
+            ValueError, match=rf"^observations\[0\]\.{name}: expected an integer, got {shown}$"
+        ):
+            observation_table(self._table(**columns))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_non_positive_weight_refused(self, weight):
+        table = np.array([(0, 1, 2.0, 3.0, 1.0), (0, 2, 2.0, 3.0, weight)], dtype=OBSERVATION_DTYPE)
+        message = rf"^observations\[1\]\.weight: expected a finite number > 0, got {weight}$"
+        with pytest.raises(ValueError, match=message):
+            observation_table(table)
+
+    def test_text_coordinates_refused(self):
+        table = self._table(camera=[0], track=[1], x=["1.5"], y=[0.0], weight=[1.0])
+        message = r"^observations\[0\]\.x: expected a number, got '1\.5'$"
+        with pytest.raises(ValueError, match=message):
+            observation_table(table)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            dict(camera=[0], track=[1], x=[0.0], y=[0.0]),
+            dict(camera=[0], track=[1], x=[0.0], y=[0.0], weight=[1.0], z=[0.0]),
+            dict(track=[1], camera=[0], x=[0.0], y=[0.0], weight=[1.0]),
+        ],
+    )
+    def test_fields_must_be_the_table_fields(self, columns):
+        with pytest.raises(ValueError, match=r"^observations: expected a 1-D table of the fields"):
+            observation_table(self._table(**columns))
+
+    def test_rows_that_are_not_a_table_refused(self):
+        with pytest.raises(ValueError, match="^observations: expected a table, got list$"):
+            observation_table([(0, 1, 2.0, 3.0, 1.0)])
+        with pytest.raises(ValueError, match="expected a 1-D table"):
+            observation_table(np.zeros((2, 2), dtype=OBSERVATION_DTYPE))

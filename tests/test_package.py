@@ -1,4 +1,6 @@
 """Package-level guards."""
+import json
+
 import cloudchange
 
 
@@ -33,3 +35,36 @@ def test_traced_layer_boundaries_resolve():
         if not callable(getattr(module, name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_pose_uses_resolve(tmp_path):
+    # The benchmark's pose workload packs an estimate with no observations
+    # as `observations=[]`, counts `len(scenario.observations)` and hands
+    # `scenario.observations` of a loaded file to `refine_progressive`.
+    from cloudchange import (
+        PoseScenarioConfig,
+        Scenario,
+        generate_pose_scenario,
+        load_scenario,
+        refine_progressive,
+        save_scenario,
+    )
+
+    config = PoseScenarioConfig(n_fixed_cameras=3, n_new_cameras=3, n_points=20, seed=1)
+    path = tmp_path / "scenario.json"
+    save_scenario(generate_pose_scenario(config).to_scenario(), path)
+    scenario = load_scenario(path)
+    assert len(scenario.observations) == 6 * 20
+    result = refine_progressive(
+        scenario.fixed_epochs, scenario.new_epoch, scenario.points, scenario.observations
+    )
+    estimate = Scenario(
+        fixed_epochs=result.fixed_cameras,
+        new_epoch=result.new_cameras,
+        points=result.points,
+        observations=[],
+        truth={"rejected_observations": result.rejected_observations, "rms_px": result.rms},
+    )
+    assert len(estimate.observations) == 0
+    save_scenario(estimate, tmp_path / "estimate.json")
+    assert json.loads((tmp_path / "estimate.json").read_text())["observations"] == []

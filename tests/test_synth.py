@@ -378,7 +378,8 @@ class TestPoseScenario:
         config = self._small()
         scenario = generate_pose_scenario(config)
         assert len(scenario.observations) == 9 * 60
-        seen = {(o.camera_id, o.track_id) for o in scenario.observations}
+        observations = scenario.observations
+        seen = set(zip(observations["camera"].tolist(), observations["track"].tolist()))
         assert len(seen) == 9 * 60
 
     def test_exact_outlier_count_and_magnitude(self):
@@ -389,13 +390,15 @@ class TestPoseScenario:
         assert len(scenario.outlier_indices) == math.floor(0.02 * m)
         for i in scenario.outlier_indices:
             shift = math.hypot(
-                scenario.observations[i].x - clean.observations[i].x,
-                scenario.observations[i].y - clean.observations[i].y,
+                scenario.observations[i]["x"] - clean.observations[i]["x"],
+                scenario.observations[i]["y"] - clean.observations[i]["y"],
             )
             assert config.outlier_shift <= shift <= 2 * config.outlier_shift
-        untouched = set(range(m)) - set(scenario.outlier_indices)
-        for i in untouched:
-            assert scenario.observations[i].x == clean.observations[i].x
+        untouched = np.ones(m, dtype=bool)
+        untouched[scenario.outlier_indices] = False
+        np.testing.assert_array_equal(
+            scenario.observations[untouched], clean.observations[untouched]
+        )
 
     def test_initial_perturbation_magnitudes(self):
         config = self._small(initial_center_offset=0.5, initial_rotation_deg=1.0)
@@ -408,9 +411,7 @@ class TestPoseScenario:
         a = generate_pose_scenario(self._small(noise_sigma=0.5, outlier_fraction=0.01))
         b = generate_pose_scenario(self._small(noise_sigma=0.5, outlier_fraction=0.01))
         assert a.outlier_indices == b.outlier_indices
-        assert all(
-            x.x == y.x and x.y == y.y for x, y in zip(a.observations, b.observations)
-        )
+        assert a.observations.tobytes() == b.observations.tobytes()
 
     def test_blind_geometry_rejected(self):
         config = self._small(point_extent=(10.0, 10.0, 40.0), overhead_height=16.0)
