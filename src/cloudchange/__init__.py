@@ -34,9 +34,9 @@ from .registration import (
 )
 from .cameras import (
     OBSERVATION_DTYPE,
+    POINT_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ObjectPoint,
     SelfCalibration,
     project_points,
     projection_jacobians,
@@ -102,8 +102,8 @@ __all__ = [
     "IcpResult",
     "Lattice",
     "OBSERVATION_DTYPE",
-    "ObjectPoint",
     "Octree",
+    "POINT_DTYPE",
     "PipelineConfig",
     "PointCloud",
     "PoseScenario",

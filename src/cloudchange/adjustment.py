@@ -4,9 +4,10 @@ Given camera poses and self-calibration for one or more earlier (reference)
 epochs, initial values for the newest epoch, and tie-point observations
 spanning all of them, the solver estimates the newest epoch's exterior
 orientations, its self-calibration, and the shared object points. The
-observations are one table of OBSERVATION_DTYPE rows (camera, track, x, y,
-weight) from the scenario file to the solver, which reads its columns as
-camera and track indices, pixels and weights. Reference
+observations and the points are two tables, of OBSERVATION_DTYPE rows
+(camera, track, x, y, weight) and POINT_DTYPE rows (track, position), from
+the scenario file to the solver, which reads their columns as camera and
+track indices, pixels, weights and one (n, 3) array of positions. Reference
 parameters stay exactly at their inputs: by default they are excluded from
 the parameter vector, which is the exact limit of giving them infinite prior
 weight; a `prior_weight` mode that instead keeps them as parameters under a
@@ -61,9 +62,9 @@ from scipy.spatial.transform import Rotation
 
 from .cameras import (
     OBSERVATION_DTYPE,
+    POINT_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ObjectPoint,
     SelfCalibration,
     _JAC_CAL,
     _JAC_CENTER,
@@ -72,7 +73,9 @@ from .cameras import (
     _UNIT_CAL,
     _projection,
     _require_in_front,
+    _table_of,
     observation_table,
+    point_table,
 )
 
 __all__ = [
@@ -371,8 +374,8 @@ class AdjustmentResult:
 
     Attributes:
         new_cameras: optimized new-epoch cameras and self-calibration.
-        points: optimized object points by track id (tracks dropped from the
-            solve keep their last, possibly initial, value).
+        points: optimized object points as a POINT_DTYPE table (tracks
+            dropped from the solve keep their last, possibly initial, value).
         fixed_cameras: the reference-epoch inputs, echoed unchanged.
         residuals: (2m,) residuals of all input observations at the final
             parameters, input order, NaN where a point fell behind a camera.
@@ -385,7 +388,7 @@ class AdjustmentResult:
     """
 
     new_cameras: EpochCameras
-    points: Dict[int, ObjectPoint]
+    points: np.ndarray
     fixed_cameras: List[EpochCameras]
     residuals: np.ndarray
     rms: float
@@ -412,7 +415,7 @@ class _Problem:
         self,
         fixed_epochs: Sequence[EpochCameras],
         new_epoch: EpochCameras,
-        points: Mapping[int, ObjectPoint],
+        points: np.ndarray,
         observations: np.ndarray,
         include_fixed: bool,
     ) -> None:
@@ -449,11 +452,10 @@ class _Problem:
         self.input_cen = self.cam_cen.copy()
         self.input_cal = self.cal_values.copy()
 
-        # Track table and observation arrays.
-        self.track_ids = sorted(points)
-        self.positions = np.array(
-            [points[t].position for t in self.track_ids], dtype=np.float64
-        ).reshape(-1, 3)
+        # Point table and observation arrays; the solver moves a copy of the positions.
+        self.points = point_table(points)
+        self.track_ids = self.points["track"]
+        self.positions = self.points["position"].copy()
         observations = observation_table(observations)
         self.obs_cam = _rows_of(self.cam_ids, observations["camera"], "camera")
         self.obs_track = _rows_of(self.track_ids, observations["track"], "track")
@@ -757,30 +759,22 @@ def _levenberg_marquardt(
     return False
 
 
-def _normalize_points(points) -> Dict[int, ObjectPoint]:
-    if not isinstance(points, Mapping):
-        return {p.track_id: p for p in points}
-    return {
-        track: p if isinstance(p, ObjectPoint) else ObjectPoint(position=p, track_id=track)
-        for track, p in points.items()
-    }
-
-
 def refine_progressive(
     fixed: Union[EpochCameras, Sequence[EpochCameras]],
     new: EpochCameras,
-    points: Union[Mapping[int, ObjectPoint], Sequence[ObjectPoint]],
+    points: np.ndarray,
     observations: np.ndarray,
     options: Optional[AdjustmentOptions] = None,
 ) -> AdjustmentResult:
     """Estimate new-epoch poses, self-calibration, and object points.
 
     Reference-epoch parameters never move; see the module docstring for the
-    two ways that is enforced. `observations` is a table that
-    `cameras.observation_table` accepts; its rows may reference cameras of
-    any epoch, and residuals and rejected observations are given by row.
-    Tracks observed fewer than `options.min_track_length` times are dropped
-    with a warning and their observations reported as rejected.
+    two ways that is enforced. `points` and `observations` are tables that
+    `cameras.point_table` and `cameras.observation_table` accept; observation
+    rows may reference cameras of any epoch, and residuals and rejected
+    observations are given by row. Tracks observed fewer than
+    `options.min_track_length` times are dropped with one warning each, and
+    their observations reported as rejected.
 
     Raises ValueError for a malformed table, dangling camera/track
     references, duplicate camera ids across epochs, a new camera with no
@@ -793,7 +787,7 @@ def refine_progressive(
     problem = _Problem(
         fixed_epochs,
         new,
-        _normalize_points(points),
+        points,
         observations,
         include_fixed=options.fixed_handling == "prior_weight",
     )
@@ -801,6 +795,10 @@ def refine_progressive(
     mask = np.ones(m, dtype=bool)
     track_active = np.ones(len(problem.track_ids), dtype=bool)
     rejected: List[int] = []
+
+    unobserved = np.bincount(problem.obs_track, minlength=len(problem.track_ids)) == 0
+    for track in problem.track_ids[unobserved].tolist():
+        logger.warning("track %s has no observations; carried through unchanged", track)
 
     def enforce_track_support() -> None:
         """Drop tracks below the minimum observation count (cascading)."""
@@ -815,7 +813,7 @@ def refine_progressive(
             dropped = np.flatnonzero(mask & starved[problem.obs_track])
             mask[dropped] = False
             rejected.extend(dropped.tolist())
-            for j in np.flatnonzero(starved):
+            for j in np.flatnonzero(starved & ~unobserved):
                 logger.warning(
                     "track %s kept %d observation(s), fewer than %d; dropped from the solve",
                     problem.track_ids[j],
@@ -823,9 +821,6 @@ def refine_progressive(
                     options.min_track_length,
                 )
 
-    unobserved = np.bincount(problem.obs_track, minlength=len(problem.track_ids)) == 0
-    for track in np.asarray(problem.track_ids)[unobserved].tolist():
-        logger.warning("track %s has no observations; carried through unchanged", track)
     enforce_track_support()
 
     def check_camera_support() -> None:
@@ -870,10 +865,8 @@ def refine_progressive(
         )
         for i in range(problem.n_new_cams)
     }
-    result_points = {
-        track: ObjectPoint(position=problem.positions[j], track_id=track)
-        for j, track in enumerate(problem.track_ids)
-    }
+    result_points = problem.points.copy()
+    result_points["position"] = problem.positions
     return AdjustmentResult(
         new_cameras=EpochCameras(
             epoch=new.epoch,
@@ -897,7 +890,8 @@ class Scenario:
     Attributes:
         fixed_epochs: reference epochs whose parameters stay at their inputs.
         new_epoch: the epoch whose parameters are to be estimated.
-        points: initial object points by track id.
+        points: initial object points, made one table sorted by track by
+            `cameras.point_table`, naming a fault "scenario.points[3]...".
         observations: tie-point measurements across all epochs, made one
             table by `cameras.observation_table` (an empty list included).
         truth: optional ground-truth block (same layout as the estimate
@@ -906,12 +900,13 @@ class Scenario:
 
     fixed_epochs: List[EpochCameras]
     new_epoch: EpochCameras
-    points: Dict[int, ObjectPoint]
+    points: np.ndarray
     observations: np.ndarray
     truth: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        self.observations = observation_table(self.observations)
+        self.points = point_table(self.points, "scenario.points")
+        self.observations = observation_table(self.observations, "scenario.observations")
 
 
 def _epoch_to_dict(epoch: EpochCameras, fixed: bool) -> dict:
@@ -920,21 +915,15 @@ def _epoch_to_dict(epoch: EpochCameras, fixed: bool) -> dict:
         "fixed": fixed,
         "calibration": dataclasses.asdict(epoch.calibration),
         "cameras": [
-            {
-                "id": cam_id,
-                "center": [float(v) for v in eo.center],
-                "rotation": [float(v) for v in eo.rotation],
-            }
+            {"id": cam_id, "center": eo.center.tolist(), "rotation": eo.rotation.tolist()}
             for cam_id, eo in sorted(epoch.cameras.items())
         ],
     }
 
 
-def _points_to_list(points: Mapping[int, ObjectPoint]) -> List[dict]:
-    return [
-        {"track": track, "position": [float(v) for v in point.position]}
-        for track, point in sorted(points.items())
-    ]
+def _points_to_list(points: np.ndarray) -> List[dict]:
+    columns = points["track"].tolist(), points["position"].tolist()
+    return [{"track": track, "position": position} for track, position in zip(*columns)]
 
 
 # Value kinds of scenario JSON fields: the types a scalar may have (the JSON
@@ -995,23 +984,26 @@ def _columns(items: list, fields: Mapping, defaults: Mapping) -> Optional[Dict[s
     return columns
 
 
-def _records(value, where: str, fields: Mapping, defaults: Mapping = {}, unique="") -> dict:
+def _records(value, where: str, fields: Mapping, defaults: Mapping = {}) -> dict:
     """A scenario JSON list of objects, read by _columns. A list that fails
-    is walked an object at a time, so that _object names the first fault.
-    With `unique`, the name of what the first key of `fields` holds, no two
-    objects share it."""
+    is walked an object at a time, so that _object names the first fault."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a JSON list, got {type(value).__name__}")
     columns = _columns(value, fields, defaults)
     if columns is None:
         for i, item in enumerate(value):
             _object(item, f"{where}[{i}]", fields, defaults)
-    key = next(iter(fields))
-    if unique and len(set(columns[key])) < len(value):
-        seen: set = set()
-        i = next(i for i, item in enumerate(columns[key]) if item in seen or seen.add(item))
-        raise ValueError(f"{where}[{i}].{key}: duplicate {unique} {columns[key][i]}")
     return columns
+
+
+def _built(build, where: str, values: Mapping[str, object], otherwise: str):
+    """build(**values); a ValueError it raises is prefixed with the path of
+    the first of `values` that is not finite, or of `otherwise` if all are."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        key = next((k for k, v in values.items() if not np.isfinite(v).all()), otherwise)
+        raise ValueError(f"{where}.{key}: {exc}") from None
 
 
 def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
@@ -1021,12 +1013,16 @@ def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
     calibration = _object(
         entries["calibration"][i], f"{where}.calibration", dict.fromkeys(keys, _NUMBER), keys[1:]
     )
+    calibration = _built(SelfCalibration, f"{where}.calibration", calibration, "focal_length")
     fields = {"id": _INTEGER, "center": _VECTOR, "rotation": _VECTOR}
-    poses = _records(entries["cameras"][i], f"{where}.cameras", fields, unique="camera id")
-    cameras = {cam_id: ExteriorOrientation(*pose) for cam_id, *pose in zip(*poses.values())}
-    return EpochCameras(
-        epoch=entries["epoch"][i], calibration=SelfCalibration(**calibration), cameras=cameras
-    )
+    poses = _records(entries["cameras"][i], f"{where}.cameras", fields)
+    cameras = {}
+    for k, (cam_id, center, rotation) in enumerate(zip(*poses.values())):
+        if cam_id in cameras:
+            raise ValueError(f"{where}.cameras[{k}].id: duplicate camera id {cam_id}")
+        pose = {"center": center, "rotation": rotation}
+        cameras[cam_id] = _built(ExteriorOrientation, f"{where}.cameras[{k}]", pose, "rotation")
+    return EpochCameras(epoch=entries["epoch"][i], calibration=calibration, cameras=cameras)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -1072,17 +1068,13 @@ def load_scenario(path) -> Scenario:
         raise ValueError(
             f"scenario must contain exactly one non-fixed epoch, found {len(new_epochs)}"
         )
-    fields = {"track": _INTEGER, "position": _VECTOR}
-    points = _records(payload["points"], "scenario.points", fields, unique="track")
+    points = _records(payload["points"], "scenario.points", {"track": _INTEGER, "position": _VECTOR})
     where = "scenario.observations"
     columns = _records(payload["observations"], where, _OBSERVATION_FIELDS, {"weight": 1.0})
-    observations = np.empty(len(payload["observations"]), OBSERVATION_DTYPE)
-    for key, column in columns.items():
-        observations[key] = column
     return Scenario(
         fixed_epochs=fixed_epochs,
         new_epoch=new_epochs[0],
-        points={track: ObjectPoint(p, track) for track, p in zip(*points.values())},
-        observations=observation_table(observations, where),
+        points=_table_of(POINT_DTYPE, **points),
+        observations=_table_of(OBSERVATION_DTYPE, **columns),
         truth=payload.get("truth"),
     )

@@ -1,9 +1,12 @@
-"""Photogrammetric camera model: pose/calibration types, observation table, projection.
+"""Photogrammetric camera model: poses, calibration, observation and point tables, projection.
 
 The projection is a pinhole with polynomial radial distortion applied to
 normalized image coordinates: p = R (X - C); (u, v) = (p_x/p_z, p_y/p_z);
 r^2 = u^2 + v^2; (u_d, v_d) = (u, v) (1 + k1 r^2 + k2 r^4); pixel = f u_d + cx,
 f v_d + cy. R maps object frame to camera frame, +z looking out of the camera.
+
+Observations and object points are 1-D structured arrays of OBSERVATION_DTYPE
+and POINT_DTYPE rows, made and checked by observation_table and point_table.
 
 One kernel evaluates the model and its analytic Jacobians. It runs over
 groups of observations, each seen by one camera and padded to a common
@@ -104,60 +107,77 @@ class SelfCalibration:
         return cls(f, cx, cy, k1, k2)
 
 
-@dataclass(frozen=True)
-class ObjectPoint:
-    """A tie point's 3D position, keyed by its track id."""
-
-    position: np.ndarray
-    track_id: int
-
-    def __post_init__(self) -> None:
-        position = np.asarray(self.position, dtype=np.float64).reshape(3).copy()
-        if not np.isfinite(position).all():
-            raise ValueError("object point must be finite")
-        position.flags.writeable = False
-        object.__setattr__(self, "position", position)
-
-
-# One row per measured image point of a track in a camera, with its weight in
-# the adjustment; the field names are a scenario file's observation keys.
+# Rows of image points (a track measured in a camera, weighted in the
+# adjustment) and of object points, named like a scenario file's keys.
 OBSERVATION_DTYPE = np.dtype(
     [("camera", np.int64), ("track", np.int64)]
     + [(name, np.float64) for name in ("x", "y", "weight")]
 )
+POINT_DTYPE = np.dtype([("track", np.int64), ("position", np.float64, (3,))])
+
+
+def _table(rows, dtype: np.dtype, where: str, positive=()) -> np.ndarray:
+    """`rows`, a 1-D structured array with the fields of `dtype` in its order
+    and of its shapes, or an empty sequence, as a table of `dtype`; one of
+    `dtype` comes back as it is. An integer field must hold an integer type
+    (a bool or float column is refused, not truncated), and every other field
+    finite numbers, > 0 in the fields `positive` names. A fault is a
+    ValueError naming `where` and the first faulty row and field."""
+    if not isinstance(rows, np.ndarray):
+        if len(rows):
+            raise ValueError(f"{where}: expected a table, got {type(rows).__name__}")
+        return np.empty(0, dtype)
+    fields = [(name, rows.dtype[name].shape) for name in rows.dtype.names or ()]
+    if rows.ndim != 1 or fields != [(name, dtype[name].shape) for name in dtype.names]:
+        raise ValueError(f"{where}: expected a 1-D table of the fields {dtype.names}")
+    for name in dtype.names:
+        column, kind, shape = rows[name], rows[name].dtype.kind, dtype[name].shape
+        number = f"{shape[0]} {{}}numbers" if shape else "a {}number"
+        if dtype[name].kind == "i":
+            expected, bad = "an integer", np.full(len(column), kind not in "iu")
+        elif kind not in "iuf":
+            expected, bad = number.format(""), np.full(len(column), True)
+        else:
+            good = np.isfinite(column) & ((column > 0) if name in positive else True)
+            expected = number.format("finite ") + (" > 0" if name in positive else "")
+            bad = ~good.reshape(len(column), -1).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where}[{i}].{name}: expected {expected}, got {column[i].tolist()!r}")
+    return rows.astype(dtype, copy=False)
+
+
+def _table_of(dtype: np.dtype, **columns) -> np.ndarray:
+    """A table of `dtype` filled from one array or list per field."""
+    table = np.empty(len(next(iter(columns.values()))), dtype)
+    for name, column in columns.items():
+        table[name] = np.reshape(column, table[name].shape)
+    return table
 
 
 def observation_table(observations, where: str = "observations") -> np.ndarray:
-    """`observations` as a checked table of OBSERVATION_DTYPE rows.
+    """`observations` as a checked table of OBSERVATION_DTYPE rows (see
+    _table): integer camera and track ids, finite x and y, and each weight
+    finite and > 0, e.g. "observations[3].x: expected a finite number, got nan"."""
+    return _table(observations, OBSERVATION_DTYPE, where, positive=("weight",))
 
-    `observations` is a 1-D structured array with the table's fields, in its
-    order, or an empty sequence; a table of OBSERVATION_DTYPE comes back as
-    it is. Camera and track ids of a bool or float type are refused, not
-    truncated; x and y must be finite, and each weight finite and > 0. A
-    fault is a ValueError naming `where` and the first faulty row and field,
-    e.g. "observations[3].x: expected a finite number, got nan".
-    """
-    if not isinstance(observations, np.ndarray):
-        if len(observations):
-            raise ValueError(f"{where}: expected a table, got {type(observations).__name__}")
-        return np.empty(0, OBSERVATION_DTYPE)
-    if observations.ndim != 1 or observations.dtype.names != OBSERVATION_DTYPE.names:
-        raise ValueError(f"{where}: expected a 1-D table of the fields {OBSERVATION_DTYPE.names}")
-    for name in OBSERVATION_DTYPE.names:
-        column = observations[name]
-        kind = column.dtype.kind
-        if name in ("camera", "track"):
-            expected, bad = "an integer", np.full(len(column), kind not in "iu")
-        elif kind not in "iuf":
-            expected, bad = "a number", np.full(len(column), True)
-        elif name == "weight":
-            expected, bad = "a finite number > 0", ~(np.isfinite(column) & (column > 0))
-        else:
-            expected, bad = "a finite number", ~np.isfinite(column)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{where}[{i}].{name}: expected {expected}, got {column[i].item()!r}")
-    return observations.astype(OBSERVATION_DTYPE, copy=False)
+
+def point_table(points, where: str = "points") -> np.ndarray:
+    """`points` as a checked table of POINT_DTYPE rows (see _table), sorted by
+    track, of which none repeats; one already sorted comes back as it is.
+    Each position must be 3 finite numbers, e.g. "points[3].position:
+    expected 3 finite numbers, got [nan, 0.0, 0.0]"."""
+    table = _table(points, POINT_DTYPE, where)
+    tracks = table["track"]
+    if (np.diff(tracks) > 0).all():
+        return table
+    order = np.argsort(tracks, kind="stable")
+    # Stable order puts each repeat after the row it repeats.
+    repeats = order[1:][np.diff(tracks[order]) == 0]
+    if len(repeats):
+        i = int(repeats.min())
+        raise ValueError(f"{where}[{i}].track: duplicate track {tracks[i]}")
+    return table[order]
 
 
 @dataclass
@@ -173,12 +193,6 @@ class EpochCameras:
     epoch: int
     calibration: SelfCalibration
     cameras: Dict[int, ExteriorOrientation] = field(default_factory=dict)
-
-
-def _positions(points) -> np.ndarray:
-    if isinstance(points, ObjectPoint):
-        return points.position[None, :]
-    return np.atleast_2d(np.asarray(points, dtype=np.float64))
 
 
 # The rows of the kernel's Jacobian (_Projection.jac), read by the bundle
@@ -324,13 +338,8 @@ def _projection(
 
 def _one_camera(points, eo: ExteriorOrientation, sc: SelfCalibration, jacobians: bool) -> _Projection:
     """The kernel over one group: all `points` in camera (eo, sc)."""
-    return _projection(
-        _positions(points).T[None],
-        eo.matrix[None],
-        eo.center[None],
-        sc.as_array()[None],
-        jacobians,
-    )
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64)).T[None]
+    return _projection(points, eo.matrix[None], eo.center[None], sc.as_array()[None], jacobians)
 
 
 def _require_in_front(depth: np.ndarray) -> None:

@@ -3,7 +3,8 @@
 Building-like point clouds sampled from axis-aligned surfaces, scripted
 demolition that returns exact truth labels and closed-form removed volumes,
 isotropic measurement noise, and camera-network scenarios for the bundle
-adjustment solver. Every generator is a deterministic function of its
+adjustment solver, whose observations and object points are tables filled a
+column at a time. Every generator is a deterministic function of its
 parameters and a seed, which is what makes these scenes usable as oracles.
 
 Each epoch cloud is written once: a building's surface counts are known
@@ -17,16 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .cameras import (
     OBSERVATION_DTYPE,
+    POINT_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ObjectPoint,
     SelfCalibration,
+    _table_of,
     project_points,
 )
 from .geometry import ChangeLabel, PointCloud
@@ -534,7 +536,8 @@ class PoseScenario:
         fixed: reference-epoch cameras at their true (and final) values.
         new_truth: true new-epoch cameras and calibration.
         new_initial: perturbed starting values handed to the solver.
-        points_truth / points_initial: object points, true and perturbed.
+        points_truth / points_initial: object points, true and perturbed,
+            each one POINT_DTYPE table with tracks 0 .. n_points - 1.
         observations: measurements including noise and injected outliers,
             one OBSERVATION_DTYPE table, camera-major, each of weight 1.
         outlier_indices: rows of `observations` that were injected as
@@ -544,8 +547,8 @@ class PoseScenario:
     fixed: EpochCameras
     new_truth: EpochCameras
     new_initial: EpochCameras
-    points_truth: Dict[int, ObjectPoint]
-    points_initial: Dict[int, ObjectPoint]
+    points_truth: np.ndarray
+    points_initial: np.ndarray
     observations: np.ndarray
     outlier_indices: List[int]
 
@@ -562,7 +565,7 @@ class PoseScenario:
         return Scenario(
             fixed_epochs=[self.fixed],
             new_epoch=self.new_initial,
-            points=dict(self.points_initial),
+            points=self.points_initial.copy(),
             observations=self.observations.copy(),
             truth=truth,
         )
@@ -624,9 +627,7 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
             rng.uniform(0.0, ez, config.n_points),
         ]
     )
-    points_truth = {
-        t: ObjectPoint(position=positions[t], track_id=t) for t in range(config.n_points)
-    }
+    points_truth = _table_of(POINT_DTYPE, track=np.arange(config.n_points), position=positions)
     # Slightly off-centre target keeps overhead cameras away from the
     # degenerate straight-down pose.
     target = np.array([0.6, 0.4, ez / 2.0])
@@ -688,13 +689,9 @@ def generate_pose_scenario(config: PoseScenarioConfig) -> PoseScenario:
         new_initial_cams[cam_id] = eo.perturbed(delta_rot, delta_cen)
     initial_cal = config.initial_calibration or config.new_calibration
     new_initial = EpochCameras(epoch=1, calibration=initial_cal, cameras=new_initial_cams)
-    points_initial = {
-        t: ObjectPoint(
-            position=p.position + rng.normal(0.0, config.initial_point_sigma, 3),
-            track_id=t,
-        )
-        for t, p in points_truth.items()
-    }
+    # One (n, 3) draw gives the bits of n draws of 3, in the same order.
+    points_initial = points_truth.copy()
+    points_initial["position"] += rng.normal(0.0, config.initial_point_sigma, (config.n_points, 3))
 
     return PoseScenario(
         fixed=fixed,

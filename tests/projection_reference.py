@@ -17,12 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial.transform import Rotation
 
-from cloudchange.cameras import (
-    OBSERVATION_DTYPE,
-    ExteriorOrientation,
-    ObjectPoint,
-    SelfCalibration,
-)
+from cloudchange.cameras import OBSERVATION_DTYPE, ExteriorOrientation, SelfCalibration
 
 _CAM_PARAMS = 6
 _CAL_PARAMS = 5
@@ -94,17 +89,20 @@ def compute_residuals(
     observations: np.ndarray,
     cameras: Mapping[int, ExteriorOrientation],
     calibrations: Mapping[int, SelfCalibration],
-    points: Mapping[int, Union[ObjectPoint, np.ndarray]],
+    points: Union[np.ndarray, Mapping[int, np.ndarray]],
 ) -> Tuple[np.ndarray, float]:
     """Reprojection residuals (measured - projected) and their RMS, one
     `project_rows` row per row of the observation table (an empty list is
-    an empty table).
+    an empty table). `points` is a table of POINT_DTYPE rows or a mapping of
+    track id to position.
 
     Residuals come back flat, two entries (x, y) per observation in input
     order; RMS is over all 2m entries, pixels. Raises on an unknown camera
     or track, or a point at or behind its camera plane.
     """
     rows = np.asarray(observations, dtype=OBSERVATION_DTYPE).tolist()
+    if isinstance(points, np.ndarray):
+        points = dict(zip(points["track"].tolist(), points["position"]))
     for camera, track, *_ in rows:
         if camera not in cameras:
             raise ValueError(f"observation references unknown camera {camera}")
@@ -113,13 +111,9 @@ def compute_residuals(
     if not rows:
         return np.empty(0), 0.0
 
-    def position_of(track_id):
-        point = points[track_id]
-        return point.position if isinstance(point, ObjectPoint) else point
-
     matrices = {camera: cameras[camera].matrix for camera, *_ in rows}
     pixels, depth = project_rows(
-        np.array([position_of(track) for _, track, *_ in rows], dtype=np.float64),
+        np.array([points[track] for _, track, *_ in rows], dtype=np.float64),
         np.array([matrices[camera] for camera, *_ in rows]),
         np.array([cameras[camera].center for camera, *_ in rows]),
         np.array([calibrations[camera].as_array() for camera, *_ in rows]),

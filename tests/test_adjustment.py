@@ -21,9 +21,9 @@ from cloudchange.adjustment import (
 )
 from cloudchange.cameras import (
     OBSERVATION_DTYPE,
+    POINT_DTYPE,
     EpochCameras,
     ExteriorOrientation,
-    ObjectPoint,
     SelfCalibration,
     project_points,
 )
@@ -65,6 +65,11 @@ def split_fixed_epoch(scenario):
 def observation_rows(*rows):
     """An observation table of (camera, track, x, y) rows of weight 1."""
     return np.array([row + (1.0,) for row in rows], dtype=OBSERVATION_DTYPE)
+
+
+def position_of(points, track):
+    """The position of `track` in a point table."""
+    return points["position"][np.flatnonzero(points["track"] == track)[0]]
 
 
 def camera_rank(observations):
@@ -130,9 +135,9 @@ class TestZeroNoiseRecovery:
         truth_cal = scenario.new_truth.calibration
         assert cal.focal_length == pytest.approx(truth_cal.focal_length, abs=1e-6)
         assert cal.k1 == pytest.approx(truth_cal.k1, abs=1e-9)
-        for track, truth_point in scenario.points_truth.items():
-            gap = np.linalg.norm(result.points[track].position - truth_point.position)
-            assert gap < 1e-9
+        assert result.points["track"].tolist() == scenario.points_truth["track"].tolist()
+        gaps = result.points["position"] - scenario.points_truth["position"]
+        assert np.linalg.norm(gaps, axis=1).max() < 1e-9
 
     def test_fixed_parameters_echo_unchanged(self):
         scenario = small_scenario()
@@ -214,8 +219,8 @@ class TestTrackSupport:
         scenario = small_scenario()
         track_id = 999
         position = np.array([0.3, -0.2, 1.0])
-        points = dict(scenario.points_initial)
-        points[track_id] = ObjectPoint(position=position, track_id=track_id)
+        extra_point = np.array([(track_id, position)], dtype=POINT_DTYPE)
+        points = np.concatenate([scenario.points_initial, extra_point])
         extra = []
         for cam_id in sorted(scenario.fixed.cameras)[:n_observations]:
             pixel = project_points(
@@ -235,7 +240,7 @@ class TestTrackSupport:
             )
         assert any("fewer than" in rec.getMessage() for rec in caplog.records)
         assert len(observations) - 1 in result.rejected_observations
-        np.testing.assert_array_equal(result.points[track_id].position, position)
+        np.testing.assert_array_equal(position_of(result.points, track_id), position)
         assert result.rms < 1e-9
 
     def test_unobserved_track_carried_through(self, caplog):
@@ -245,7 +250,18 @@ class TestTrackSupport:
                 scenario.fixed, scenario.new_initial, points, observations
             )
         assert any("no observations" in rec.getMessage() for rec in caplog.records)
-        np.testing.assert_array_equal(result.points[track_id].position, position)
+        np.testing.assert_array_equal(position_of(result.points, track_id), position)
+
+    def test_unobserved_track_warns_once(self, caplog):
+        # One warning, not a second "kept 0 observation(s)" one from the
+        # track-support check, which still warns for an observed track
+        # (test_short_track_dropped_with_warning).
+        scenario, points, observations, track_id, _ = self._with_extra_track(0)
+        with caplog.at_level(logging.WARNING, logger="cloudchange.adjustment"):
+            refine_progressive(scenario.fixed, scenario.new_initial, points, observations)
+        messages = [rec.getMessage() for rec in caplog.records]
+        about_track = [text for text in messages if text.startswith(f"track {track_id} ")]
+        assert about_track == [f"track {track_id} has no observations; carried through unchanged"]
 
     def test_two_observation_track_survives(self):
         scenario, points, observations, track_id, _ = self._with_extra_track(2)
@@ -308,8 +324,7 @@ class TestRepeatedCalls:
         for cam_id, eo in first.new_cameras.cameras.items():
             np.testing.assert_array_equal(again.new_cameras.cameras[cam_id].center, eo.center)
             np.testing.assert_array_equal(again.new_cameras.cameras[cam_id].rotation, eo.rotation)
-        for track, point in first.points.items():
-            np.testing.assert_array_equal(again.points[track].position, point.position)
+        assert again.points.tobytes() == first.points.tobytes()
 
 
 class TestGroupLayout:
@@ -425,16 +440,12 @@ class TestValidation:
             center=np.array([0.5, 0.2, 0.0]), rotation=np.array([0.01, 0.0, 0.0])
         )
         new = EpochCameras(epoch=1, calibration=cal, cameras={0: new_eo})
-        points = {
-            0: ObjectPoint(np.array([0.0, 0.0, 5.0]), 0),
-            1: ObjectPoint(np.array([1.0, 0.0, 5.0]), 1),
-            2: ObjectPoint(np.array([0.0, 1.0, 5.0]), 2),
-            3: ObjectPoint(np.array([1.0, 1.0, 6.0]), 3),
-        }
+        positions = [(0.0, 0.0, 5.0), (1.0, 0.0, 5.0), (0.0, 1.0, 5.0), (1.0, 1.0, 6.0)]
+        points = np.array(list(enumerate(positions)), dtype=POINT_DTYPE)
         rows = []
         for cam_id, eo, tracks in ((100, fixed_eo, (0, 0, 1, 2, 3)), (0, new_eo, (1, 2, 3))):
             for t in tracks:
-                pixel = project_points(points[t].position[None, :], eo, cal)[0]
+                pixel = project_points(points["position"][t], eo, cal)[0]
                 rows.append((cam_id, t, float(pixel[0]), float(pixel[1])))
         with pytest.raises(ValueError, match="rank-deficient"):
             refine_progressive(fixed, new, points, observation_rows(*rows))
@@ -837,6 +848,31 @@ def _zero_weight(payload):
     return payload
 
 
+def _nan_point_position(payload):
+    payload["points"][3]["position"] = [float("nan"), 0.0, 0.0]
+    return payload
+
+
+def _infinite_camera_center(payload):
+    payload["epochs"][0]["cameras"][1]["center"][2] = float("inf")
+    return payload
+
+
+def _half_turn_rotation(payload):
+    payload["epochs"][0]["cameras"][2]["rotation"] = [0.0, 3.5, 0.0]
+    return payload
+
+
+def _negative_focal_length(payload):
+    payload["epochs"][1]["calibration"]["focal_length"] = -1
+    return payload
+
+
+def _nan_k1(payload):
+    payload["epochs"][1]["calibration"]["k1"] = float("nan")
+    return payload
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12)
@@ -850,10 +886,17 @@ class TestScenarioFiles:
                 loaded.fixed_epochs[0].cameras[cam_id].center, eo.center
             )
         assert loaded.new_epoch.calibration == packed.new_epoch.calibration
-        for track, point in packed.points.items():
-            np.testing.assert_array_equal(loaded.points[track].position, point.position)
+        assert loaded.points.tobytes() == packed.points.tobytes()
         assert loaded.observations.tobytes() == packed.observations.tobytes()
         assert loaded.truth["outlier_observations"] == scenario.outlier_indices
+
+    def test_points_are_made_one_sorted_table(self):
+        packed = small_scenario().to_scenario()
+        epochs = packed.fixed_epochs, packed.new_epoch
+        reversed_points = adjustment.Scenario(*epochs, packed.points[::-1], packed.observations)
+        assert reversed_points.points.tobytes() == packed.points.tobytes()
+        empty = adjustment.Scenario(*epochs, points=[], observations=[])
+        assert empty.points.dtype == POINT_DTYPE and empty.points.shape == (0,)
 
     def test_exactly_one_new_epoch_required(self, tmp_path):
         scenario = small_scenario().to_scenario()
@@ -901,14 +944,38 @@ class TestScenarioFiles:
             _zero_weight,
             r"^scenario\.observations\[5\]\.weight: expected a finite number > 0, got 0\.0$",
         ),
+        (
+            _nan_point_position,
+            r"^scenario\.points\[3\]\.position: "
+            r"expected 3 finite numbers, got \[nan, 0\.0, 0\.0\]$",
+        ),
+        (
+            _infinite_camera_center,
+            r"^scenario\.epochs\[0\]\.cameras\[1\]\.center: camera pose must be finite$",
+        ),
+        (
+            _half_turn_rotation,
+            r"^scenario\.epochs\[0\]\.cameras\[2\]\.rotation: "
+            r"axis-angle magnitude must be < pi, got 3\.500000$",
+        ),
+        (
+            _negative_focal_length,
+            r"^scenario\.epochs\[1\]\.calibration\.focal_length: focal_length must be > 0, got -1$",
+        ),
+        (
+            _nan_k1,
+            r"^scenario\.epochs\[1\]\.calibration\.k1: calibration parameters must be finite$",
+        ),
     ])
     def test_malformed_scenario_names_its_fault(self, tmp_path, damage, message):
         # A missing key, an unknown key, a wrong shape, a value of the wrong
         # type, a repeated id or a value out of range (a NaN or infinite
-        # pixel, which Python's json reads, or a zero weight) is a
-        # ValueError naming it, not a KeyError or TypeError from deep inside
-        # the reader, nor a string read as a number, nor a repeat that
-        # silently replaces the first.
+        # pixel, point or camera centre, which Python's json reads, a
+        # rotation of a half turn or more, a focal length not > 0, a NaN
+        # distortion coefficient or a zero weight) is a ValueError naming
+        # its path, not a KeyError or TypeError from deep inside the reader,
+        # nor a string read as a number, nor a repeat that silently replaces
+        # the first.
         path = tmp_path / "scenario.json"
         save_scenario(small_scenario().to_scenario(), path)
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
@@ -938,9 +1005,7 @@ class TestScenarioFiles:
             for cam_id, eo in want.cameras.items():
                 np.testing.assert_array_equal(got.cameras[cam_id].center, eo.center)
                 np.testing.assert_array_equal(got.cameras[cam_id].rotation, eo.rotation)
-        assert old.points.keys() == new.points.keys()
-        for track, point in new.points.items():
-            np.testing.assert_array_equal(old.points[track].position, point.position)
+        assert old.points.tobytes() == new.points.tobytes()
         assert old.truth == new.truth
 
     def test_solve_after_round_trip_matches_direct_solve(self, tmp_path):

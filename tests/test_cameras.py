@@ -6,10 +6,11 @@ from scipy.spatial.transform import Rotation
 
 from cloudchange.cameras import (
     OBSERVATION_DTYPE,
+    POINT_DTYPE,
     ExteriorOrientation,
-    ObjectPoint,
     SelfCalibration,
     observation_table,
+    point_table,
     project_points,
     _projection,
     projection_jacobians,
@@ -157,7 +158,7 @@ class TestProjection:
 
     def test_object_point_validated(self):
         with pytest.raises(ValueError, match="finite"):
-            ObjectPoint(position=np.array([0.0, np.inf, 0.0]), track_id=3)
+            point_table(np.array([(3, (0.0, np.inf, 0.0))], dtype=POINT_DTYPE))
 
     def test_perturbed_applies_local_rotation_on_the_right(self):
         rng = np.random.default_rng(21)
@@ -359,7 +360,7 @@ class TestComputeResiduals:
             eo, sc, _ = random_setup(rng, n_points=1)
             cameras[cam_id] = eo
             calibrations[cam_id] = sc
-        points = {}
+        points = np.empty(n_points, POINT_DTYPE)
         rows = []
         for track in range(n_points):
             cam_id = int(rng.integers(n_cameras))
@@ -368,7 +369,7 @@ class TestComputeResiduals:
                 [rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(5.0, 30.0)]
             )
             position = eo.matrix.T @ cam_pt + eo.center
-            points[track] = ObjectPoint(position=position, track_id=track)
+            points[track] = track, position
             x, y = project_points(position, eo, calibrations[cam_id])[0]
             rows.append((cam_id, track, x, y, 1.0))
         return np.array(rows, dtype=OBSERVATION_DTYPE), cameras, calibrations, points
@@ -402,7 +403,7 @@ class TestComputeResiduals:
         residuals, _ = compute_residuals(noisy, cameras, calibrations, points)
         for i, (cam_id, track, x, y, _) in enumerate(noisy.tolist()):
             projected = project_points(
-                points[track].position, cameras[cam_id], calibrations[cam_id]
+                points["position"][track], cameras[cam_id], calibrations[cam_id]
             )[0]
             np.testing.assert_allclose(
                 residuals[2 * i : 2 * i + 2], [x - projected[0], y - projected[1]], atol=1e-9
@@ -438,7 +439,7 @@ class TestComputeResiduals:
     def test_points_may_be_plain_arrays(self):
         rng = np.random.default_rng(66)
         observations, cameras, calibrations, points = self._scene(rng, n_points=8)
-        as_arrays = {track: point.position for track, point in points.items()}
+        as_arrays = dict(zip(points["track"].tolist(), points["position"]))
         residuals, rms = compute_residuals(observations, cameras, calibrations, as_arrays)
         np.testing.assert_allclose(residuals, 0.0, atol=1e-9)
         assert rms < 1e-9
@@ -524,3 +525,84 @@ class TestObservationTable:
             observation_table([(0, 1, 2.0, 3.0, 1.0)])
         with pytest.raises(ValueError, match="expected a 1-D table"):
             observation_table(np.zeros((2, 2), dtype=OBSERVATION_DTYPE))
+
+
+class TestPointTable:
+    @staticmethod
+    def _points(*rows):
+        return np.array(list(rows), dtype=POINT_DTYPE)
+
+    def test_sorted_table_of_the_dtype_passes_as_it_is(self):
+        table = self._points((2, (0.0, 1.0, 2.0)), (5, (3.0, 4.0, 5.0)))
+        assert point_table(table) is table
+
+    def test_empty_sequence_is_an_empty_table(self):
+        table = point_table([])
+        assert table.dtype == POINT_DTYPE and table.shape == (0,)
+
+    def test_rows_come_back_sorted_by_track(self):
+        table = self._points((7, (1.0, 1.0, 1.0)), (-2, (2.0, 2.0, 2.0)), (3, (3.0, 3.0, 3.0)))
+        got = point_table(table)
+        assert got["track"].tolist() == [-2, 3, 7]
+        assert got["position"][:, 0].tolist() == [2.0, 3.0, 1.0]
+        assert table["track"].tolist() == [7, -2, 3]
+
+    def test_other_column_types_convert(self):
+        dtype = [("track", np.int32), ("position", np.float32, (3,))]
+        table = np.array([(4, (0.5, 1.0, 2.0)), (1, (1.5, 2.0, 3.0))], dtype=dtype)
+        got = point_table(table)
+        assert got.dtype == POINT_DTYPE
+        assert got["track"].tolist() == [1, 4]
+        assert got["position"].tolist() == [[1.5, 2.0, 3.0], [0.5, 1.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "tracks,shown", [([False, True], "False"), ([2.0, 1.5], "2.0"), ([3.0, 4.0], "3.0")]
+    )
+    def test_bool_or_float_tracks_refused_not_truncated(self, tracks, shown):
+        dtype = [("track", np.asarray(tracks).dtype), ("position", np.float64, (3,))]
+        table = np.array([(t, (0.0, 0.0, 0.0)) for t in tracks], dtype=dtype)
+        message = rf"^points\[0\]\.track: expected an integer, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            point_table(table)
+
+    @pytest.mark.parametrize("value,shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_position_refused(self, value, shown):
+        table = self._points((0, (1.0, 2.0, 3.0)), (1, (0.0, value, 0.0)))
+        message = (
+            r"^scenario\.points\[1\]\.position: "
+            rf"expected 3 finite numbers, got \[0\.0, {shown}, 0\.0\]$"
+        )
+        with pytest.raises(ValueError, match=message):
+            point_table(table, "scenario.points")
+
+    def test_text_position_refused(self):
+        table = np.array([(0, ("1", "2", "3"))], dtype=[("track", int), ("position", "U3", (3,))])
+        message = r"^points\[0\]\.position: expected 3 numbers, got \['1', '2', '3'\]$"
+        with pytest.raises(ValueError, match=message):
+            point_table(table)
+
+    def test_repeated_track_refused(self):
+        # The first row that repeats an earlier track is named, in input order.
+        table = self._points(*((t, (0.0, 0.0, float(t))) for t in (4, 9, 1, 9, 4)))
+        with pytest.raises(ValueError, match=r"^points\[3\]\.track: duplicate track 9$"):
+            point_table(table)
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            [("track", np.int64)],
+            [("track", np.int64), ("position", np.float64, (2,))],
+            [("track", np.int64), ("position", np.float64)],
+            [("position", np.float64, (3,)), ("track", np.int64)],
+            [("track", np.int64), ("position", np.float64, (3,)), ("weight", np.float64)],
+        ],
+    )
+    def test_fields_must_be_the_table_fields(self, dtype):
+        with pytest.raises(ValueError, match=r"^points: expected a 1-D table of the fields"):
+            point_table(np.zeros(2, dtype=dtype))
+
+    def test_rows_that_are_not_a_table_refused(self):
+        with pytest.raises(ValueError, match="^points: expected a table, got list$"):
+            point_table([(0, (0.0, 0.0, 0.0))])
+        with pytest.raises(ValueError, match="expected a 1-D table"):
+            point_table(np.zeros((2, 2), dtype=POINT_DTYPE))

@@ -39,7 +39,8 @@ def test_traced_layer_boundaries_resolve():
 
 def test_benchmark_pose_uses_resolve(tmp_path):
     # The benchmark's pose workload packs an estimate with no observations
-    # as `observations=[]`, counts `len(scenario.observations)` and hands
+    # as `observations=[]` and the solved `result.points`, counts
+    # `len(scenario.observations)` and hands `scenario.points` and
     # `scenario.observations` of a loaded file to `refine_progressive`.
     from cloudchange import (
         PoseScenarioConfig,
@@ -66,5 +67,9 @@ def test_benchmark_pose_uses_resolve(tmp_path):
         truth={"rejected_observations": result.rejected_observations, "rms_px": result.rms},
     )
     assert len(estimate.observations) == 0
+    assert estimate.points is result.points
     save_scenario(estimate, tmp_path / "estimate.json")
-    assert json.loads((tmp_path / "estimate.json").read_text())["observations"] == []
+    saved = json.loads((tmp_path / "estimate.json").read_text())
+    assert saved["observations"] == []
+    assert [p["track"] for p in saved["points"]] == list(range(20))
+    assert [p["position"] for p in saved["points"]] == result.points["position"].tolist()
