@@ -996,14 +996,13 @@ def _records(value, where: str, fields: Mapping, defaults: Mapping = {}) -> dict
     return columns
 
 
-def _built(build, where: str, values: Mapping[str, object], otherwise: str):
-    """build(**values); a ValueError it raises is prefixed with the path of
-    the first of `values` that is not finite, or of `otherwise` if all are."""
+def _built(build, where: str, values: Mapping[str, object]):
+    """build(**values); a ValueError it raises, which starts with the field it
+    refused, is prefixed with `where`."""
     try:
         return build(**values)
     except ValueError as exc:
-        key = next((k for k, v in values.items() if not np.isfinite(v).all()), otherwise)
-        raise ValueError(f"{where}.{key}: {exc}") from None
+        raise ValueError(f"{where}.{exc}") from None
 
 
 def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
@@ -1013,7 +1012,7 @@ def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
     calibration = _object(
         entries["calibration"][i], f"{where}.calibration", dict.fromkeys(keys, _NUMBER), keys[1:]
     )
-    calibration = _built(SelfCalibration, f"{where}.calibration", calibration, "focal_length")
+    calibration = _built(SelfCalibration, f"{where}.calibration", calibration)
     fields = {"id": _INTEGER, "center": _VECTOR, "rotation": _VECTOR}
     poses = _records(entries["cameras"][i], f"{where}.cameras", fields)
     cameras = {}
@@ -1021,7 +1020,7 @@ def _epoch_from_dict(entries: Dict[str, list], i: int) -> EpochCameras:
         if cam_id in cameras:
             raise ValueError(f"{where}.cameras[{k}].id: duplicate camera id {cam_id}")
         pose = {"center": center, "rotation": rotation}
-        cameras[cam_id] = _built(ExteriorOrientation, f"{where}.cameras[{k}]", pose, "rotation")
+        cameras[cam_id] = _built(ExteriorOrientation, f"{where}.cameras[{k}]", pose)
     return EpochCameras(epoch=entries["epoch"][i], calibration=calibration, cameras=cameras)
 
 

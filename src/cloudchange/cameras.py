@@ -47,11 +47,12 @@ class ExteriorOrientation:
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=np.float64).reshape(3).copy()
         rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3).copy()
-        if not np.isfinite(center).all() or not np.isfinite(rotation).all():
-            raise ValueError("camera pose must be finite")
+        for name, value in (("center", center), ("rotation", rotation)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name}: camera pose must be finite")
         if np.linalg.norm(rotation) >= np.pi:
             raise ValueError(
-                f"axis-angle magnitude must be < pi, got {np.linalg.norm(rotation):.6f}"
+                f"rotation: axis-angle magnitude must be < pi, got {np.linalg.norm(rotation):.6f}"
             )
         center.flags.writeable = False
         rotation.flags.writeable = False
@@ -92,11 +93,11 @@ class SelfCalibration:
     k2: float = 0.0
 
     def __post_init__(self) -> None:
-        values = (self.focal_length, self.cx, self.cy, self.k1, self.k2)
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError("calibration parameters must be finite")
+        for name in ("focal_length", "cx", "cy", "k1", "k2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: calibration parameters must be finite")
         if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be > 0, got {self.focal_length}")
+            raise ValueError(f"focal_length: focal_length must be > 0, got {self.focal_length}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.focal_length, self.cx, self.cy, self.k1, self.k2])
@@ -140,7 +141,7 @@ def _table(rows, dtype: np.dtype, where: str, positive=()) -> np.ndarray:
         else:
             good = np.isfinite(column) & ((column > 0) if name in positive else True)
             expected = number.format("finite ") + (" > 0" if name in positive else "")
-            bad = ~good.reshape(len(column), -1).all(axis=1)
+            bad = ~good.reshape(len(column), np.prod(shape, dtype=int)).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"{where}[{i}].{name}: expected {expected}, got {column[i].tolist()!r}")

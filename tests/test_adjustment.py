@@ -1008,6 +1008,21 @@ class TestScenarioFiles:
         assert old.points.tobytes() == new.points.tobytes()
         assert old.truth == new.truth
 
+    def test_empty_points_and_observations_round_trip(self, tmp_path):
+        packed = small_scenario().to_scenario()
+        epochs = packed.fixed_epochs, packed.new_epoch
+        path = tmp_path / "scenario.json"
+        for points in (packed.points, []):
+            save_scenario(adjustment.Scenario(*epochs, points=points, observations=[]), path)
+            loaded = load_scenario(path)
+            assert loaded.points.tobytes() == adjustment.Scenario(*epochs, points, []).points.tobytes()
+            assert loaded.observations.dtype == OBSERVATION_DTYPE
+            assert loaded.observations.shape == (0,)
+            # No observation leaves no camera to solve: a ValueError that
+            # says so, not one from reading the empty table.
+            with pytest.raises(ValueError, match="has no retained observations"):
+                refine_progressive(*epochs, loaded.points, loaded.observations)
+
     def test_solve_after_round_trip_matches_direct_solve(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.2, seed=3)
         packed = scenario.to_scenario()

@@ -129,6 +129,22 @@ class TestProjection:
         with pytest.raises(ValueError):
             SelfCalibration(focal_length=100.0, cx=np.inf, cy=0.0, k1=0.0, k2=0.0)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ExteriorOrientation([0.0, np.inf, 0.0], np.zeros(3)), "^center: "),
+            (lambda: ExteriorOrientation(np.zeros(3), [np.nan, 0.0, 0.0]), "^rotation: "),
+            (lambda: ExteriorOrientation(np.zeros(3), [0.0, 3.5, 0.0]), "^rotation: "),
+            (lambda: SelfCalibration(focal_length=-1.0), "^focal_length: "),
+            (lambda: SelfCalibration(focal_length=1.0, k1=np.nan), "^k1: "),
+        ],
+    )
+    def test_fault_starts_with_the_field_refused(self, build, message):
+        # The scenario reader prefixes these with the path of the camera or
+        # calibration, so each names the field it refused.
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_calibration_array_round_trip(self):
         sc = SelfCalibration(focal_length=875.5, cx=3.25, cy=-1.5, k1=0.125, k2=-0.0625)
         again = SelfCalibration.from_array(sc.as_array())
@@ -468,6 +484,10 @@ class TestObservationTable:
         table = observation_table([])
         assert table.dtype == OBSERVATION_DTYPE and table.shape == (0,)
 
+    def test_empty_table_of_the_dtype_passes(self):
+        table = np.empty(0, OBSERVATION_DTYPE)
+        assert observation_table(table) is table
+
     def test_other_column_types_convert(self):
         table = observation_table(
             self._table(
@@ -539,6 +559,10 @@ class TestPointTable:
     def test_empty_sequence_is_an_empty_table(self):
         table = point_table([])
         assert table.dtype == POINT_DTYPE and table.shape == (0,)
+
+    def test_empty_table_of_the_dtype_passes(self):
+        table = np.empty(0, POINT_DTYPE)
+        assert point_table(table) is table
 
     def test_rows_come_back_sorted_by_track(self):
         table = self._points((7, (1.0, 1.0, 1.0)), (-2, (2.0, 2.0, 2.0)), (3, (3.0, 3.0, 3.0)))

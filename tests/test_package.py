@@ -73,3 +73,6 @@ def test_benchmark_pose_uses_resolve(tmp_path):
     assert saved["observations"] == []
     assert [p["track"] for p in saved["points"]] == list(range(20))
     assert [p["position"] for p in saved["points"]] == result.points["position"].tolist()
+    loaded = load_scenario(tmp_path / "estimate.json")
+    assert loaded.points.tobytes() == result.points.tobytes()
+    assert len(loaded.observations) == 0
