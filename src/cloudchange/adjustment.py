@@ -940,15 +940,26 @@ _KIND_NAMES = {
     _BOOLEAN: "true or false",
     _VECTOR: "a list of 3 numbers",
 }
+# The integers each numeric kind takes. The tables store an integer field as
+# int64 and a number field as float64, in which a larger integer rounds to inf.
+_RANGES = {_INTEGER: range(-(2**63), 2**63), _NUMBER: range(1 - 2**1024 + 2**970, 2**1024 - 2**970)}
+_RANGE_NAMES = {_INTEGER: "an integer within int64", _NUMBER: "a number within float64"}
 _OBSERVATION_FIELDS = dict(camera=_INTEGER, track=_INTEGER, x=_NUMBER, y=_NUMBER, weight=_NUMBER)
 _ABSENT = object()  # a required key's value in a column where its object lacks it
 
 
 def _of_kind(values: list, kind) -> bool:
-    """Whether every one of `values` is of `kind`, checked by their types."""
+    """Whether every one of `values` is of `kind`, checked by their types,
+    and every integer among them is in `_RANGES[kind]`."""
     if kind is _VECTOR:
         return all(type(v) is list and len(v) == 3 and _of_kind(v, _NUMBER) for v in values)
-    return kind is None or set(map(type, values)) <= set(kind)
+    if kind is None:
+        return True
+    types = set(map(type, values))
+    if int not in types or not types <= set(kind):
+        return types <= set(kind)
+    ints = [v for v in values if type(v) is int] if float in types else values
+    return min(ints) in _RANGES[kind] and max(ints) in _RANGES[kind]
 
 
 def _object(value, where: str, fields: Mapping, optional=()) -> dict:
@@ -963,9 +974,11 @@ def _object(value, where: str, fields: Mapping, optional=()) -> dict:
     for key, item in value.items():
         if key not in fields:
             raise ValueError(f"{where}: unknown key {key!r}")
-        if not _of_kind([item], fields[key]):
-            got = reprlib.repr(item)
-            raise ValueError(f"{where}.{key}: expected {_KIND_NAMES[fields[key]]}, got {got}")
+        kind = fields[key]
+        if not _of_kind([item], kind):
+            # An integer of a numeric kind is refused for its size alone.
+            names = _RANGE_NAMES if type(item) is int and kind in _RANGE_NAMES else _KIND_NAMES
+            raise ValueError(f"{where}.{key}: expected {names[kind]}, got {reprlib.repr(item)}")
     return value
 
 

@@ -11,14 +11,13 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .adjustment import (
     AdjustmentOptions,
     _epoch_to_dict,
     _points_to_list,
     load_scenario,
     refine_progressive,
+    save_scenario,
 )
 from .cloud_io import load_cloud, save_cloud
 from .config import (
@@ -30,7 +29,7 @@ from .config import (
 from .detection import ChangeParams, hierarchical_detect
 from .evaluation import change_metrics, confusion_counts
 from .geometry import apply_transform
-from .pipeline import StageError, run_pipeline, write_json, _interval_outputs
+from .pipeline import StageError, interval_record, run_pipeline, write_interval, write_json
 from .registration import IcpParams, icp_align, point_to_plane_distances
 from .synth import (
     BuildingSpec,
@@ -38,9 +37,11 @@ from .synth import (
     generate_demolition_series,
     generate_pose_scenario,
 )
-from .volumetrics import timeline_report
+from .volumetrics import DEFAULT_CELL_SIZE, timeline_report
 
 logger = logging.getLogger(__name__)
+
+_GRID_HELP = f"ground grid cell size, metres (default {DEFAULT_CELL_SIZE})"
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
@@ -82,8 +83,6 @@ def cmd_synth(args) -> int:
     if args.pose_scenario:
         scenario = generate_pose_scenario(PoseScenarioConfig(seed=args.seed))
         path = os.path.join(args.output, "scenario.json")
-        from .adjustment import save_scenario
-
         save_scenario(scenario.to_scenario(), path)
         print(path)
         return 0
@@ -188,32 +187,28 @@ def cmd_refine_poses(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
+def _detect_pair(args):
+    """The two clouds of `--reference` and `--other` and the changes between
+    them, detected with the command line's detection flags."""
     reference = load_cloud(args.reference)
     other = load_cloud(args.other)
     changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
+    return changes, reference, other
+
+
+def cmd_detect(args) -> int:
+    changes, reference, other = _detect_pair(args)
+    record = interval_record(changes, reference, other, args.grid_size)
     os.makedirs(args.output, exist_ok=True)
-    entry, volume = _interval_outputs(0, reference, other, changes, args.output, args.grid_size)
-    write_json(os.path.join(args.output, "detect_report.json"), entry)
-    print(json.dumps(entry, indent=2, sort_keys=True))
+    write_interval(changes, reference, other, args.output)
+    write_json(os.path.join(args.output, "detect_report.json"), record)
+    print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_volume(args) -> int:
-    reference = load_cloud(args.reference)
-    other = load_cloud(args.other)
-    from .volumetrics import build_ground_grid, change_volume
-
-    changes = hierarchical_detect(reference, other, params=_params_from_args(ChangeParams, args))
-    grid = build_ground_grid(changes, reference, other, cell_size=args.grid_size)
-    payload = {
-        "volume_m3": change_volume(grid),
-        "n_cells": grid.n_cells,
-        "n_fallback_cells": int(np.sum(grid.fallback)),
-        "cell_size_m": grid.cell_size,
-        "n_changed_voxels": changes.n_voxels,
-    }
-    _emit(payload, args.output)
+    changes, reference, other = _detect_pair(args)
+    _emit(interval_record(changes, reference, other, args.grid_size), args.output)
     return 0
 
 
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--story-height", type=float, default=3.0)
     p.add_argument("--density", type=float, default=400.0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--grid-size", type=float, default=0.5)
+    p.add_argument("--grid-size", type=float, default=DEFAULT_CELL_SIZE)
     p.add_argument(
         "--pose-scenario",
         action="store_true",
@@ -314,15 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="earlier epoch cloud")
     p.add_argument("--other", required=True, help="later epoch cloud")
     p.add_argument("--output", required=True, help="directory for labeled outputs")
-    p.add_argument("--grid-size", type=float, help="ground grid cell size, metres")
+    p.add_argument("--grid-size", type=float, default=DEFAULT_CELL_SIZE, help=_GRID_HELP)
     _add_detection_flags(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("volume", help="changed volume between two epochs")
     p.add_argument("--reference", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--grid-size", type=float)
+    p.add_argument("--output", help="write the interval record here instead of stdout")
+    p.add_argument("--grid-size", type=float, default=DEFAULT_CELL_SIZE, help=_GRID_HELP)
     _add_detection_flags(p)
     p.set_defaults(func=cmd_volume)
 

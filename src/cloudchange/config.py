@@ -26,6 +26,7 @@ import yaml
 from .detection import ChangeParams
 from .neighbors import query_workers
 from .registration import IcpParams
+from .volumetrics import DEFAULT_CELL_SIZE
 
 __all__ = [
     "EpochInput",
@@ -64,8 +65,7 @@ class PipelineConfig:
         registration: "none" or "icp" (later epoch aligned to the earlier).
         icp: registration knobs, used only in "icp" mode.
         detection: change-detection knobs.
-        grid_size: ground-grid cell edge, metres; None uses the changed
-            voxel edge.
+        grid_size: ground-grid cell edge, metres, finite and > 0.
         output_dir: where the run writes its artifacts.
         seed: base seed recorded in the manifest.
         threads: worker count for neighbour queries; None: one worker;
@@ -76,7 +76,7 @@ class PipelineConfig:
     registration: str = "none"
     icp: IcpParams = field(default_factory=IcpParams)
     detection: ChangeParams = field(default_factory=ChangeParams)
-    grid_size: Optional[float] = None
+    grid_size: float = DEFAULT_CELL_SIZE
     output_dir: str = "out"
     seed: int = 0
     threads: Optional[int] = None
@@ -100,8 +100,9 @@ class PipelineConfig:
             raise ValueError(f"epochs: timestamps must be finite, got {stamps}")
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("epochs: timestamps must be strictly increasing")
-        if self.grid_size is not None and not (math.isfinite(self.grid_size) and self.grid_size > 0):
-            raise ValueError(f"grid_size: must be finite and > 0, got {self.grid_size}")
+        grid_size = _convert(self.grid_size, _float, "grid_size")
+        if not (math.isfinite(grid_size) and grid_size > 0):
+            raise ValueError(f"grid_size: must be finite and > 0, got {grid_size}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed: expected an integer, got {self.seed!r}")
         # Kept as plain ints, so a numpy integer serializes like any other.
@@ -158,8 +159,8 @@ def _string(value) -> str:
 
 
 def _float(value) -> float:
-    """A YAML number as given; a bool or a string is no number."""
-    if isinstance(value, (bool, str)):
+    """A YAML number as given; a bool, a string or null is no number."""
+    if value is None or isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -15,20 +15,20 @@ import logging
 import os
 import time
 from importlib import metadata
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .cloud_io import load_cloud, save_cloud
 from .config import REPORT_VERSION, PipelineConfig, config_to_dict
-from .detection import Lattice, hierarchical_detect
+from .detection import ChangeSet, Lattice, hierarchical_detect
 from .geometry import ChangeLabel, PointCloud, apply_transform
 from .registration import icp_align
-from .volumetrics import build_ground_grid, change_volume, timeline_report
+from .volumetrics import DEFAULT_CELL_SIZE, build_ground_grid, change_volume, timeline_report
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["StageError", "run_pipeline", "INTERVAL_COLORS"]
+__all__ = ["INTERVAL_COLORS", "StageError", "interval_record", "run_pipeline", "write_interval"]
 
 # One color per epoch interval, cycled; changed clouds from interval k all
 # share INTERVAL_COLORS[k % len].
@@ -85,26 +85,22 @@ def _register_pair(earlier: PointCloud, later: PointCloud, config: PipelineConfi
     return apply_transform(later, result.transform), result.to_dict()
 
 
-def _interval_outputs(
-    index: int,
-    earlier: PointCloud,
-    later: PointCloud,
-    changes,
-    out_dir: str,
-    grid_size: Optional[float],
-):
+def write_interval(
+    changes: ChangeSet, earlier: PointCloud, later: PointCloud, out_dir: str
+) -> None:
     """Write the labeled cloud, the colorized changed subset, and the voxel
-    list for one epoch interval; returns the report entry and the volume.
+    list of the interval `changes.epoch_pair`.
 
     The voxel codes go to `voxels_<i>_<j>.npy` as uint64; `voxels_<i>_<j>.json`
     holds the lattice metadata, that file's name, the code count and the
     file's sha256."""
-    tag = f"{index}_{index + 1}"
+    first, second = changes.epoch_pair
+    tag = f"{first}_{second}"
     labels = np.full(len(earlier), int(ChangeLabel.UNCHANGED), dtype=np.uint8)
     labels[changes.changed_reference] = int(ChangeLabel.CHANGED)
     save_cloud(os.path.join(out_dir, f"labels_{tag}.ply"), earlier.with_attributes(labels=labels))
 
-    color = INTERVAL_COLORS[index % len(INTERVAL_COLORS)]
+    color = INTERVAL_COLORS[first % len(INTERVAL_COLORS)]
     removed = earlier.xyz[changes.changed_reference]
     added = later.xyz[changes.changed_other]
     changed_xyz = np.vstack([removed, added])
@@ -114,8 +110,8 @@ def _interval_outputs(
         labels=np.full(len(changed_xyz), int(ChangeLabel.CHANGED), dtype=np.uint8),
         epochs=np.concatenate(
             [
-                np.full(len(removed), index, dtype=np.int32),
-                np.full(len(added), index + 1, dtype=np.int32),
+                np.full(len(removed), first, dtype=np.int32),
+                np.full(len(added), second, dtype=np.int32),
             ]
         ),
     )
@@ -139,10 +135,16 @@ def _interval_outputs(
         },
     )
 
-    grid = build_ground_grid(changes, earlier, later, cell_size=grid_size)
-    volume = change_volume(grid)
-    entry = {
-        "epochs": [index, index + 1],
+
+def interval_record(
+    changes: ChangeSet, earlier: PointCloud, later: PointCloud, cell_size: float = DEFAULT_CELL_SIZE
+) -> dict:
+    """The report entry of the interval `changes.epoch_pair`: its detection
+    counts and the volume billed on a ground grid of `cell_size` metre
+    cells. `run` adds the interval's registration record to it."""
+    grid = build_ground_grid(changes, earlier, later, cell_size=cell_size)
+    return {
+        "epochs": list(changes.epoch_pair),
         "n_changed_voxels": changes.n_voxels,
         "voxel_edge_m": changes.voxel_edge,
         "n_changed_reference": int(len(changes.changed_reference)),
@@ -150,9 +152,8 @@ def _interval_outputs(
         "grid_cells": grid.n_cells,
         "grid_fallback_cells": int(np.sum(grid.fallback)),
         "grid_cell_size_m": grid.cell_size,
-        "volume_m3": volume,
+        "volume_m3": change_volume(grid),
     }
-    return entry, volume
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -200,7 +201,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             raise StageError("lattice", str(exc)) from exc
 
         intervals = []
-        volumes = []
         for i, (earlier, later, registration) in enumerate(zip(clouds, laters, registrations)):
             tag = f"interval_{i}_{i + 1}"
             try:
@@ -213,25 +213,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 raise StageError(f"detect[{i}]", str(exc)) from exc
             try:
                 started = time.perf_counter()
-                entry, volume = _interval_outputs(
-                    i, earlier, later, changes, out_dir, config.grid_size
-                )
+                write_interval(changes, earlier, later, out_dir)
+                entry = interval_record(changes, earlier, later, config.grid_size)
                 timings[f"{tag}.volume"] = time.perf_counter() - started
             except Exception as exc:
                 raise StageError(f"volume[{i}]", str(exc)) from exc
             if registration is not None:
                 entry["registration"] = registration
             intervals.append(entry)
-            volumes.append(volume)
             logger.info(
                 "interval %d->%d: %d changed voxels, volume %.3f m3",
                 i,
                 i + 1,
                 entry["n_changed_voxels"],
-                volume,
+                entry["volume_m3"],
             )
 
-        timeline = timeline_report([e.timestamp for e in config.epochs], volumes)
+        timeline = timeline_report(
+            [e.timestamp for e in config.epochs], [e["volume_m3"] for e in intervals]
+        )
         report = {
             "report_version": REPORT_VERSION,
             "config": config_to_dict(config),

@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .adjustment import Scenario, _epoch_to_dict, _points_to_list
 from .cameras import (
     OBSERVATION_DTYPE,
     POINT_DTYPE,
@@ -98,14 +99,6 @@ class BuildingSpec:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BuildingSpec":
-        data = dict(data)
-        columns = data.pop("columns", None)
-        if columns is not None:
-            columns = ColumnGrid(**columns)
-        return cls(columns=columns, **data)
 
 
 @dataclass(frozen=True)
@@ -205,20 +198,6 @@ class DemolitionScript:
             _clipped_volume(box.lo, box.hi, self.building)
             for box in self.boxes
             if box.epoch == epoch
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DemolitionScript":
-        building = BuildingSpec.from_dict(data["building"])
-        boxes = tuple(
-            RemovalBox(epoch=b["epoch"], lo=tuple(b["lo"]), hi=tuple(b["hi"]))
-            for b in data["boxes"]
-        )
-        rubble = data.get("rubble")
-        return cls(
-            building=building,
-            boxes=boxes,
-            rubble=None if rubble is None else RubbleSpec(**rubble),
         )
 
 
@@ -552,11 +531,9 @@ class PoseScenario:
     observations: np.ndarray
     outlier_indices: List[int]
 
-    def to_scenario(self):
+    def to_scenario(self) -> Scenario:
         """Repackage for the solver's scenario file format (initial values
         as the estimate, truth carried in the auxiliary block)."""
-        from .adjustment import Scenario, _epoch_to_dict, _points_to_list
-
         truth = {
             "new_epoch": _epoch_to_dict(self.new_truth, False),
             "points": _points_to_list(self.points_truth),

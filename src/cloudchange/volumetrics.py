@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .detection import ChangeSet
 from .geometry import PointCloud
 
 __all__ = [
+    "DEFAULT_CELL_SIZE",
     "GroundGrid",
     "VolumeReport",
     "build_ground_grid",
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 _STRIDE = np.int64(1) << np.int64(32)
+
+# Ground-grid cell edge, metres, wherever none is given: a DEM of
+# difference is billed on one fixed raster cell.
+DEFAULT_CELL_SIZE = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def build_ground_grid(
     changes: ChangeSet,
     earlier: PointCloud,
     later: PointCloud,
-    cell_size: Optional[float] = None,
+    cell_size: float = DEFAULT_CELL_SIZE,
 ) -> GroundGrid:
     """Project the changed region onto the ground plane.
 
@@ -86,10 +91,9 @@ def build_ground_grid(
     the clouds `changes` was detected on. Cells occupied in both epochs get
     h = |z_top(earlier) - z_top(later)|; cells occupied in only one epoch
     fall back to that epoch's own vertical extent in the cell and are
-    flagged. The default cell size is the changed-voxel edge. An empty
-    ChangeSet yields an empty grid.
+    flagged. An empty ChangeSet yields an empty grid.
     """
-    s = changes.voxel_edge if cell_size is None else float(cell_size)
+    s = float(cell_size)
     if not (np.isfinite(s) and s > 0):
         raise ValueError(f"cell size must be finite and > 0, got {s}")
     pts_e, pts_l = earlier.xyz, later.xyz

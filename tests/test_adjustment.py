@@ -873,6 +873,16 @@ def _nan_k1(payload):
     return payload
 
 
+def _huge_track(payload):
+    payload["points"][3]["track"] = 2**70
+    return payload
+
+
+def _huge_focal_length(payload):
+    payload["epochs"][0]["calibration"]["focal_length"] = 10**400
+    return payload
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
         scenario = small_scenario(noise_sigma=0.4, outlier_fraction=0.02, seed=12)
@@ -966,16 +976,27 @@ class TestScenarioFiles:
             _nan_k1,
             r"^scenario\.epochs\[1\]\.calibration\.k1: calibration parameters must be finite$",
         ),
+        (
+            _huge_track,
+            r"^scenario\.points\[3\]\.track: expected an integer within int64, "
+            r"got 1180591620717411303424$",
+        ),
+        (
+            _huge_focal_length,
+            r"^scenario\.epochs\[0\]\.calibration\.focal_length: "
+            r"expected a number within float64, got 1000+\.\.\.0+$",
+        ),
     ])
     def test_malformed_scenario_names_its_fault(self, tmp_path, damage, message):
         # A missing key, an unknown key, a wrong shape, a value of the wrong
         # type, a repeated id or a value out of range (a NaN or infinite
         # pixel, point or camera centre, which Python's json reads, a
         # rotation of a half turn or more, a focal length not > 0, a NaN
-        # distortion coefficient or a zero weight) is a ValueError naming
-        # its path, not a KeyError or TypeError from deep inside the reader,
-        # nor a string read as a number, nor a repeat that silently replaces
-        # the first.
+        # distortion coefficient, a zero weight, an integer outside int64
+        # or an integer number too large for float64) is a ValueError naming
+        # its path, not a KeyError, TypeError or OverflowError from deep
+        # inside the reader, nor a string read as a number, nor a repeat
+        # that silently replaces the first.
         path = tmp_path / "scenario.json"
         save_scenario(small_scenario().to_scenario(), path)
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))

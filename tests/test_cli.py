@@ -8,9 +8,11 @@ from scipy.spatial.transform import Rotation
 from cloudchange import cli
 from cloudchange.cli import main
 from cloudchange.cloud_io import load_cloud, save_cloud
-from cloudchange.config import parse_config
+from cloudchange.config import EpochInput, PipelineConfig, parse_config, serialize_config
 from cloudchange.detection import ChangeParams, hierarchical_detect
 from cloudchange.geometry import PointCloud, bounding_cube
+from cloudchange.pipeline import run_pipeline
+from cloudchange.volumetrics import build_ground_grid
 from scenes import hollow_box
 
 
@@ -243,8 +245,8 @@ class TestVolumeCommand:
         payload = json.loads(report.read_text())
         truth = json.loads((scene / "truth.json").read_text())
         assert payload["volume_m3"] == pytest.approx(truth["interval_volumes_m3"][0], rel=0.02)
-        assert payload["cell_size_m"] == 0.5
-        assert payload["n_cells"] > 0
+        assert payload["grid_cell_size_m"] == 0.5
+        assert payload["grid_cells"] > 0
 
     @pytest.mark.parametrize("grid_size", ["nan", "inf"])
     def test_non_finite_grid_size_fails(self, scene, tmp_path, caplog, grid_size):
@@ -265,6 +267,60 @@ class TestVolumeCommand:
         assert code == 1
         assert "cell size must be finite" in caplog.text
         assert not report.exists()
+
+
+def _scene_config(scene, n_epochs, out, **fields) -> PipelineConfig:
+    """A config over the scene's first `n_epochs` epochs, writing to `out`."""
+    epochs = tuple(EpochInput(str(scene / f"epoch_{k}.ply"), float(k)) for k in range(n_epochs))
+    return PipelineConfig(epochs=epochs, output_dir=str(out), **fields)
+
+
+class TestIntervalRecord:
+    """`run`, `detect` and `volume` bill an interval through one record."""
+
+    def test_commands_hold_one_record(self, scene, tmp_path, capsys):
+        pair = ["--reference", str(scene / "epoch_0.ply"), "--other", str(scene / "epoch_1.ply")]
+        flags = ["--start-depth", "5", "--max-depth", "8", "--threshold", "3e5", "--grid-size", "0.25"]
+        assert main(["detect", *pair, *flags, "--output", str(tmp_path / "detect")]) == 0
+        assert main(["volume", *pair, *flags, "--output", str(tmp_path / "volume.json")]) == 0
+        config = _scene_config(
+            scene,
+            2,
+            tmp_path / "run",
+            detection=ChangeParams(start_depth=5, max_depth=8, thresholds=3e5),
+            grid_size=0.25,
+        )
+        (tmp_path / "config.yaml").write_text(serialize_config(config))
+        assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 0
+        capsys.readouterr()
+        detected = (tmp_path / "detect" / "detect_report.json").read_bytes()
+        assert (tmp_path / "volume.json").read_bytes() == detected
+        (interval,) = json.loads((tmp_path / "run" / "report.json").read_text())["intervals"]
+        interval.pop("registration", None)
+        assert interval == json.loads(detected)
+        assert interval["grid_cell_size_m"] == 0.25 and interval["volume_m3"] > 0
+
+    def test_default_cell_bills_full_height_removal(self, scene, tmp_path, capsys):
+        # Criterion 8's 5 %, on the cell that a config and `volume` take
+        # when none is given.
+        truth = json.loads((scene / "truth.json").read_text())["interval_volumes_m3"]
+        assert run_pipeline(_scene_config(scene, 3, tmp_path / "run"))["status"] == "ok"
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        for interval, expected in zip(report["intervals"], truth):
+            assert interval["grid_cell_size_m"] == 0.5
+            assert interval["volume_m3"] == pytest.approx(expected, rel=0.05)
+        pair = ["--reference", str(scene / "epoch_0.ply"), "--other", str(scene / "epoch_1.ply")]
+        assert main(["volume", *pair]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["grid_cell_size_m"] == 0.5
+        assert record["volume_m3"] == pytest.approx(truth[0], rel=0.05)
+        earlier, later = load_cloud(scene / "epoch_0.ply"), load_cloud(scene / "epoch_1.ply")
+        changes = hierarchical_detect(earlier, later)
+        with pytest.raises(ValueError, match="cell size"):
+            build_ground_grid(changes, earlier, later, cell_size=0.0)
+        for cell_size in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="cell size must be finite"):
+                build_ground_grid(changes, earlier, later, cell_size=cell_size)
 
 
 class TestRegisterCommand:

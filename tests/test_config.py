@@ -42,7 +42,7 @@ class TestParsing:
         assert config.registration == "none"
         assert config.icp == IcpParams()
         assert config.detection == ChangeParams()
-        assert config.grid_size is None
+        assert config.grid_size == 0.5
         assert config.output_dir == "out"
         assert config.seed == 0
         assert config.threads is None
@@ -135,6 +135,7 @@ class TestStrictness:
         ("report_version: 2.9", "report_version"),
         ("grid_size: true", "grid_size"),
         ('grid_size: "0.5"', "grid_size"),
+        ("grid_size: null", "grid_size"),
         ('detection: {thresholds: "1e5"}', "detection.thresholds"),
         ('detection: {thresholds: ["1e5"]}', "detection.thresholds"),
         ("output_dir: null", "output_dir"),
@@ -239,6 +240,8 @@ class TestInvariants:
     def test_scalar_bounds(self):
         with pytest.raises(ValueError, match="grid_size"):
             PipelineConfig(epochs=self._epochs(0.0, 1.0), grid_size=0.0)
+        with pytest.raises(ValueError, match="^grid_size: expected a number, got None$"):
+            PipelineConfig(epochs=self._epochs(0.0, 1.0), grid_size=None)
         with pytest.raises(ValueError, match="threads"):
             PipelineConfig(epochs=self._epochs(0.0, 1.0), threads=0)
         for bad in (float("nan"), float("inf"), -float("inf")):

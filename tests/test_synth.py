@@ -69,27 +69,6 @@ class TestBuilding:
         with pytest.raises(ValueError, match="side"):
             ColumnGrid(count_x=1, count_y=1, side=0.0)
 
-    def test_from_dict_round_trip(self):
-        spec = BuildingSpec(
-            width=12,
-            length=9,
-            height=6,
-            story_height=2.5,
-            density=120.0,
-            columns=ColumnGrid(2, 3, 0.5),
-        )
-        rebuilt = BuildingSpec.from_dict(
-            {
-                "width": 12,
-                "length": 9,
-                "height": 6,
-                "story_height": 2.5,
-                "density": 120.0,
-                "columns": {"count_x": 2, "count_y": 3, "side": 0.5},
-            }
-        )
-        assert rebuilt == spec
-
 
 class TestDemolition:
     def _scene(self, density=400.0):

@@ -151,19 +151,6 @@ class TestBuildGroundGrid:
             assert errors[cell] <= perimeter * cell * 6.0
         assert errors[0.25] < errors[1.0]
 
-    def test_default_cell_size_is_the_voxel_edge(self):
-        spec = BuildingSpec(width=10, length=10, height=6, density=200.0)
-        box = RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0))
-        earlier, later, _ = demolish(spec, (box,))
-        changes = hierarchical_detect(earlier, later)
-        grid = build_ground_grid(changes, earlier, later)
-        assert grid.cell_size == changes.voxel_edge
-        with pytest.raises(ValueError, match="cell size"):
-            build_ground_grid(changes, earlier, later, cell_size=0.0)
-        for cell_size in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="cell size must be finite"):
-                build_ground_grid(changes, earlier, later, cell_size=cell_size)
-
 
 def contains_ground_grid(changes, earlier, later, cell_size):
     """Reference grid: members re-found with `contains`, reduced per cell
@@ -200,7 +187,7 @@ def contains_ground_grid(changes, earlier, later, cell_size):
 
 
 GRID_SCENES = {
-    # boxes, rubble, cell size
+    # boxes, rubble, cell size; None is the finest voxel's edge
     "full-height": ((RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0)),), None, CELL),
     "rubble": (
         (RemovalBox(1, (2.0, 2.0, 0.0), (6.0, 8.0, 6.0)),),
@@ -231,6 +218,7 @@ class TestGroundGridMembers:
         spec = BuildingSpec(width=10, length=10, height=6, density=400.0)
         earlier, later, _ = demolish(spec, boxes, rubble=rubble)
         changes = hierarchical_detect(earlier, later)
+        cell = changes.voxel_edge if cell is None else cell
         grid = build_ground_grid(changes, earlier, later, cell_size=cell)
         expected = contains_ground_grid(changes, earlier, later, grid.cell_size)
         assert grid.n_cells > 0
